@@ -276,6 +276,8 @@ def _verify_fs(args):
 
 
 def _verify_minimize(args):
+    if args.l_max < 1:
+        raise DomainError(f"the degree-1 seed perturbation needs L_max >= 1, got --l-max {args.l_max}")
     theta = args.theta if args.theta is not None else 1.0
     grid = schrodinger.LineGrid(args.S, args.n)
     start = cyl.extremal_field(grid, args.N, args.l_max, args.Lambda, args.p, theta)

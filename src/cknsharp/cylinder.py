@@ -3,13 +3,17 @@
 Fields are tensor products of a Dirichlet line grid (sine-spectral calculus
 in s, so derivative energies are exact for the interpolant and accurate to
 spectral order for decaying profiles) and the zonal sphere basis of
-:mod:`cknsharp.sphere` under the uniform probability measure.  On top of
-that sit the Rayleigh quotients of the plain and interpolation inequalities,
-a normalized-gradient-descent minimizer with Armijo backtracking, the
-Euler-Lagrange residual, the five-step proof-chain slack evaluator, the
-second-variation instability detector with its threshold bisection, the
-log-radial change of variables from Euclidean space, the spectral-bound
-equivalence, and the theta < 1 sandwich verification.
+:mod:`cknsharp.sphere` under the uniform probability measure.  One ledger
+sums the per-degree mass and s-energy from the orthonormal DST-I sine
+coefficients; the gradient energy and its preconditioner are diagonal in
+that sine x zonal basis.  On top of that sit the Rayleigh quotients of the
+plain and interpolation inequalities, a preconditioned gradient flow with
+Armijo backtracking that runs in coefficient space (two DST-I per
+iteration, none per line-search trial), the Euler-Lagrange residual, the
+five-step proof-chain slack evaluator, the second-variation instability
+detector with its threshold bisection, the log-radial change of variables
+from Euclidean space, the spectral-bound equivalence, and the theta < 1
+sandwich verification.
 
 All angular integrals use the probability measure, so the radial benchmark
 is the interpolation-family constant radial_interp_constant; the
@@ -22,7 +26,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.fft import dst
@@ -90,6 +94,10 @@ class CylField:
     grid: LineGrid
     N: int
     data: np.ndarray
+    # DST(data), carried only by the flow's own iterates and line-search
+    # trials; a field handed to a caller never holds it, so editing data
+    # cannot leave it stale
+    _sine: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -126,6 +134,7 @@ def radial_field(grid: LineGrid, N: int, L_max: int, profile) -> CylField:
 
 def extremal_field(grid: LineGrid, N: int, L_max: int, Lambda: float, p: float, theta: float = 1.0) -> CylField:
     """The s-only extremal profile embedded as a cylinder field."""
+    _check_quotient_args(Lambda, p, theta)
     pc = profile_constants(Lambda, p, theta)
     return radial_field(grid, N, L_max, lambda s: extremal_profile(s, pc, p))
 
@@ -141,33 +150,47 @@ def _dst(arr: np.ndarray) -> np.ndarray:
     return dst(arr, type=1, norm="ortho", axis=0)
 
 
-def _mode_senergy(grid: LineGrid, data: np.ndarray) -> np.ndarray:
-    """Per-column Dirichlet energy of the sine interpolant."""
-    ch = _dst(data)
-    return grid.h * ((_freqs(grid) ** 2)[:, None] * ch**2).sum(axis=0)
-
-
-def _second_derivative(grid: LineGrid, data: np.ndarray) -> np.ndarray:
-    return -_dst((_freqs(grid) ** 2)[:, None] * _dst(data))
-
-
 def _angular_eigs(N: int, L_max: int) -> np.ndarray:
     ell = np.arange(L_max + 1)
     return ell * (ell + N - 2.0)
 
 
+def _stiffness(u: CylField) -> np.ndarray:
+    """Diagonal of the gradient energy in the sine x zonal basis."""
+    return (_freqs(u.grid) ** 2)[:, None] + _angular_eigs(u.N, u.L_max)[None, :]
+
+
+def _ledger(u: CylField):
+    """(mass, senergy, c): per-degree squared L2 norm and Dirichlet energy in
+    s of the sine interpolant, and its sine coefficients c = DST(u.data),
+    which cost one DST unless u carries them."""
+    c = _dst(u.data) if u._sine is None else u._sine
+    mass = u.grid.h * (u.data**2).sum(axis=0)
+    senergy = u.grid.h * ((_freqs(u.grid) ** 2)[:, None] * c**2).sum(axis=0)
+    return mass, senergy, c
+
+
+def _check_quotient_args(Lambda: float, p: float, theta: float) -> None:
+    # written so that NaN fails every comparison
+    if not (0 < Lambda < math.inf and 2 < p < math.inf):
+        raise DomainError(f"need finite Lambda > 0 and p > 2, got ({Lambda}, {p})")
+    if not 0 < theta <= 1:
+        raise DomainError(f"need 0 < theta <= 1, got {theta}")
+
+
 def _pieces(u: CylField, p: float):
-    """(E, M, P, nodal) with E the full gradient energy, M the squared L2
-    norm, P the integral of |u|^p, all under the probability measure."""
-    mode_mass = u.grid.h * (u.data**2).sum(axis=0)
-    senergy = _mode_senergy(u.grid, u.data)
-    eigs = _angular_eigs(u.N, u.L_max)
-    E = float(senergy.sum() + (eigs * mode_mass).sum())
-    M = float(mode_mass.sum())
+    """(E, M, P, U, aU, c) with E the full gradient energy, M the squared L2
+    norm, P the integral of |u|^p, all under the probability measure; U the
+    nodal values, aU = |U|^(p-2) U = |U|^(p-1) sign U (one power serves both
+    it and |U|^p = aU U) and c the sine coefficients."""
+    mass, senergy, c = _ledger(u)
+    E = float(senergy.sum() + (_angular_eigs(u.N, u.L_max) * mass).sum())
+    M = float(mass.sum())
     quad_, _ = _angular(u.N, u.L_max)
     U = u.nodal()
-    P = float(u.grid.h * (np.abs(U) ** p @ quad_.weights).sum())
-    return E, M, P, U
+    aU = np.abs(U) ** (p - 2) * U
+    P = float(u.grid.h * ((aU * U) @ quad_.weights).sum())
+    return E, M, P, U, aU, c
 
 
 def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
@@ -177,9 +200,8 @@ def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
     and M the squared L2 norm; theta < 1: (E + Lambda M)^theta M^(1-theta)
     / ||u||_p^2.  Probability measure on the angular factor.
     """
-    if Lambda <= 0 or p <= 2:
-        raise DomainError(f"need Lambda > 0 and p > 2, got ({Lambda}, {p})")
-    E, M, P, _ = _pieces(u, p)
+    _check_quotient_args(Lambda, p, theta)
+    E, M, P, *_ = _pieces(u, p)
     if M == 0.0:
         raise DomainError("zero field")
     num = (E + Lambda * M) if theta == 1.0 else (E + Lambda * M) ** theta * M ** (1 - theta)
@@ -187,28 +209,22 @@ def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
 
 
 def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float):
-    """Quotient value and its gradient w.r.t. the coefficients, in the
-    h-weighted (functional) scaling."""
-    grid, N, L_max = u.grid, u.N, u.L_max
-    quad_, B = _angular(N, L_max)
-    eigs = _angular_eigs(N, L_max)
-    w2 = _freqs(grid) ** 2
+    """Quotient value and its gradient w.r.t. the sine coefficients
+    DST(u.data), in the h-weighted (functional) scaling.
 
-    ch = _dst(u.data)
-    senergy = grid.h * (w2[:, None] * ch**2).sum(axis=0)
-    mode_mass = grid.h * (u.data**2).sum(axis=0)
-    E = float(senergy.sum() + (eigs * mode_mass).sum())
-    M = float(mode_mass.sum())
-    U = u.data @ B.T
-    absU = np.abs(U)
-    P = float(grid.h * (absU**p @ quad_.weights).sum())
+    The quadratic terms are diagonal in the sine x zonal basis; only the
+    p-th power term needs a transform (one DST when u carries its
+    coefficients, two otherwise).
+    """
+    E, M, P, _, aU, c = _pieces(u, p)
     if M == 0.0 or P == 0.0:
         raise DomainError("zero field")
+    quad_, B = _angular(u.N, u.L_max)
 
     # functional gradients (plain coefficient gradient divided by h)
-    gE = 2.0 * (_dst(w2[:, None] * ch) + u.data * eigs[None, :])
-    gM = 2.0 * u.data
-    gP = p * ((absU ** (p - 1) * np.sign(U)) * quad_.weights[None, :]) @ B
+    gE = 2.0 * _stiffness(u) * c
+    gM = 2.0 * c
+    gP = p * _dst((aU * quad_.weights[None, :]) @ B)
 
     n_p2 = P ** (2.0 / p)
     if theta == 1.0:
@@ -218,9 +234,13 @@ def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float):
         G = (E + Lambda * M) ** theta * M ** (1 - theta)
         common = (E + Lambda * M) ** (theta - 1) * M ** (-theta)
         gG = common * (theta * M * (gE + Lambda * gM) + (1 - theta) * (E + Lambda * M) * gM)
-    Q = G / n_p2
-    gQ = (gG - (2.0 / p) * (G / P) * gP) / n_p2
-    return Q, gQ, E, M
+    return G / n_p2, (gG - (2.0 / p) * (G / P) * gP) / n_p2
+
+
+class _Report:
+    def to_dict(self) -> dict:
+        """The report's fields in declaration order, without the minimizer."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "minimizer"}
 
 
 @dataclass
@@ -240,7 +260,7 @@ class MinimizeOpts:
 
 
 @dataclass
-class MinimizeReport:
+class MinimizeReport(_Report):
     """Outcome of a quotient minimization."""
 
     constant: float
@@ -255,26 +275,10 @@ class MinimizeReport:
     N: int
     minimizer: CylField = field(repr=False, default=None)
 
-    def to_dict(self) -> dict:
-        return {
-            "constant": self.constant,
-            "quotient": self.quotient,
-            "iterations": self.iterations,
-            "grad_norm": self.grad_norm,
-            "angular_fraction": self.angular_fraction,
-            "converged": self.converged,
-            "Lambda": self.Lambda,
-            "p": self.p,
-            "theta": self.theta,
-            "N": self.N,
-        }
-
 
 def _angular_fraction(u: CylField, Lambda: float) -> float:
-    mode_mass = u.grid.h * (u.data**2).sum(axis=0)
-    senergy = _mode_senergy(u.grid, u.data)
-    eigs = _angular_eigs(u.N, u.L_max)
-    mode_energy = senergy + (eigs + Lambda) * mode_mass
+    mass, senergy, _ = _ledger(u)
+    mode_energy = senergy + (_angular_eigs(u.N, u.L_max) + Lambda) * mass
     total = float(mode_energy.sum())
     if total == 0.0:
         return 0.0
@@ -285,36 +289,37 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
     h = u0.grid.h
     # gradient-energy preconditioner: the quotient Hessian is dominated by
     # the quadratic form, diagonal in the sine x zonal basis, so descending
-    # along its inverse image removes the grid-induced stiffness
-    w2 = _freqs(u0.grid) ** 2
-    eigs = _angular_eigs(u0.N, u0.L_max)
-    sym = 1.0 / (w2[:, None] + eigs[None, :] + Lambda)
-
-    def precondition(grad: np.ndarray) -> np.ndarray:
-        return _dst(sym * _dst(grad))
+    # along its inverse image removes the grid-induced stiffness.  The flow
+    # carries u with its sine coefficients; direction, slope (Parseval) and
+    # trials are formed in that basis, so an iteration costs one DST to map
+    # the direction to nodes and one in the next gradient, and none per trial
+    sym = 1.0 / (_stiffness(u0) + Lambda)
 
     mass0 = h * float((u0.data**2).sum())
     if mass0 == 0.0:
         raise DomainError("zero start field")
     u = u0.copy()
     u.data /= math.sqrt(mass0)
-    Q, g, _, _ = _value_and_grad(u, Lambda, p, theta)
+    u._sine = _dst(u.data)
+    Q, g = _value_and_grad(u, Lambda, p, theta)
     t = opts.step0
     iters = 0
     converged = False
     gnorm = math.inf
     while iters < opts.max_iter:
         iters += 1
-        d = precondition(g)
-        slope = h * float((g * d).sum())  # positive: d is a descent direction
+        dc = sym * g
+        slope = h * float((g * dc).sum())  # positive: dc is a descent direction
         gnorm = math.sqrt(slope)
         if gnorm < opts.grad_tol:
             converged = True
             break
+        d = _dst(dc)
         accepted = False
         t = min(t * opts.grow, 1e3)
         for _ in range(opts.max_backtracks):
             trial = CylField(u.grid, u.N, u.data - t * d)
+            trial._sine = u._sine - t * dc
             try:
                 Qnew = rayleigh(trial, Lambda, p, theta)
             except (DomainError, FloatingPointError):
@@ -327,10 +332,12 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
             # line search stalled at machine precision: treat as converged
             converged = True
             break
-        trial.data /= math.sqrt(h * float((trial.data**2).sum()))
+        norm = math.sqrt(h * float((trial.data**2).sum()))
+        trial.data /= norm
+        trial._sine /= norm
         rel = abs(Q - Qnew) / abs(Q)
         u = trial
-        Q, g, _, _ = _value_and_grad(u, Lambda, p, theta)
+        Q, g = _value_and_grad(u, Lambda, p, theta)
         if rel < opts.q_rel_tol:
             converged = True
             break
@@ -345,7 +352,7 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
         p=p,
         theta=theta,
         N=u.N,
-        minimizer=u,
+        minimizer=CylField(u.grid, u.N, u.data),
     )
 
 
@@ -360,6 +367,7 @@ def minimize_quotient(
     instability threshold, and the best run is returned.  Exhausting
     max_iter yields a non-converged report, not an exception.
     """
+    _check_quotient_args(Lambda, p, theta)
     opts = opts or MinimizeOpts()
     starts = [start]
     if opts.multistart:
@@ -388,27 +396,26 @@ def el_residual(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> flo
     + [(1 - theta) t[u] + Lambda] u - u^(p-1), with t[u] the gradient-to-mass
     ratio; theta = 1 removes the t[u] term.
     """
-    E, M, _, U = _pieces(u, p)
+    E, M, _, _, aU, c = _pieces(u, p)
     if M == 0.0:
         raise DomainError("zero field")
     quad_, B = _angular(u.N, u.L_max)
     t_u = E / M
-    lap_s = _second_derivative(u.grid, u.data)
-    lap_ang = -u.data * _angular_eigs(u.N, u.L_max)[None, :]
-    nonlin = ((np.abs(U) ** (p - 1) * np.sign(U)) * quad_.weights[None, :]) @ B
-    r = -theta * (lap_s + lap_ang) + ((1 - theta) * t_u + Lambda) * u.data - nonlin
+    minus_lap = _dst(_stiffness(u) * c)
+    nonlin = (aU * quad_.weights[None, :]) @ B
+    r = theta * minus_lap + ((1 - theta) * t_u + Lambda) * u.data - nonlin
     return math.sqrt(u.grid.h * float((r**2).sum()))
 
 
 def defect_functional(u: CylField, p: float) -> float:
     """Gradient energy minus the p-th power integral: equals -Lambda * M
     on solutions of the Euler-Lagrange equation at parameter Lambda."""
-    E, _, P, _ = _pieces(u, p)
+    E, _, P, *_ = _pieces(u, p)
     return E - P
 
 
 @dataclass
-class ChainReport:
+class ChainReport(_Report):
     """Slacks of the five chained inequalities and the chain constant D."""
 
     slack_lt: float
@@ -420,19 +427,6 @@ class ChainReport:
     Lambda: float
     gamma: float
     q: float
-
-    def to_dict(self) -> dict:
-        return {
-            "slack_lt": self.slack_lt,
-            "slack_schwarz": self.slack_schwarz,
-            "slack_hoelder2p": self.slack_hoelder2p,
-            "slack_poincare": self.slack_poincare,
-            "slack_hoelder": self.slack_hoelder,
-            "D": self.D,
-            "Lambda": self.Lambda,
-            "gamma": self.gamma,
-            "q": self.q,
-        }
 
 
 def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
@@ -454,17 +448,15 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
     v = np.sqrt(grid.h * (U**2).sum(axis=0))  # L2 trace on the sphere
 
     # per-angle derivative energies from the sine-spectral form
-    ch = _dst(u.data)
-    w2 = _freqs(grid) ** 2
-    per_angle_coeffs = ch @ B.T
-    e_line = grid.h * (w2[:, None] * per_angle_coeffs**2).sum(axis=0)
+    mass, _, c = _ledger(u)
+    per_angle_coeffs = c @ B.T
+    e_line = grid.h * ((_freqs(grid) ** 2)[:, None] * per_angle_coeffs**2).sum(axis=0)
 
     c_pow = lt_constant(gamma) ** (1.0 / gamma)
     slack_lt = float(np.min(e_line - up_line + c_pow * up_line ** (1.0 / gamma) * v**2))
 
     # angular energy of u versus the projected trace field
-    mode_mass = grid.h * (u.data**2).sum(axis=0)
-    e_angular = float((_angular_eigs(u.N, u.L_max) * mode_mass).sum())
+    e_angular = float((_angular_eigs(u.N, u.L_max) * mass).sum())
     l_proj = u.L_max + 4
     vfield = sphere.field_from_nodal(v, quad_, l_proj, u.N)
     slack_schwarz = e_angular - sphere.grad_energy(vfield)
@@ -663,10 +655,15 @@ def eigenvalue_bound(
     opts = opts or MinimizeOpts(multistart=True, max_iter=1500)
     target = mu ** ((p + 2) / (2 * p))
 
+    solved: dict[float, float] = {}
+
     def f(lam: float) -> float:
-        start = extremal_field(g, N, L_max, lam, p)
-        rep = minimize_quotient(start, lam, p, 1.0, opts)
-        return rep.quotient - target  # quotient = 1/K, increasing in Lambda
+        # brentq evaluates both bracket ends again: solve each Lambda once
+        if lam not in solved:
+            start = extremal_field(g, N, L_max, lam, p)
+            rep = minimize_quotient(start, lam, p, 1.0, opts)
+            solved[lam] = rep.quotient - target  # quotient = 1/K, increasing in Lambda
+        return solved[lam]
 
     lo = lam_lin
     flo = f(lo)
@@ -686,7 +683,7 @@ def eigenvalue_bound(
 # theta < 1 sandwich
 
 @dataclass
-class SandwichReport:
+class SandwichReport(_Report):
     """Verified two-sided bounds on the interpolation constant."""
 
     theta: float
@@ -704,25 +701,6 @@ class SandwichReport:
     within: bool
     limit_case: bool
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "Lambda": self.Lambda,
-            "p": self.p,
-            "N": self.N,
-            "k_lower": self.k_lower,
-            "k_numeric": self.k_numeric,
-            "k_upper": self.k_upper,
-            "gap": self.gap,
-            "gamma_theta": self.gamma_theta,
-            "q": self.q,
-            "d_value": self.d_value,
-            "holder_theta_slack": self.holder_theta_slack,
-            "within": self.within,
-            "limit_case": self.limit_case,
-            "converged": self.converged,
-        }
 
 
 def sandwich_lambda_bound(theta: float, p: float, N: int) -> float:
@@ -782,7 +760,7 @@ def sandwich_check(
 
     # chain quantities on the Euler-Lagrange-normalized minimizer
     u = rep.minimizer
-    E, M, P, U = _pieces(u, p)
+    E, M, P, U, *_ = _pieces(u, p)
     scale = ((E + Lambda * M) / P) ** (1.0 / (p - 2))
     M_n = scale**2 * M
     P_n = scale**p * P

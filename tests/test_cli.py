@@ -115,6 +115,24 @@ def test_verify_minimize_breaking(capsys):
     assert payload["symmetry_broken"] is True
 
 
+@pytest.mark.parametrize("flag,value", [("--Lambda", "nan"), ("--Lambda", "inf"), ("--p", "nan"), ("--theta", "nan")])
+def test_verify_minimize_rejects_non_finite_parameters(capsys, flag, value):
+    point = {"--p": "3", "--Lambda": "1", flag: value}
+    argv = [x for item in point.items() for x in item]
+    code, out, err = run_cli(capsys, "verify", "minimize", "--N", "3", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("l_max", ["0", "-1"])
+def test_verify_minimize_needs_a_degree_one_mode(capsys, l_max):
+    code, out, err = run_cli(capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "1", "--l-max", l_max)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "L_max >= 1" in err
+
+
 def test_verify_poincare(capsys):
     code, out, _ = run_cli(capsys, "verify", "poincare", "--N", "3", "--q", "3", "--samples", "100")
     assert code == 0

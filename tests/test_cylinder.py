@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import cknsharp.cylinder as cyl
 from cknsharp import (
     CylField,
     DomainError,
@@ -37,6 +38,7 @@ from cknsharp import (
 )
 from cknsharp.cylinder import (
     _angular,
+    _dst,
     _value_and_grad,
     cyl_field_csv,
     radial_field,
@@ -121,6 +123,19 @@ def test_rayleigh_zero_field_rejected():
         rayleigh(CylField(GRID, 3, np.zeros((GRID.n, 3))), 1.0, 3.0)
 
 
+@pytest.mark.parametrize(
+    "Lambda,p,theta",
+    [(math.nan, 3.0, 1.0), (math.inf, 3.0, 1.0), (-1.0, 3.0, 1.0), (1.0, math.nan, 1.0), (1.0, math.inf, 1.0),
+     (1.0, 3.0, math.nan), (1.0, 3.0, 0.0), (1.0, 3.0, 1.5)],
+)
+def test_quotient_domain_rejects_non_finite_and_out_of_range(Lambda, p, theta):
+    u = extremal_field(GRID, 3, 4, 1.0, 3.0)
+    with pytest.raises(DomainError):
+        rayleigh(u, Lambda, p, theta)
+    with pytest.raises(DomainError):
+        minimize_quotient(u, Lambda, p, theta)
+
+
 # ---------------------------------------------------------------------------
 # gradient and flow
 
@@ -133,14 +148,53 @@ def test_gradient_matches_finite_differences(theta):
     for _ in range(10):
         u = CylField(grid, 3, (0.5 + rng.random((256, 5))) * envelope)
         d = rng.standard_normal((256, 5)) * envelope
-        _, g, _, _ = _value_and_grad(u, 1.0, 3.0, theta)
+        _, g = _value_and_grad(u, 1.0, 3.0, theta)
         eps = 1e-6
         fd = (
             rayleigh(CylField(grid, 3, u.data + eps * d), 1.0, 3.0, theta)
             - rayleigh(CylField(grid, 3, u.data - eps * d), 1.0, 3.0, theta)
         ) / (2 * eps)
-        analytic = grid.h * float((g * d).sum())
+        analytic = grid.h * float((g * _dst(d)).sum())  # g is in sine coefficients
         assert abs(fd - analytic) <= 1e-6 * max(abs(fd), 1e-3)
+        # a field that carries its sine coefficients yields the same gradient
+        carried = CylField(grid, 3, u.data)
+        carried._sine = _dst(u.data)
+        np.testing.assert_allclose(_value_and_grad(carried, 1.0, 3.0, theta)[1], g, rtol=0,
+                                   atol=1e-13 * np.abs(g).max())
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.9])
+def test_flow_makes_two_transforms_per_iteration_and_none_per_trial(monkeypatch, theta):
+    transforms, per_trial = [0], []
+    real_dst, real_rayleigh = cyl.dst, cyl.rayleigh
+
+    def counting_dst(*args, **kwargs):
+        transforms[0] += 1
+        return real_dst(*args, **kwargs)
+
+    def recording_rayleigh(u, *args):
+        before = transforms[0]
+        value = real_rayleigh(u, *args)
+        per_trial.append(transforms[0] - before)
+        return value
+
+    monkeypatch.setattr(cyl, "dst", counting_dst)
+    monkeypatch.setattr(cyl, "rayleigh", recording_rayleigh)
+    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 600), 3, 6, 3.0, 3.0), 3.0, 3.0, theta)
+    assert rep.iterations > 5
+    assert transforms[0] <= 2 * rep.iterations + 2
+    assert len(per_trial) >= rep.iterations - 1
+    assert set(per_trial) == {0}
+
+
+def test_minimizer_carries_no_stale_coefficients():
+    grid = LineGrid(18.0, 600)
+    rep = minimize_quotient(perturbed_start(grid, 3, 6, 3.0, 3.0), 3.0, 3.0)
+    rep.minimizer.data[:, 1] += 0.3 * rep.minimizer.data[:, 0]
+    rep.minimizer.data *= 2.0
+    fresh = CylField(grid, 3, rep.minimizer.data.copy())
+    assert rayleigh(rep.minimizer, 3.0, 3.0) == rayleigh(fresh, 3.0, 3.0)
+    assert rayleigh(rep.minimizer, 3.0, 3.0) > rep.quotient
 
 
 def test_zonal_invariance_of_flow():
@@ -388,6 +442,22 @@ def test_eigenvalue_bound_dominates_sampled_potentials():
         assert poschl_teller_ground(v0, b) <= bound * (1 + 1e-12)
         # the discrete eigenvalue agrees up to its own O(h^2) error
         assert lowest_eigenpair(V).lambda1 <= bound * (1 + 1e-4)
+
+
+def test_eigenvalue_bound_solves_each_lambda_once(monkeypatch):
+    solved = []
+    real = cyl.minimize_quotient
+
+    def recording(start, Lambda, *args):
+        solved.append(Lambda)
+        return real(start, Lambda, *args)
+
+    monkeypatch.setattr(cyl, "minimize_quotient", recording)
+    mu = 2.0 * symmetric_mu_threshold(2.5, 3.0, 3)  # linear law at 2 lambda_sym, past lambda_fs
+    assert radial_interp_coefficient(1.0, 3.0) ** 1.2 * mu > lambda_fs(3.0, 3)
+    eigenvalue_bound(mu, 3.0, 3, grid=LineGrid(18.0, 700), L_max=5, rtol=5e-3)
+    assert len(solved) >= 3  # the bracket and at least one interior brentq step
+    assert len(solved) == len(set(solved))
 
 
 def test_eigenvalue_bound_numeric_branch():
