@@ -28,6 +28,14 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
+def _json(payload) -> str:
+    """Strict JSON: a non-finite number is a numerical failure, never output."""
+    try:
+        return json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericsError(f"non-finite number in the output: {exc}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -132,7 +140,7 @@ def cmd_constants(args) -> int:
                 for name, pv, lv, tv, nv, value, prov in rows
             ],
         }
-        _emit(json.dumps(payload, indent=2, default=float) + "\n", args.output)
+        _emit(_json(payload), args.output)
     else:
         buf = io.StringIO()
         buf.write("name,p,Lambda,theta,N,value,provenance\n")
@@ -179,6 +187,8 @@ def _verify_lt(args):
 
 
 def _verify_poincare(args):
+    if args.samples < 1:
+        raise DomainError(f"need --samples >= 1, got {args.samples}: no sample is no evidence")
     rng = np.random.default_rng(args.seed)
     quad_ = sphere.default_quadrature(args.N, args.l_max)
     worst = math.inf
@@ -219,6 +229,8 @@ def _fuzz_field(grid, N, L_max, rng) -> cyl.CylField:
 
 
 def _verify_chain(args):
+    if args.fuzz < 1:
+        raise DomainError(f"need --fuzz >= 1, got {args.fuzz}: no fuzz field is no evidence")
     grid = schrodinger.LineGrid(args.S, args.n)
     u_star = cyl.extremal_field(grid, args.N, args.l_max, args.Lambda, args.p)
     at_star = cyl.proof_chain(u_star, args.Lambda, args.p)
@@ -307,7 +319,10 @@ def _verify_sandwich(args):
             else 0.9 * params.lambda_sym(args.p, args.N)
     rep = cyl.sandwich_check(args.theta, lam, args.p, args.N,
                              opts=cyl.MinimizeOpts(multistart=True, seed=args.seed))
-    return rep.to_dict(), rep.within and rep.converged
+    payload = rep.to_dict()
+    if rep.limit_case:
+        payload["q"] = None  # the sphere exponent degenerates (q = inf) at theta_min
+    return payload, rep.within and rep.converged
 
 
 _VERIFIERS = {
@@ -324,7 +339,7 @@ _VERIFIERS = {
 def cmd_verify(args) -> int:
     payload, passed = _VERIFIERS[args.check](args)
     payload = {"schema": SCHEMA, "check": args.check, **payload, "pass": bool(passed)}
-    _emit(json.dumps(payload, indent=2, default=float) + "\n", args.output)
+    _emit(_json(payload), args.output)
     return 0 if passed else 1
 
 

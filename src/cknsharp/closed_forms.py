@@ -181,8 +181,9 @@ def lt_constant(gamma: float) -> float:
     agreement asserted to 1e-11 relative before returning.
     Spot values: lt_constant(2.5) = 5/36, lt_constant(1.5) = 3/16.
     """
-    if gamma <= 0.5:
-        raise DomainError(f"need gamma > 1/2, got {gamma}")
+    # written so that NaN fails the comparison
+    if not 0.5 < gamma < math.inf:
+        raise DomainError(f"need finite gamma > 1/2, got {gamma}")
     c1 = _lt_constant_ratio_form(gamma)
     c2 = _lt_constant_product_form(gamma)
     if abs(c1 - c2) > 1e-11 * abs(c1):
@@ -289,10 +290,11 @@ def lt_identity_defect(Lambda: float, p: float) -> float:
     Lambda^gamma exactly; returns |defect| / Lambda^gamma measured by
     adaptive quadrature on a decay-aware window.
     """
+    # written so that NaN fails every comparison
     if not 2 < p < 6:
         raise DomainError(f"need 2 < p < 6, got p={p}")
-    if Lambda <= 0:
-        raise DomainError(f"need Lambda > 0, got {Lambda}")
+    if not 0 < Lambda < math.inf:
+        raise DomainError(f"need finite Lambda > 0, got {Lambda}")
     gamma = (p + 2) / (2 * (p - 2))
     pc = profile_constants(Lambda, p, 1.0)
     half_width = max(30.0 / pc.B, 30.0)

@@ -9,8 +9,9 @@ coefficients; the gradient energy and its preconditioner are diagonal in
 that sine x zonal basis.  On top of that sit the Rayleigh quotients of the
 plain and interpolation inequalities, a preconditioned gradient flow with
 Armijo backtracking that runs in coefficient space (two DST-I per
-iteration, none per line-search trial), the Euler-Lagrange residual, the
-five-step proof-chain slack evaluator, the second-variation instability
+iteration, none per line-search trial; one nodal power per trial, none per
+gradient, streamed in row blocks of s-nodes), the Euler-Lagrange residual,
+the five-step proof-chain slack evaluator, the second-variation instability
 detector with its threshold bisection, the log-radial change of variables
 from Euclidean space, the spectral-bound equivalence, and the theta < 1
 sandwich verification.
@@ -95,9 +96,11 @@ class CylField:
     N: int
     data: np.ndarray
     # DST(data), carried only by the flow's own iterates and line-search
-    # trials; a field handed to a caller never holds it, so editing data
-    # cannot leave it stale
+    # trials, which also keep their (p, _pieces) from the first evaluation;
+    # a field handed to a caller holds neither, so editing data cannot leave
+    # them stale
     _sine: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -178,19 +181,52 @@ def _check_quotient_args(Lambda: float, p: float, theta: float) -> None:
         raise DomainError(f"need 0 < theta <= 1, got {theta}")
 
 
+# each temporary of the nodal stage holds at most this many values (32 KiB),
+# far below glibc's 128 KiB mmap threshold, so the blocks are recycled from
+# the heap instead of being mapped and faulted in afresh on every evaluation
+_BLOCK_VALUES = 4096
+
+
+def _nodal_stage(u: CylField, p: float):
+    """(P, nl) from the nodal values U = data @ B^T, streamed over blocks of
+    s-rows: P the integral of |U|^p under the probability measure and
+    nl = aU @ (w B) the zonal coefficients of aU = |U|^(p-2) U
+    = |U|^(p-1) sign U (one power serves both it and |U|^p = aU U)."""
+    quad_, B = _angular(u.N, u.L_max)
+    w = quad_.weights
+    wB = w[:, None] * B
+    rows = max(1, _BLOCK_VALUES // len(w))
+    nl = np.empty_like(u.data)
+    P = 0.0
+    for i in range(0, u.grid.n, rows):
+        U = u.data[i : i + rows] @ B.T
+        aU = np.abs(U)
+        aU **= p - 2
+        aU *= U
+        P += float(np.einsum("ij,ij,j->", aU, U, w))
+        np.matmul(aU, wB, out=nl[i : i + rows])
+    return u.grid.h * P, nl
+
+
 def _pieces(u: CylField, p: float):
-    """(E, M, P, U, aU, c) with E the full gradient energy, M the squared L2
-    norm, P the integral of |u|^p, all under the probability measure; U the
-    nodal values, aU = |U|^(p-2) U = |U|^(p-1) sign U (one power serves both
-    it and |U|^p = aU U) and c the sine coefficients."""
+    """(E, M, P, nl, c) with E the full gradient energy, M the squared L2
+    norm, P the integral of |u|^p, all under the probability measure; nl the
+    zonal coefficients of |u|^(p-2) u (see _nodal_stage) and c the sine
+    coefficients.
+
+    A flow field (one carrying _sine) keeps its pieces, keyed on p: the line
+    search scores normalized trials, so the gradient at the accepted one
+    reuses them and takes no second power.
+    """
+    if u._kept is not None and u._kept[0] == p:
+        return u._kept[1]
     mass, senergy, c = _ledger(u)
     E = float(senergy.sum() + (_angular_eigs(u.N, u.L_max) * mass).sum())
     M = float(mass.sum())
-    quad_, _ = _angular(u.N, u.L_max)
-    U = u.nodal()
-    aU = np.abs(U) ** (p - 2) * U
-    P = float(u.grid.h * ((aU * U) @ quad_.weights).sum())
-    return E, M, P, U, aU, c
+    pieces = (E, M, *_nodal_stage(u, p), c)
+    if u._sine is not None:
+        u._kept = (p, pieces)
+    return pieces
 
 
 def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
@@ -214,17 +250,17 @@ def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float):
 
     The quadratic terms are diagonal in the sine x zonal basis; only the
     p-th power term needs a transform (one DST when u carries its
-    coefficients, two otherwise).
+    coefficients, two otherwise).  On a scored flow field the pieces are
+    kept, so this adds no nodal evaluation.
     """
-    E, M, P, _, aU, c = _pieces(u, p)
+    E, M, P, nl, c = _pieces(u, p)
     if M == 0.0 or P == 0.0:
         raise DomainError("zero field")
-    quad_, B = _angular(u.N, u.L_max)
 
     # functional gradients (plain coefficient gradient divided by h)
     gE = 2.0 * _stiffness(u) * c
     gM = 2.0 * c
-    gP = p * _dst((aU * quad_.weights[None, :]) @ B)
+    gP = p * _dst(nl)
 
     n_p2 = P ** (2.0 / p)
     if theta == 1.0:
@@ -321,6 +357,11 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
             trial = CylField(u.grid, u.N, u.data - t * d)
             trial._sine = u._sine - t * dc
             try:
+                # normalized before it is scored (the quotient is scale invariant),
+                # so the pieces rayleigh keeps are those the next gradient needs
+                norm = math.sqrt(h * float((trial.data**2).sum()))
+                trial.data /= norm
+                trial._sine /= norm
                 Qnew = rayleigh(trial, Lambda, p, theta)
             except (DomainError, FloatingPointError):
                 Qnew = math.inf
@@ -332,9 +373,6 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
             # line search stalled at machine precision: treat as converged
             converged = True
             break
-        norm = math.sqrt(h * float((trial.data**2).sum()))
-        trial.data /= norm
-        trial._sine /= norm
         rel = abs(Q - Qnew) / abs(Q)
         u = trial
         Q, g = _value_and_grad(u, Lambda, p, theta)
@@ -396,14 +434,12 @@ def el_residual(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> flo
     + [(1 - theta) t[u] + Lambda] u - u^(p-1), with t[u] the gradient-to-mass
     ratio; theta = 1 removes the t[u] term.
     """
-    E, M, _, _, aU, c = _pieces(u, p)
+    E, M, _, nl, c = _pieces(u, p)
     if M == 0.0:
         raise DomainError("zero field")
-    quad_, B = _angular(u.N, u.L_max)
     t_u = E / M
     minus_lap = _dst(_stiffness(u) * c)
-    nonlin = (aU * quad_.weights[None, :]) @ B
-    r = theta * minus_lap + ((1 - theta) * t_u + Lambda) * u.data - nonlin
+    r = theta * minus_lap + ((1 - theta) * t_u + Lambda) * u.data - nl
     return math.sqrt(u.grid.h * float((r**2).sum()))
 
 
@@ -760,12 +796,12 @@ def sandwich_check(
 
     # chain quantities on the Euler-Lagrange-normalized minimizer
     u = rep.minimizer
-    E, M, P, U, *_ = _pieces(u, p)
+    E, M, P, *_ = _pieces(u, p)
     scale = ((E + Lambda * M) / P) ** (1.0 / (p - 2))
     M_n = scale**2 * M
     P_n = scale**p * P
     quad_, _ = _angular(u.N, u.L_max)
-    theta_power = float(u.grid.h * ((scale * np.abs(U)) ** (theta * p) @ quad_.weights).sum())
+    theta_power = float(u.grid.h * ((scale * np.abs(u.nodal())) ** (theta * p) @ quad_.weights).sum())
     holder_rhs = M_n ** ((1 - theta) * p / (p - 2)) * P_n ** ((theta * p - 2) / (p - 2))
     d_value = lt_constant(gamma_t) ** (1.0 / gamma_t) * holder_rhs ** (1.0 / gamma_t)
 

@@ -1,9 +1,11 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
+from cknsharp import cli
 from cknsharp.cli import main
 
 
@@ -131,6 +133,55 @@ def test_verify_minimize_needs_a_degree_one_mode(capsys, l_max):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "L_max >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "chain", "--N", "3", "--p", "3", "--Lambda", "1", "--fuzz", "0", "--n", "300"),
+        ("verify", "chain", "--N", "3", "--p", "3", "--Lambda", "1", "--fuzz", "-1", "--n", "300"),
+        ("verify", "poincare", "--N", "3", "--q", "3", "--samples", "0"),
+        ("constants", "--gamma", "nan"),
+        ("constants", "--gamma", "inf"),
+        ("verify", "lambdacond", "--Lambda", "nan", "--p", "3"),
+        ("verify", "lambdacond", "--Lambda", "inf", "--p", "3"),
+        ("verify", "lambdacond", "--Lambda", "1", "--p", "nan"),
+    ],
+)
+def test_no_evidence_and_non_finite_inputs_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_non_finite_verify_payload_exits_2(capsys, monkeypatch):
+    monkeypatch.setitem(cli._VERIFIERS, "lambdacond", lambda args: ({"defect": math.nan}, True))
+    code, out, err = run_cli(capsys, "verify", "lambdacond", "--Lambda", "1", "--p", "3")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_non_finite_constants_json_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli.cf, "lt_constant", lambda gamma: math.inf)
+    code, out, err = run_cli(capsys, "constants", "--gamma", "2.5", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_sandwich_limit_case_prints_null_exponent(capsys, monkeypatch):
+    # at theta_min the sphere exponent q is infinite; stdout stays strict JSON
+    report = cli.cyl.SandwichReport(
+        theta=0.5, Lambda=1.0, p=3.0, N=3, k_lower=0.5, k_numeric=0.6, k_upper=0.7, gap=1.2,
+        gamma_theta=1.0, q=math.inf, d_value=0.7, holder_theta_slack=0.1, within=True, limit_case=True,
+        converged=True,
+    )
+    monkeypatch.setattr(cli.cyl, "sandwich_check", lambda *args, **kwargs: report)
+    code, out, _ = run_cli(capsys, "verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.5", "--Lambda", "1")
+    assert code == 0
+    assert json.loads(out, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))["q"] is None
 
 
 def test_verify_poincare(capsys):

@@ -174,8 +174,9 @@ def test_lt_ground_state_normalized(gamma):
 def test_lt_constant_spot_values():
     assert lt_constant(2.5) == pytest.approx(5.0 / 36.0, abs=1e-12)
     assert lt_constant(1.5) == pytest.approx(3.0 / 16.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        lt_constant(0.5)
+    for gamma in (0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            lt_constant(gamma)
 
 
 def test_lt_constant_dual_forms_agree():
@@ -267,6 +268,12 @@ def test_radial_interp_constant_chain_route(p, theta):
 @pytest.mark.parametrize("Lambda,p", [(1.0, 3.0), (0.5, 4.0), (2.0, 2.5)])
 def test_lt_identity_defect(Lambda, p):
     assert lt_identity_defect(Lambda, p) < 1e-8
+
+
+@pytest.mark.parametrize("Lambda,p", [(math.nan, 3.0), (math.inf, 3.0), (0.0, 3.0), (1.0, math.nan), (1.0, math.inf)])
+def test_lt_identity_defect_rejects_non_finite_and_out_of_range(Lambda, p):
+    with pytest.raises(DomainError):
+        lt_identity_defect(Lambda, p)
 
 
 def test_euclidean_radial_extremal():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cknsharp.cylinder as cyl
 from cknsharp import (
@@ -85,6 +87,34 @@ def test_csv_export():
     text = cyl_field_csv(u)
     assert text.splitlines()[0] == "s,ell,coefficient"
     assert len(text.splitlines()) == 1 + 64 * 3
+
+
+def one_shot_nodal_stage(u, p):
+    """The nodal stage as one whole-grid expression: the reference for the
+    row-blocked cyl._nodal_stage."""
+    quad_, B = _angular(u.N, u.L_max)
+    U = u.nodal()
+    aU = np.abs(U) ** (p - 2) * U
+    P = float(u.grid.h * ((aU * U) @ quad_.weights).sum())
+    return P, (aU * quad_.weights[None, :]) @ B
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.sampled_from([2, 3]),
+    p=st.floats(2.0, 6.0, exclude_min=True, exclude_max=True),
+    L_max=st.integers(0, 8),
+    data=st.data(),
+)
+def test_blocked_nodal_stage_matches_one_shot(N, p, L_max, data):
+    rows = cyl._BLOCK_VALUES // len(_angular(N, L_max)[0].weights)
+    n = data.draw(st.integers(16, 4 * rows - 1).filter(lambda n: n % rows), label="n")  # LineGrid needs n >= 16
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    u = CylField(LineGrid(10.0, n), N, np.random.default_rng(seed).standard_normal((n, L_max + 1)))
+    P, nl = cyl._nodal_stage(u, p)
+    P_ref, nl_ref = one_shot_nodal_stage(u, p)
+    assert abs(P - P_ref) <= 1e-12 * P_ref
+    np.testing.assert_allclose(nl, nl_ref, rtol=1e-12, atol=1e-12 * np.abs(nl_ref).max())
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +217,52 @@ def test_flow_makes_two_transforms_per_iteration_and_none_per_trial(monkeypatch,
     assert set(per_trial) == {0}
 
 
+@pytest.mark.parametrize("theta,multistart", [(1.0, False), (0.9, False), (1.0, True)])
+def test_flow_takes_one_nodal_power_per_trial_and_none_per_gradient(monkeypatch, theta, multistart):
+    counts = {"_nodal_stage": 0, "rayleigh": 0, "_descend": 0}
+
+    def counted(name):
+        real = getattr(cyl, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cyl, name, wrapper)
+
+    for name in counts:
+        counted(name)
+    start = perturbed_start(LineGrid(18.0, 600), 3, 6, 3.0, 3.0)
+    rep = minimize_quotient(start, 3.0, 3.0, theta, MinimizeOpts(multistart=multistart, max_iter=300))
+    assert rep.iterations > 5
+    assert counts["_descend"] == (4 if multistart else 1)
+    # every line-search trial is evaluated once; each descent adds only its start
+    assert counts["_nodal_stage"] == counts["rayleigh"] + counts["_descend"]
+
+
+def test_flow_gradient_uses_the_pieces_of_its_own_iterate(monkeypatch):
+    # iterates have unit mass, so the gradient error is measured absolutely:
+    # it stays near roundoff as the gradient itself goes to zero
+    real, q_err, g_err = cyl._value_and_grad, [0.0], [0.0]
+
+    def checked(u, *args):
+        Q, g = real(u, *args)
+        Q_ref, g_ref = real(CylField(u.grid, u.N, u.data.copy()), *args)
+        q_err[0] = max(q_err[0], abs(Q - Q_ref) / Q_ref)
+        g_err[0] = max(g_err[0], float(np.abs(g - g_ref).max()))
+        return Q, g
+
+    monkeypatch.setattr(cyl, "_value_and_grad", checked)
+    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 600), 3, 6, 3.0, 3.0), 3.0, 3.0)
+    assert rep.iterations > 5
+    assert q_err[0] < 1e-13
+    assert g_err[0] < 1e-10
+
+
 def test_minimizer_carries_no_stale_coefficients():
     grid = LineGrid(18.0, 600)
     rep = minimize_quotient(perturbed_start(grid, 3, 6, 3.0, 3.0), 3.0, 3.0)
+    assert rep.minimizer._sine is None and rep.minimizer._kept is None
     rep.minimizer.data[:, 1] += 0.3 * rep.minimizer.data[:, 0]
     rep.minimizer.data *= 2.0
     fresh = CylField(grid, 3, rep.minimizer.data.copy())
