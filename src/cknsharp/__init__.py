@@ -1,5 +1,9 @@
 """Sharp constants, extremal profiles and symmetry diagnostics for weighted
-interpolation inequalities reformulated on the cylinder R x S^(N-1)."""
+interpolation inequalities reformulated on the cylinder R x S^(N-1).
+
+Importing the package loads NumPy only; each SciPy submodule loads on the
+first call that needs it.
+"""
 
 from .errors import DomainError, NotAchievedError, NumericsError
 from .params import (

@@ -14,12 +14,14 @@ import math
 import sys
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import closed_forms as cf
 from . import cylinder as cyl
 from . import params, schrodinger, sphere
+from ._lazy import lazy
 from .errors import DomainError, NumericsError
+
+quad = lazy("scipy.integrate", "quad")
 
 SCHEMA = 1
 

@@ -18,10 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._lazy import lazy
 from .errors import DomainError, NumericsError
 from .params import ParamPoint
+
+quad = lazy("scipy.integrate", "quad")
 
 __all__ = [
     "log_gamma",

@@ -30,12 +30,9 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.fft import dst
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from . import sphere
+from ._lazy import lazy
 from .closed_forms import (
     extremal_potential,
     extremal_profile,
@@ -48,6 +45,11 @@ from .closed_forms import (
 from .errors import DomainError, NumericsError
 from .params import ParamPoint, a_critical, chain_exponents, lambda_sym, theta_min, to_cylinder
 from .schrodinger import LineGrid, Potential1D, lowest_eigenpair
+
+dst = lazy("scipy.fft", "dst")
+quad = lazy("scipy.integrate", "quad")
+CubicSpline = lazy("scipy.interpolate", "CubicSpline")
+brentq = lazy("scipy.optimize", "brentq")
 
 __all__ = [
     "CylField",
@@ -611,6 +613,8 @@ def emden_fowler_pushforward(s_nodes: np.ndarray, w_values: np.ndarray, pt: Para
 
     def quiet_quad(f, lo, hi) -> float:
         # tail chunks integrate to ~0 and trip harmless roundoff warnings
+        from scipy.integrate import IntegrationWarning
+
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             val, _ = quad(f, lo, hi, **qkw)

@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from ._lazy import lazy
 from .closed_forms import lt_constant
 from .errors import DomainError, NumericsError
+
+eigh_tridiagonal = lazy("scipy.linalg", "eigh_tridiagonal")
 
 __all__ = [
     "LineGrid",
@@ -96,8 +98,9 @@ def sech_squared_potential(grid: LineGrid, V0: float, B: float, center: float = 
 
 def lt_equality_potential(grid: LineGrid, gamma: float) -> Potential1D:
     """Equality-case well (gamma^2 - 1/4)/cosh(s)^2 of the spectral bound."""
-    if gamma <= 0.5:
-        raise DomainError(f"need gamma > 1/2, got {gamma}")
+    # written so that NaN fails the comparison
+    if not 0.5 < gamma < math.inf:
+        raise DomainError(f"need finite gamma > 1/2, got {gamma}")
     return sech_squared_potential(grid, gamma * gamma - 0.25, 1.0)
 
 

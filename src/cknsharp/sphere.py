@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_legendre
 
+from ._lazy import lazy
 from .errors import DomainError
+
+eval_legendre = lazy("scipy.special", "eval_legendre")
 
 __all__ = [
     "Q_CAP",
@@ -133,10 +135,9 @@ def grad_energy(v: ZonalField) -> float:
 
 
 def _check_q(q: float, N: int) -> None:
-    if q <= 1:
-        raise DomainError(f"need q > 1, got q={q}")
-    if q > Q_CAP:
-        raise DomainError(f"q={q} above the numerical cap {Q_CAP}")
+    # written so that NaN fails the comparison
+    if not 1 < q <= Q_CAP:
+        raise DomainError(f"need 1 < q <= {Q_CAP} (the numerical cap), got q={q}")
 
 
 def poincare_deficit(v: ZonalField, q: float, quad: SphereQuadrature | None = None) -> float:
@@ -159,8 +160,8 @@ def poincare_deficit(v: ZonalField, q: float, quad: SphereQuadrature | None = No
 def holder_probability_deficit(v: ZonalField, q: float, quad: SphereQuadrature | None = None) -> float:
     """Deficit (int |v|^(q+1))^(2/(q+1)) - int v^2 of the probability-measure
     power-mean inequality; zero iff |v| is constant."""
-    if q <= 1:
-        raise DomainError(f"need q > 1, got q={q}")
+    if not 1 < q < math.inf:
+        raise DomainError(f"need finite q > 1, got q={q}")
     if quad is None:
         quad = default_quadrature(v.N, v.L_max)
     vals = np.abs(nodal_values(v, quad))

@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cknsharp import cli
+from cknsharp import DomainError, cli
 from cknsharp.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +152,10 @@ def test_verify_minimize_needs_a_degree_one_mode(capsys, l_max):
         ("verify", "lambdacond", "--Lambda", "nan", "--p", "3"),
         ("verify", "lambdacond", "--Lambda", "inf", "--p", "3"),
         ("verify", "lambdacond", "--Lambda", "1", "--p", "nan"),
+        ("verify", "poincare", "--N", "3", "--q", "nan", "--samples", "5"),
+        ("verify", "poincare", "--N", "3", "--q", "inf", "--samples", "5"),
+        ("verify", "lt", "--gamma", "nan", "--n", "400"),
+        ("verify", "lt", "--gamma", "inf", "--n", "400"),
     ],
 )
 def test_no_evidence_and_non_finite_inputs_exit_2(capsys, argv):
@@ -153,6 +163,10 @@ def test_no_evidence_and_non_finite_inputs_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+    # the input check itself refuses, not a later numerical failure
+    args = cli.build_parser().parse_args(list(argv))
+    with pytest.raises(DomainError):
+        args.func(args)
 
 
 def test_non_finite_verify_payload_exits_2(capsys, monkeypatch):
@@ -222,3 +236,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "lt"])  # missing required --gamma
     assert exc.value.code == 2
+
+
+def _scipy_modules_in_fresh_process(argv):
+    """Names of the SciPy modules loaded by importing the CLI and, unless argv
+    is None, running it, in a new interpreter: in this one SciPy is usually
+    already imported by earlier tests."""
+    code = ["import contextlib, io, json, sys", "from cknsharp.cli import main"]
+    if argv is not None:
+        code.append(f"with contextlib.redirect_stdout(io.StringIO()): assert main({argv!r}) == 0")
+    code.append("print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
+    proc = subprocess.run([sys.executable, "-c", "\n".join(code)], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [None, ["constants", "--gamma", "2.5"], ["region-map", "--na", "5", "--nb", "5"]],
+    ids=["import", "constants-gamma", "region-map"],
+)
+def test_import_and_closed_form_commands_load_no_scipy(argv):
+    assert _scipy_modules_in_fresh_process(argv) == set()
+
+
+def test_verify_lt_loads_only_the_eigensolver():
+    loaded = _scipy_modules_in_fresh_process(["verify", "lt", "--gamma", "2.5", "--n", "2000"])
+    assert "scipy.linalg" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate", "scipy.fft"}

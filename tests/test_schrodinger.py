@@ -1,6 +1,7 @@
 """Ground-state solver against the sech^2 closed forms."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -130,6 +131,9 @@ def test_validation_errors():
         Potential1D(GRID, -np.ones(GRID.n))
     with pytest.raises(DomainError):
         lt_ratio(lt_equality_potential(GRID, 2.5), 0.4)
+    for gamma in (0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            lt_equality_potential(GRID, gamma)
 
 
 def test_csv_import_and_json_export(tmp_path):

@@ -1,5 +1,7 @@
 """Zonal sphere calculus: quadrature exactness, sharp-inequality deficits."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,11 @@ def test_poincare_domain_errors():
         poincare_deficit(v, 1.0)
     with pytest.raises(DomainError):
         poincare_deficit(v, 11.0)  # above the numerical cap
+    assert math.isfinite(poincare_deficit(v, 10.0))  # the cap itself is allowed
+    for q in (math.nan, math.inf, -math.inf):
+        for deficit in (poincare_deficit, holder_probability_deficit):
+            with pytest.raises(DomainError):
+                deficit(v, q)
 
 
 def test_holder_probability_deficit():
