@@ -7,8 +7,9 @@ spectral order for decaying profiles) and the zonal sphere basis of
 sums the per-degree mass and s-energy from the orthonormal DST-I sine
 coefficients; the gradient energy and its preconditioner are diagonal in
 that sine x zonal basis.  On top of that sit the Rayleigh quotients of the
-plain and interpolation inequalities, a preconditioned gradient flow with
-Armijo backtracking that runs in coefficient space (two DST-I per
+plain and interpolation inequalities, a limited-memory quasi-Newton
+(L-BFGS, three pairs) flow seeded with the diagonal preconditioner, with
+Armijo backtracking, that runs in coefficient space (two DST-I per
 iteration, none per line-search trial; one nodal power per trial, none per
 gradient, streamed in row blocks of s-nodes), the Euler-Lagrange residual,
 the five-step proof-chain slack evaluator, the second-variation instability
@@ -259,20 +260,26 @@ def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float):
     if M == 0.0 or P == 0.0:
         raise DomainError("zero field")
 
-    # functional gradients (plain coefficient gradient divided by h)
-    gE = 2.0 * _stiffness(u) * c
-    gM = 2.0 * c
-    gP = p * _dst(nl)
-
-    n_p2 = P ** (2.0 / p)
+    # functional gradients (plain coefficient gradient divided by h), built
+    # in place in one array: E and M contribute 2 (stiffness + Lambda) c, the
+    # p-th power term p DST(nl)
+    g = _stiffness(u)
+    g += Lambda
     if theta == 1.0:
         G = E + Lambda * M
-        gG = gE + Lambda * gM
+        g *= 2.0
     else:
         G = (E + Lambda * M) ** theta * M ** (1 - theta)
         common = (E + Lambda * M) ** (theta - 1) * M ** (-theta)
-        gG = common * (theta * M * (gE + Lambda * gM) + (1 - theta) * (E + Lambda * M) * gM)
-    return G / n_p2, (gG - (2.0 / p) * (G / P) * gP) / n_p2
+        g *= theta * M
+        g += (1 - theta) * (E + Lambda * M)
+        g *= 2.0 * common
+    g *= c
+    gP = _dst(nl)
+    gP *= 2.0 * G / P
+    g -= gP
+    g /= P ** (2.0 / p)
+    return G / P ** (2.0 / p), g
 
 
 class _Report:
@@ -283,7 +290,9 @@ class _Report:
 
 @dataclass
 class MinimizeOpts:
-    """Controls for the normalized gradient flow."""
+    """Controls for the normalized flow.  step0 and grow set the
+    preconditioned-gradient step taken first and after each reset of the
+    L-BFGS pair history; an L-BFGS step always tries length 1 first."""
 
     step0: float = 1.0
     armijo: float = 1e-4
@@ -323,14 +332,39 @@ def _angular_fraction(u: CylField, Lambda: float) -> float:
     return float(mode_energy[1:].sum()) / total
 
 
+# L-BFGS memory: the number of (s, y) pairs the flow direction is built from
+_LBFGS_PAIRS = 3
+
+
+def _lbfgs_direction(g, sym, S, Y, rho, order):
+    """Two-loop recursion (Liu-Nocedal): the inverse-Hessian estimate built
+    from the pairs S[i], Y[i] (i in ``order``, oldest first) applied to g.
+    The initial matrix is gamma sym with gamma = s.y / (y.sym.y) of the
+    newest pair."""
+    q = g.copy()
+    alpha = {}
+    for i in reversed(order):
+        alpha[i] = rho[i] * float(np.vdot(S[i], q))
+        q -= alpha[i] * Y[i]
+    new = order[-1]
+    q *= sym
+    q *= 1.0 / (rho[new] * float(np.einsum("ij,ij,ij->", Y[new], sym, Y[new])))
+    for i in order:
+        q += (alpha[i] - rho[i] * float(np.vdot(Y[i], q))) * S[i]
+    return q
+
+
 def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: MinimizeOpts) -> MinimizeReport:
     h = u0.grid.h
     # gradient-energy preconditioner: the quotient Hessian is dominated by
     # the quadratic form, diagonal in the sine x zonal basis, so descending
-    # along its inverse image removes the grid-induced stiffness.  The flow
-    # carries u with its sine coefficients; direction, slope (Parseval) and
-    # trials are formed in that basis, so an iteration costs one DST to map
-    # the direction to nodes and one in the next gradient, and none per trial
+    # along its inverse image removes the grid-induced stiffness.  It seeds
+    # an L-BFGS direction built from the last _LBFGS_PAIRS steps, which
+    # resolves the nearly flat degree-1 mode near the instability threshold.
+    # The flow carries u with its sine coefficients; direction, slope
+    # (Parseval) and trials are formed in that basis, so an iteration costs
+    # one DST to map the direction to nodes and one in the next gradient,
+    # and none per trial
     sym = 1.0 / (_stiffness(u0) + Lambda)
 
     mass0 = h * float((u0.data**2).sum())
@@ -339,25 +373,56 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
     u = u0.copy()
     u.data /= math.sqrt(mass0)
     u._sine = _dst(u.data)
-    Q, g = _value_and_grad(u, Lambda, p, theta)
+
+    def gradient(u):
+        Q, g = _value_and_grad(u, Lambda, p, theta)
+        u._kept = None  # spent: nothing scores the iterate again
+        return Q, g, math.sqrt(h * float(np.einsum("ij,ij,ij->", g, sym, g)))
+
+    Q, g, gnorm = gradient(u)
+    # pairs s = c_new - c, y = g_new - g in a ring of _LBFGS_PAIRS slots
+    S = np.empty((_LBFGS_PAIRS, *g.shape))
+    Y = np.empty_like(S)
+    rho = np.empty(_LBFGS_PAIRS)
+    order: list[int] = []
     t = opts.step0
     iters = 0
     converged = False
-    gnorm = math.inf
     while iters < opts.max_iter:
         iters += 1
-        dc = sym * g
-        slope = h * float((g * dc).sum())  # positive: dc is a descent direction
-        gnorm = math.sqrt(slope)
         if gnorm < opts.grad_tol:
             converged = True
             break
+        if order:
+            dc = _lbfgs_direction(g, sym, S, Y, rho, order)
+            slope = h * float(np.vdot(g, dc))
+            if not slope > 0:
+                order.clear()
+        if not order:
+            dc = sym * g
+            slope = gnorm * gnorm  # positive: dc is a descent direction
+            # the steepest-descent step grows from the last accepted one;
+            # an L-BFGS step starts from its natural length 1
+            t = min(t * opts.grow, 1e3)
+        else:
+            t = 1.0
         d = _dst(dc)
         accepted = False
-        t = min(t * opts.grow, 1e3)
+        # one trial field serves every backtrack, so a rejected trial's
+        # arrays are reused instead of outliving the next one's allocation
+        trial = CylField(u.grid, u.N, np.empty_like(d))
+        trial._sine = np.empty_like(dc)
         for _ in range(opts.max_backtracks):
-            trial = CylField(u.grid, u.N, u.data - t * d)
-            trial._sine = u._sine - t * dc
+            target = Q - opts.armijo * t * slope
+            if target == Q:
+                # the required decrease is below one ulp of Q: roundoff
+                # alone would decide acceptance
+                break
+            trial._kept = None
+            np.multiply(d, -t, out=trial.data)
+            trial.data += u.data
+            np.multiply(dc, -t, out=trial._sine)
+            trial._sine += u._sine
             try:
                 # normalized before it is scored (the quotient is scale invariant),
                 # so the pieces rayleigh keeps are those the next gradient needs
@@ -367,7 +432,7 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
                 Qnew = rayleigh(trial, Lambda, p, theta)
             except (DomainError, FloatingPointError):
                 Qnew = math.inf
-            if Qnew <= Q - opts.armijo * t * slope:
+            if Qnew <= target:
                 accepted = True
                 break
             t *= opts.shrink
@@ -376,8 +441,21 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
             converged = True
             break
         rel = abs(Q - Qnew) / abs(Q)
+        del d, dc  # released before the gradient allocates its own arrays
+        slot = (order[-1] + 1) % _LBFGS_PAIRS if order else 0
+        np.subtract(trial._sine, u._sine, out=S[slot])
         u = trial
-        Q, g = _value_and_grad(u, Lambda, p, theta)
+        Q, g_new, gnorm = gradient(u)
+        np.subtract(g_new, g, out=Y[slot])
+        g = g_new
+        sy = float(np.vdot(S[slot], Y[slot]))
+        if sy > 0:
+            if slot in order:
+                order.remove(slot)
+            order.append(slot)
+            rho[slot] = 1.0 / sy
+        else:
+            order.clear()
         if rel < opts.q_rel_tol:
             converged = True
             break
@@ -396,33 +474,48 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
     )
 
 
+def _starts(start: CylField, opts: MinimizeOpts):
+    """The flow's starting fields, built one at a time: the start itself and,
+    with opts.multistart, its radial part (unless that is the start), a
+    degree-1 bump and a seeded random perturbation."""
+    yield start
+    if not opts.multistart:
+        return
+    if np.any(start.data[:, 1:]):
+        radial = start.copy()
+        radial.data[:, 1:] = 0.0
+        yield radial
+    bump = start.copy()
+    if bump.L_max >= 1:
+        bump.data[:, 1] += 0.1 * np.abs(bump.data[:, 0])
+    yield bump
+    rng = np.random.default_rng(opts.seed)
+    noisy = start.copy()
+    noisy.data += 0.05 * float(np.abs(noisy.data).max()) * rng.standard_normal(noisy.data.shape)
+    yield noisy
+
+
 def minimize_quotient(
     start: CylField, Lambda: float, p: float, theta: float = 1.0, opts: MinimizeOpts | None = None
 ) -> MinimizeReport:
-    """Normalized gradient descent on the quotient, Armijo backtracking.
+    """Normalized limited-memory quasi-Newton (L-BFGS) descent on the
+    quotient, seeded with the gradient-energy preconditioner, with Armijo
+    backtracking.
 
-    With opts.multistart the flow is restarted from three seeded
-    perturbations of the start (its radial part, an added degree-1 bump,
-    a random perturbation) as a guard against the non-convexity past the
-    instability threshold, and the best run is returned.  Exhausting
+    An L-BFGS step tries length 1 first; the first step, and the first after
+    the pair history is cleared (a non-positive curvature pair or a
+    non-descent direction), follows the preconditioned gradient with
+    opts.step0 and opts.grow.  With opts.multistart the flow is restarted
+    from seeded perturbations of the start (its radial part, an added
+    degree-1 bump, a random perturbation) as a guard against the
+    non-convexity past the instability threshold, and the best run is
+    returned; a start with no angular content is not run twice.  Exhausting
     max_iter yields a non-converged report, not an exception.
     """
     _check_quotient_args(Lambda, p, theta)
     opts = opts or MinimizeOpts()
-    starts = [start]
-    if opts.multistart:
-        radial = start.copy()
-        radial.data[:, 1:] = 0.0
-        bump = start.copy()
-        if bump.L_max >= 1:
-            bump.data[:, 1] += 0.1 * np.abs(bump.data[:, 0])
-        rng = np.random.default_rng(opts.seed)
-        noisy = start.copy()
-        scale = 0.05 * float(np.abs(noisy.data).max())
-        noisy.data = noisy.data + scale * rng.standard_normal(noisy.data.shape)
-        starts += [radial, bump, noisy]
     best = None
-    for s in starts:
+    for s in _starts(start, opts):
         rep = _descend(s, Lambda, p, theta, opts)
         if best is None or rep.quotient < best.quotient:
             best = rep

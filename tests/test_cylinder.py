@@ -323,6 +323,77 @@ def test_minimize_iteration_exhaustion_is_reported():
     assert rep.iterations == 2
 
 
+def count_calls(monkeypatch, name):
+    counts = [0]
+    real = getattr(cyl, name)
+
+    def wrapper(*args, **kwargs):
+        counts[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cyl, name, wrapper)
+    return counts
+
+
+def test_flow_resolves_the_flat_degree_one_mode_in_the_strip():
+    # Lambda between lambda_sym and lambda_fs: the degree-1 mode is nearly
+    # flat, where preconditioned steepest descent took 143 iterations and
+    # stopped at an angular fraction of 9e-7
+    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 600), 3, 6, 1.55, 3.0), 1.55, 3.0)
+    assert rep.converged
+    assert rep.iterations <= 40
+    assert rep.angular_fraction < 1e-8
+
+
+def test_flow_stops_on_a_sub_ulp_armijo_target(monkeypatch):
+    # a radial start past lambda_fs is a saddle with a roundoff-level slope:
+    # no trial can show the required decrease, so none is scored
+    Lambda, p = 1.090455595356829, 3.5188064841820563
+    start = extremal_field(LineGrid(20.0, 899), 3, 6, Lambda, p)
+    trials = count_calls(monkeypatch, "rayleigh")
+    rep = minimize_quotient(start, Lambda, p)
+    assert trials[0] == 0
+    assert rep.quotient == 2.3175547229132407
+
+
+def test_multistart_skips_the_duplicate_radial_start(monkeypatch):
+    descents = count_calls(monkeypatch, "_descend")
+    start = extremal_field(LineGrid(18.0, 600), 3, 6, 3.0, 3.0)
+    rep = minimize_quotient(start, 3.0, 3.0, opts=MinimizeOpts(multistart=True, max_iter=300))
+    assert descents[0] == 3
+    assert rep.quotient < rayleigh(start, 3.0, 3.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    N=st.sampled_from([2, 3]),
+    p=st.floats(2.5, 5.0, exclude_min=True, exclude_max=True),
+    Lambda=st.floats(0.3, 3.0, exclude_min=True, exclude_max=True),
+    theta=st.sampled_from([1.0, 0.9]),
+)
+def test_flow_descends_and_reports_the_gradient_of_its_last_iterate(N, p, Lambda, theta):
+    grid = LineGrid(18.0, 600)
+    start = perturbed_start(grid, N, 6, Lambda, p)
+    values, grads = [], []
+    real = cyl._value_and_grad
+
+    def recording(u, *args):
+        Q, g = real(u, *args)
+        values.append(Q)
+        grads.append(g)
+        return Q, g
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyl, "_value_and_grad", recording)
+        rep = minimize_quotient(start, Lambda, p, theta, MinimizeOpts(max_iter=300))
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert rep.quotient == values[-1]
+    assert rep.quotient <= rayleigh(start, Lambda, p, theta)
+    sym = 1.0 / (cyl._stiffness(start) + Lambda)
+    g = grads[-1]
+    assert rep.grad_norm == pytest.approx(math.sqrt(grid.h * float((g * sym * g).sum())), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Euler-Lagrange residual and energy identity
 
