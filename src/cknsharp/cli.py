@@ -2,7 +2,8 @@
 
 Every command is reproducible: identical flags (including --seed) produce
 byte-identical output.  Numeric output carries 12 significant digits.
-Exit codes: 0 = pass, 1 = a verification failed, 2 = usage or domain error.
+Exit codes: 0 = pass, 1 = a verification failed, 2 = bad input (usage, domain,
+or an arithmetic fault), with exactly one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ def _constants_rows(args):
     pt, cp = _canonical_point(args)
     theta = args.theta if args.theta is not None else 1.0
     N, p, lam = pt.N, cp.p, cp.Lambda
+    params.CylinderPoint(N, p, lam, theta)  # --theta passes the same window check as the point
 
     def row(name, value, provenance="closed_form", th=theta):
         rows.append((name, p, lam, th, N, value, provenance))
@@ -109,7 +111,7 @@ def _constants_rows(args):
     row("Ip", mom.Ip)
     row("J2", mom.J2)
     row("sphere_area", cf.sphere_area(N))
-    if 2 < p < 6:
+    if p < 6:
         row("radial_constant", cf.radial_constant(lam, p, N))
         # independent variational route: (|S^(N-1)| int u_star^p ds)^(-(p-2)/p)
         pc1 = cf.profile_constants(lam, p, 1.0)
@@ -126,6 +128,9 @@ def _constants_rows(args):
 
 def cmd_constants(args) -> int:
     rows = _constants_rows(args)
+    bad = [name for name, *_, value, _ in rows if not math.isfinite(value)]
+    if bad:
+        raise NumericsError(f"non-finite value of {bad[0]} in the output")
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -188,7 +193,13 @@ def _verify_lt(args):
     }, passed
 
 
+def _check_l_max(l_max: int, lo: int) -> None:
+    if l_max < lo:
+        raise DomainError(f"need L_max >= {lo}, got --l-max {l_max}")
+
+
 def _verify_poincare(args):
+    _check_l_max(args.l_max, 1)
     if args.samples < 1:
         raise DomainError(f"need --samples >= 1, got {args.samples}: no sample is no evidence")
     rng = np.random.default_rng(args.seed)
@@ -230,32 +241,23 @@ def _fuzz_field(grid, N, L_max, rng) -> cyl.CylField:
     return cyl.CylField.from_nodal(grid, N, L_max, np.outer(g, m))
 
 
+def _slacks(rep: cyl.ChainReport) -> list:
+    return [rep.slack_lt, rep.slack_schwarz, rep.slack_hoelder2p, rep.slack_poincare, rep.slack_hoelder]
+
+
 def _verify_chain(args):
     if args.fuzz < 1:
         raise DomainError(f"need --fuzz >= 1, got {args.fuzz}: no fuzz field is no evidence")
+    _check_l_max(args.l_max, 0)
     grid = schrodinger.LineGrid(args.S, args.n)
     u_star = cyl.extremal_field(grid, args.N, args.l_max, args.Lambda, args.p)
     at_star = cyl.proof_chain(u_star, args.Lambda, args.p)
-    slacks_star = [
-        at_star.slack_lt,
-        at_star.slack_schwarz,
-        at_star.slack_hoelder2p,
-        at_star.slack_poincare,
-        at_star.slack_hoelder,
-    ]
+    slacks_star = _slacks(at_star)
     rng = np.random.default_rng(args.seed)
     min_slack = math.inf
     for _ in range(args.fuzz):
         u = _fuzz_field(grid, args.N, args.l_max, rng)
-        rep = cyl.proof_chain(u, args.Lambda, args.p)
-        min_slack = min(
-            min_slack,
-            rep.slack_lt,
-            rep.slack_schwarz,
-            rep.slack_hoelder2p,
-            rep.slack_poincare,
-            rep.slack_hoelder,
-        )
+        min_slack = min(min_slack, *_slacks(cyl.proof_chain(u, args.Lambda, args.p)))
     passed = (
         max(abs(x) for x in slacks_star) <= 1e-6
         and abs(at_star.D - args.Lambda) <= 1e-6
@@ -290,14 +292,13 @@ def _verify_fs(args):
 
 
 def _verify_minimize(args):
-    if args.l_max < 1:
-        raise DomainError(f"the degree-1 seed perturbation needs L_max >= 1, got --l-max {args.l_max}")
+    _check_l_max(args.l_max, 1)
     theta = args.theta if args.theta is not None else 1.0
     grid = schrodinger.LineGrid(args.S, args.n)
-    start = cyl.extremal_field(grid, args.N, args.l_max, args.Lambda, args.p, theta)
+    radial = cyl.extremal_field(grid, args.N, args.l_max, args.Lambda, args.p, theta)
+    q_star = cyl.rayleigh(radial, args.Lambda, args.p, theta)
+    start = radial.copy()
     start.data[:, 1] = 0.1 * start.data[:, 0]
-    q_star = cyl.rayleigh(cyl.extremal_field(grid, args.N, args.l_max, args.Lambda, args.p, theta),
-                          args.Lambda, args.p, theta)
     rep = cyl.minimize_quotient(start, args.Lambda, args.p, theta,
                                 cyl.MinimizeOpts(seed=args.seed))
     broken = rep.angular_fraction > 1e-3
@@ -392,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     v_po.add_argument("--q", type=float, required=True)
     v_po.add_argument("--samples", type=int, default=1000)
     v_po.add_argument("--l-max", type=int, default=8)
-    v_po.add_argument("--seed", type=int, default=7)
 
     v_ch = vsub.add_parser("chain", help="proof-chain slacks at and off the extremal")
     v_ch.add_argument("--N", type=int, default=3)
@@ -402,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     v_ch.add_argument("--S", type=float, default=15.0)
     v_ch.add_argument("--n", type=int, default=600)
     v_ch.add_argument("--l-max", type=int, default=6)
-    v_ch.add_argument("--seed", type=int, default=7)
 
     v_lc = vsub.add_parser("lambdacond", help="potential-norm identity defect")
     v_lc.add_argument("--Lambda", type=float, required=True)
@@ -420,15 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
     v_mi.add_argument("--S", type=float, default=20.0)
     v_mi.add_argument("--n", type=int, default=2000)
     v_mi.add_argument("--l-max", type=int, default=8)
-    v_mi.add_argument("--seed", type=int, default=7)
 
     v_sa = vsub.add_parser("sandwich", help="two-sided bound for theta < 1")
     v_sa.add_argument("--N", type=int, default=3)
     v_sa.add_argument("--p", type=float, required=True)
     v_sa.add_argument("--theta", type=float, required=True)
     v_sa.add_argument("--Lambda", type=float)
-    v_sa.add_argument("--seed", type=int, default=7)
 
+    for sp in (v_po, v_ch, v_mi, v_sa):
+        sp.add_argument("--seed", type=int, default=7)
     for sp in (v_lt, v_po, v_ch, v_lc, v_fs, v_mi, v_sa):
         sp.add_argument("--output")
     pv.set_defaults(func=cmd_verify)
@@ -440,8 +439,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (DomainError, NumericsError) as exc:
+        # no NumPy warning lines on stderr: the output guards refuse a non-finite result
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (DomainError, NumericsError, ArithmeticError) as exc:
+        if isinstance(exc, ArithmeticError):  # overflow, division by zero: name the input
+            exc = f"{type(exc).__name__} ({exc}) at: {' '.join(sys.argv[1:] if argv is None else argv)}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,7 +43,9 @@ from .closed_forms import (
     radial_interp_coefficient,
     radial_interp_constant,
 )
-from .errors import DomainError, NumericsError
+from .errors import (
+    DomainError, NumericsError, check_Lambda, check_numeric_N, check_p, check_subcritical, check_theta_window
+)
 from .params import ParamPoint, a_critical, chain_exponents, lambda_sym, theta_min, to_cylinder
 from .schrodinger import LineGrid, Potential1D, lowest_eigenpair
 
@@ -109,8 +111,7 @@ class CylField:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2 or self.data.shape[0] != self.grid.n:
             raise DomainError(f"data must have shape ({self.grid.n}, L_max+1), got {self.data.shape}")
-        if self.N not in (2, 3):
-            raise DomainError(f"numerical cylinder operations support N in {{2, 3}}, got N={self.N}")
+        check_numeric_N(self.N)
 
     @property
     def L_max(self) -> int:
@@ -140,7 +141,6 @@ def radial_field(grid: LineGrid, N: int, L_max: int, profile) -> CylField:
 
 def extremal_field(grid: LineGrid, N: int, L_max: int, Lambda: float, p: float, theta: float = 1.0) -> CylField:
     """The s-only extremal profile embedded as a cylinder field."""
-    _check_quotient_args(Lambda, p, theta)
     pc = profile_constants(Lambda, p, theta)
     return radial_field(grid, N, L_max, lambda s: extremal_profile(s, pc, p))
 
@@ -177,10 +177,9 @@ def _ledger(u: CylField):
 
 
 def _check_quotient_args(Lambda: float, p: float, theta: float) -> None:
-    # written so that NaN fails every comparison
-    if not (0 < Lambda < math.inf and 2 < p < math.inf):
-        raise DomainError(f"need finite Lambda > 0 and p > 2, got ({Lambda}, {p})")
-    if not 0 < theta <= 1:
+    check_Lambda(Lambda)
+    check_p(p)
+    if not 0 < theta <= 1:  # written so that NaN fails the comparison
         raise DomainError(f"need 0 < theta <= 1, got {theta}")
 
 
@@ -215,7 +214,7 @@ def _pieces(u: CylField, p: float):
     """(E, M, P, nl, c) with E the full gradient energy, M the squared L2
     norm, P the integral of |u|^p, all under the probability measure; nl the
     zonal coefficients of |u|^(p-2) u (see _nodal_stage) and c the sine
-    coefficients.
+    coefficients.  A zero field (M = 0 or P = 0) raises DomainError.
 
     A flow field (one carrying _sine) keeps its pieces, keyed on p: the line
     search scores normalized trials, so the gradient at the accepted one
@@ -227,6 +226,8 @@ def _pieces(u: CylField, p: float):
     E = float(senergy.sum() + (_angular_eigs(u.N, u.L_max) * mass).sum())
     M = float(mass.sum())
     pieces = (E, M, *_nodal_stage(u, p), c)
+    if M == 0.0 or pieces[2] == 0.0:
+        raise DomainError("zero field")
     if u._sine is not None:
         u._kept = (p, pieces)
     return pieces
@@ -241,8 +242,6 @@ def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
     """
     _check_quotient_args(Lambda, p, theta)
     E, M, P, *_ = _pieces(u, p)
-    if M == 0.0:
-        raise DomainError("zero field")
     num = (E + Lambda * M) if theta == 1.0 else (E + Lambda * M) ** theta * M ** (1 - theta)
     return num / P ** (2.0 / p)
 
@@ -257,9 +256,6 @@ def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float):
     kept, so this adds no nodal evaluation.
     """
     E, M, P, nl, c = _pieces(u, p)
-    if M == 0.0 or P == 0.0:
-        raise DomainError("zero field")
-
     # functional gradients (plain coefficient gradient divided by h), built
     # in place in one array: E and M contribute 2 (stiffness + Lambda) c, the
     # p-th power term p DST(nl)
@@ -530,8 +526,6 @@ def el_residual(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> flo
     ratio; theta = 1 removes the t[u] term.
     """
     E, M, _, nl, c = _pieces(u, p)
-    if M == 0.0:
-        raise DomainError("zero field")
     t_u = E / M
     minus_lap = _dst(_stiffness(u) * c)
     r = theta * minus_lap + ((1 - theta) * t_u + Lambda) * u.data - nl
@@ -580,6 +574,8 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
 
     # per-angle derivative energies from the sine-spectral form
     mass, _, c = _ledger(u)
+    if not mass.sum() > 0:
+        raise DomainError(f"zero field: every sample on the grid (S={grid.S}, n={grid.n}) vanishes")
     per_angle_coeffs = c @ B.T
     e_line = grid.h * ((_freqs(grid) ** 2)[:, None] * per_angle_coeffs**2).sum(axis=0)
 
@@ -639,8 +635,8 @@ def second_variation_mode(
     """
     if ell < 1:
         raise DomainError(f"need ell >= 1, got {ell}")
-    if Lambda <= 0 or p <= 2:
-        raise DomainError(f"need Lambda > 0 and p > 2, got ({Lambda}, {p})")
+    check_Lambda(Lambda)
+    check_p(p)
     shift = Lambda + ell * (ell + N - 2)
     if method == "closed":
         return shift - p * p * Lambda / 4.0
@@ -656,10 +652,8 @@ def second_variation_mode(
 def fs_threshold(p: float, N: int, grid: LineGrid | None = None, xtol: float = 1e-6) -> float:
     """Instability threshold in Lambda: bisection on the sign of the
     degree-1 second-variation eigenvalue.  Matches 4(N-1)/(p^2-4)."""
-    if not 2 < p < 6:
-        raise DomainError(f"need 2 < p < 6, got p={p}")
-    if N >= 3 and p > 2 * N / (N - 2) + 1e-12:
-        raise DomainError(f"p={p} supercritical for N={N}")
+    check_p(p, 6)
+    check_subcritical(p, N)
     g = grid or _SV_GRID
 
     def mode(lam: float) -> float:
@@ -754,7 +748,7 @@ def symmetric_mu_threshold(gamma: float, p: float, N: int) -> float:
     radial_interp_coefficient(1, p)^(2p/(p+2)).
     """
     expected = (p + 2) / (2 * (p - 2))
-    if abs(gamma - expected) > 1e-9:
+    if not abs(gamma - expected) <= 1e-9:
         raise DomainError(f"gamma={gamma} inconsistent with (p+2)/(2(p-2))={expected}")
     slope = radial_interp_coefficient(1.0, p) ** (2 * p / (p + 2))
     return lambda_sym(p, N) / slope
@@ -777,8 +771,8 @@ def eigenvalue_bound(
     it, the relation mu^((p+2)/(2p)) = 1/K(Lambda) is inverted numerically
     with the 2-d minimizer supplying K.
     """
-    if mu <= 0:
-        raise DomainError(f"need mu > 0, got {mu}")
+    if not 0 < mu < math.inf:
+        raise DomainError(f"need finite mu > 0, got {mu}")
     slope = radial_interp_coefficient(1.0, p) ** (2 * p / (p + 2))
     lam_lin = slope * mu
     if lam_lin <= lambda_sym(p, N) + 1e-12:
@@ -865,11 +859,10 @@ def sandwich_check(
     theta-Hoelder step.
     """
     tmin = theta_min(p, N)
-    if theta < tmin - 1e-12 or theta > 1.0:
-        raise DomainError(f"theta={theta} outside [{tmin}, 1]")
+    check_theta_window(theta, tmin)
     limit_case = abs(theta - tmin) < 1e-12
     ac2 = a_critical(N) ** 2
-    if Lambda <= ac2:
+    if not Lambda > ac2:  # written so that NaN fails the comparison
         raise DomainError(f"need Lambda > a_c^2 = {ac2}, got {Lambda}")
     if not limit_case:
         bound = sandwich_lambda_bound(theta, p, N) if theta < 1.0 else lambda_sym(p, N)
@@ -877,7 +870,7 @@ def sandwich_check(
             raise DomainError(f"Lambda={Lambda} violates the admissible window ({ac2}, {bound}]")
 
     gamma_t = ((2 * theta - 1) * p + 2) / (2 * (p - 2))
-    if gamma_t < 1.0 - 1e-12:
+    if not gamma_t >= 1.0 - 1e-12:
         raise DomainError(f"gamma = {gamma_t} < 1: chain fails at (p={p}, theta={theta})")
     # gamma = 1 at the limit case: the sphere exponent degenerates
     q_exp = (gamma_t + 1) / (gamma_t - 1) if gamma_t > 1.0 + 1e-12 else math.inf

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of each
+parameter domain, written so that NaN fails the comparison."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -13,3 +16,58 @@ class NotAchievedError(DomainError):
 class NumericsError(RuntimeError):
     """An iterative numerical procedure failed to converge; the message
     carries diagnostics (residuals, brackets, iteration counts)."""
+
+
+def check_N(N) -> None:
+    """Dimension of every closed form: N >= 2."""
+    if not 2 <= N < math.inf:
+        raise DomainError(f"need N >= 2, got N={N}")
+
+
+def check_numeric_N(N) -> None:
+    """Dimension of the numerical sphere and cylinder code: N in {2, 3}."""
+    if N not in (2, 3):
+        raise DomainError(f"numerical sphere and cylinder operations support N in {{2, 3}}, got N={N}")
+
+
+def check_p(p: float, hi: float = math.inf) -> None:
+    """Finite p > 2, or 2 < p < hi (hi = 6 for the radial constants and lambda_sym)."""
+    if not 2 < p < hi:
+        raise DomainError(f"need {'finite p > 2' if hi == math.inf else f'2 < p < {hi:g}'}, got p={p}")
+
+
+def check_subcritical(p: float, N) -> None:
+    """Sobolev bound p <= 2N/(N-2) when N >= 3, with 1e-12 slack."""
+    if N >= 3 and not p <= 2 * N / (N - 2) + 1e-12:
+        raise DomainError(f"p={p} supercritical for N={N}")
+
+
+def check_Lambda(Lambda: float) -> None:
+    """Finite Lambda > 0."""
+    if not 0 < Lambda < math.inf:
+        raise DomainError(f"need finite Lambda > 0, got Lambda={Lambda}")
+
+
+def check_gamma(gamma: float) -> None:
+    """Finite gamma > 1/2, the power of the one-bound-state spectral inequality."""
+    if not 0.5 < gamma < math.inf:
+        raise DomainError(f"need finite gamma > 1/2, got gamma={gamma}")
+
+
+def check_interp(theta: float, p: float) -> None:
+    """(theta, p) admissible for the theta-family closed forms, 2 < p < 6 included."""
+    check_p(p, 6)
+    if not (theta <= 1.0 and (2 * theta - 1) * p + 2 > 0 and 2 - p * (1 - theta) > 0):
+        raise DomainError(f"(p={p}, theta={theta}) outside the admissible range")
+
+
+def check_theta_window(theta: float, tmin: float) -> None:
+    """theta_min <= theta <= 1 with 1e-12 slack, given tmin = theta_min(p, N)."""
+    if not tmin - 1e-12 <= theta <= 1.0:
+        raise DomainError(f"theta={theta} outside [{tmin}, 1]")
+
+
+def check_grid(S: float, n: int) -> None:
+    """Line grid on [-S, S]: finite S > 0 and n >= 16 interior nodes."""
+    if not (0 < S < math.inf and n >= 16):
+        raise DomainError(f"need finite S > 0 and n >= 16, got S={S}, n={n}")

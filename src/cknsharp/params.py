@@ -26,7 +26,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, NotAchievedError
+from .errors import (
+    DomainError, NotAchievedError, check_Lambda, check_N, check_p, check_subcritical, check_theta_window
+)
 
 __all__ = [
     "Region",
@@ -50,8 +52,7 @@ __all__ = [
 
 def a_critical(N: int) -> float:
     """Critical weight exponent (N-2)/2; the algebra degenerates at a = a_c."""
-    if N < 2:
-        raise DomainError(f"need N >= 2, got N={N}")
+    check_N(N)
     return 0.5 * (N - 2)
 
 
@@ -66,18 +67,17 @@ class Region(Enum):
 
 
 def _admissible(N: int, a: float, b: float) -> bool:
-    if N < 2 or a == a_critical(N):
+    # finite a != a_c; written so that NaN fails every comparison
+    if not (-math.inf < a < math.inf and a != a_critical(N)):
         return False
-    if N == 2:
-        return a < b <= a + 1
-    return a <= b <= a + 1
+    return a < b <= a + 1 if N == 2 else a <= b <= a + 1
 
 
 @dataclass(frozen=True)
 class ParamPoint:
     """Euclidean-side parameter point (N, a, b).
 
-    Requires a <= b <= a+1 (strict a < b when N = 2) and a != (N-2)/2.
+    Requires a finite a != (N-2)/2 and a <= b <= a+1 (strict a < b when N = 2).
     """
 
     N: int
@@ -85,10 +85,6 @@ class ParamPoint:
     b: float
 
     def __post_init__(self):
-        if self.N < 2:
-            raise DomainError(f"need N >= 2, got N={self.N}")
-        if self.a == a_critical(self.N):
-            raise DomainError(f"a = a_c = {self.a} is excluded")
         if not _admissible(self.N, self.a, self.b):
             raise DomainError(f"(a, b) = ({self.a}, {self.b}) not admissible for N={self.N}")
 
@@ -107,16 +103,10 @@ class CylinderPoint:
     theta: float = 1.0
 
     def __post_init__(self):
-        if self.N < 2:
-            raise DomainError(f"need N >= 2, got N={self.N}")
-        if self.p <= 2:
-            raise DomainError(f"need p > 2, got p={self.p}")
-        if self.N >= 3 and self.p > 2 * self.N / (self.N - 2) + 1e-12:
-            raise DomainError(f"p={self.p} supercritical for N={self.N}")
-        if self.Lambda <= 0:
-            raise DomainError(f"need Lambda > 0, got {self.Lambda}")
-        if not (theta_min(self.p, self.N) - 1e-12 <= self.theta <= 1.0):
-            raise DomainError(f"theta={self.theta} outside [{theta_min(self.p, self.N)}, 1]")
+        tmin = theta_min(self.p, self.N)  # checks N and p first
+        check_subcritical(self.p, self.N)
+        check_Lambda(self.Lambda)
+        check_theta_window(self.theta, tmin)
 
 
 def to_cylinder(pt: ParamPoint) -> CylinderPoint:
@@ -125,9 +115,7 @@ def to_cylinder(pt: ParamPoint) -> CylinderPoint:
     Lambda = (a_c - a)^2 and p = 2N / (N - 2 + 2(b - a)).  The hard Hardy
     endpoint b = a + 1 (p = 2) has no extremal and raises NotAchievedError.
     """
-    ac = a_critical(pt.N)
-    if pt.a > ac:
-        raise DomainError("a > a_c branch is out of scope")
+    ac = _branch(pt.a, pt.N)
     if pt.b == pt.a + 1:
         raise NotAchievedError("b = a + 1: best constant (a_c - a)^2 is not achieved")
     p = 2.0 * pt.N / (pt.N - 2 + 2 * (pt.b - pt.a))
@@ -139,8 +127,16 @@ def from_cylinder(cp: CylinderPoint) -> ParamPoint:
     """Inverse of to_cylinder on the a < a_c branch."""
     ac = a_critical(cp.N)
     a = ac - math.sqrt(cp.Lambda)
-    b = a + cp.N / cp.p - ac
+    b = max(a + cp.N / cp.p - ac, a)  # b = a at critical p (CylinderPoint allows 1e-12 above it)
     return ParamPoint(N=cp.N, a=a, b=b)
+
+
+def _branch(a: float, N: int) -> float:
+    """a_c, after checking that a lies on the parametrized branch a <= a_c."""
+    ac = a_critical(N)
+    if not a <= ac:
+        raise DomainError(f"need a <= a_c = {ac}, got a={a}: the a > a_c branch is out of scope")
+    return ac
 
 
 def b_fs(a: float, N: int) -> float:
@@ -151,29 +147,23 @@ def b_fs(a: float, N: int) -> float:
     prefactor 2N instead of N/2, which breaks that round trip and puts the
     curve start away from (0, 0); the consistent form is used here.)
     """
-    ac = a_critical(N)
-    if a > ac:
-        raise DomainError(f"need a <= a_c = {ac}, got a={a}")
+    ac = _branch(a, N)
     d = ac - a
     return N * d / (2.0 * math.sqrt(d * d + N - 1)) + a - ac
 
 
 def b_sym(a: float, N: int) -> float:
     """Explicit boundary above which radial symmetry of extremals is proven."""
-    ac = a_critical(N)
-    if a > ac:
-        raise DomainError(f"need a <= a_c = {ac}, got a={a}")
+    ac = _branch(a, N)
     d2 = (a - ac) ** 2
     return (N * (N - 1) + 4 * N * d2) / (6 * (N - 1) + 8 * d2) + a - ac
 
 
 def lambda_fs(p: float, N: int) -> float:
     """Instability threshold 4(N-1)/(p^2-4) in the cylinder parameters."""
-    if p <= 2:
-        raise DomainError(f"need p > 2, got p={p}")
-    if N < 2:
-        raise DomainError(f"need N >= 2, got N={N}")
-    return 4.0 * (N - 1) / (p * p - 4)
+    check_p(p)
+    check_N(N)
+    return 4.0 * (N - 1) / ((p - 2) * (p + 2))  # not p * p - 4, which cancels as p -> 2
 
 
 def lambda_sym(p: float, N: int) -> float:
@@ -181,19 +171,15 @@ def lambda_sym(p: float, N: int) -> float:
 
     Always below lambda_fs, with ratio (6-p)(p+2)/16.
     """
-    if not 2 < p < 6:
-        raise DomainError(f"need 2 < p < 6, got p={p}")
-    if N < 2:
-        raise DomainError(f"need N >= 2, got N={N}")
+    check_p(p, 6)
+    check_N(N)
     return (N - 1) * (6 - p) / (4 * (p - 2))
 
 
 def theta_min(p: float, N: int) -> float:
     """Smallest admissible interpolation exponent N(p-2)/(2p)."""
-    if p <= 2:
-        raise DomainError(f"need p > 2, got p={p}")
-    if N < 2:
-        raise DomainError(f"need N >= 2, got N={N}")
+    check_p(p)
+    check_N(N)
     return N * (p - 2) / (2 * p)
 
 
@@ -206,10 +192,9 @@ def chain_exponents(p: float, theta: float = 1.0) -> tuple[float, float]:
     gamma = (p + 2)/(2(p - 2)) and q = (3p - 2)/(6 - p).  The chain needs
     gamma > 1 (Hoelder step), which bounds the admissible (p, theta).
     """
-    if p <= 2:
-        raise DomainError(f"need p > 2, got p={p}")
+    check_p(p)
     gamma = ((2 * theta - 1) * p + 2) / (2 * (p - 2))
-    if gamma <= 1:
+    if not gamma > 1:
         raise DomainError(f"gamma = {gamma} <= 1: chain exponents undefined at (p={p}, theta={theta})")
     q = (gamma + 1) / (gamma - 1)
     return gamma, q
@@ -222,9 +207,12 @@ def classify(N: int, a: float, b: float) -> Region:
     returned strictly below the Felli-Schneider curve only; the curve
     itself belongs to the UNKNOWN strip, while b = b_sym(a) is already
     inside the proven-symmetry region.  a >= a_c is not parametrized here
-    and reports NON_ADMISSIBLE.
+    and reports NON_ADMISSIBLE, as do N < 2 and a non-finite a or b.
     """
-    if N < 2 or not _admissible(N, a, b) or a > a_critical(N):
+    try:
+        if not (_admissible(N, a, b) and a <= a_critical(N)):
+            return Region.NON_ADMISSIBLE
+    except DomainError:  # N < 2
         return Region.NON_ADMISSIBLE
     if b == a + 1:
         return Region.NOT_ACHIEVED
@@ -245,17 +233,19 @@ def region_map(N, a_range, b_range, grid):
     ``grid`` is (na, nb) or a single int for both axes; a degenerate axis
     (single point) evaluates at the range start.  Rows are emitted in
     row-major order (a outer, b inner) so output is deterministic.
-    Returns a list of (a, b, Region) tuples.
+    Returns a list of (a, b, Region) tuples; ranges must be finite, min <= max.
     """
+    check_N(N)
     na, nb = (grid, grid) if isinstance(grid, int) else grid
     if na < 1 or nb < 1:
         raise DomainError(f"grid resolution must be >= 1, got ({na}, {nb})")
     a_lo, a_hi = a_range
     b_lo, b_hi = b_range
-    if a_hi < a_lo or b_hi < b_lo:
-        raise DomainError("empty parameter range")
     avals = [a_lo + (a_hi - a_lo) * i / (na - 1) for i in range(na)] if na > 1 else [a_lo]
     bvals = [b_lo + (b_hi - b_lo) * j / (nb - 1) for j in range(nb)] if nb > 1 else [b_lo]
+    # written so that NaN fails every comparison
+    if not (a_lo <= a_hi and b_lo <= b_hi and all(map(math.isfinite, (a_hi, b_hi, *avals, *bvals)))):
+        raise DomainError(f"need finite ranges with min <= max, got a in [{a_lo}, {a_hi}], b in [{b_lo}, {b_hi}]")
     return [(a, b, classify(N, a, b)) for a in avals for b in bvals]
 
 

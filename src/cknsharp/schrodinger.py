@@ -18,7 +18,7 @@ import numpy as np
 
 from ._lazy import lazy
 from .closed_forms import lt_constant
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, check_gamma, check_grid
 
 eigh_tridiagonal = lazy("scipy.linalg", "eigh_tridiagonal")
 
@@ -44,10 +44,7 @@ class LineGrid:
     n: int
 
     def __post_init__(self):
-        if self.S <= 0:
-            raise DomainError(f"need S > 0, got {self.S}")
-        if self.n < 16:
-            raise DomainError(f"need n >= 16, got {self.n}")
+        check_grid(self.S, self.n)
 
     @property
     def h(self) -> float:
@@ -59,7 +56,7 @@ class LineGrid:
 
 @dataclass(frozen=True)
 class Potential1D:
-    """Non-negative potential sampled at the interior nodes of a LineGrid."""
+    """Finite, non-negative potential sampled at the interior nodes of a LineGrid."""
 
     grid: LineGrid
     values: np.ndarray
@@ -68,8 +65,8 @@ class Potential1D:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n,):
             raise DomainError(f"expected {self.grid.n} samples, got shape {v.shape}")
-        if np.any(v < 0):
-            raise DomainError("potential must be non-negative")
+        if not np.all(np.isfinite(v) & (v >= 0)):
+            raise DomainError("potential must be finite and non-negative")
         object.__setattr__(self, "values", v)
 
 
@@ -90,17 +87,13 @@ class EigenResult:
 
 def sech_squared_potential(grid: LineGrid, V0: float, B: float, center: float = 0.0) -> Potential1D:
     """Well V0 / cosh(B (s - center))^2 sampled on the grid."""
-    if V0 < 0 or B <= 0:
-        raise DomainError(f"need V0 >= 0 and B > 0, got V0={V0}, B={B}")
     s = grid.nodes()
     return Potential1D(grid, V0 / np.cosh(B * (s - center)) ** 2)
 
 
 def lt_equality_potential(grid: LineGrid, gamma: float) -> Potential1D:
     """Equality-case well (gamma^2 - 1/4)/cosh(s)^2 of the spectral bound."""
-    # written so that NaN fails the comparison
-    if not 0.5 < gamma < math.inf:
-        raise DomainError(f"need finite gamma > 1/2, got {gamma}")
+    check_gamma(gamma)
     return sech_squared_potential(grid, gamma * gamma - 0.25, 1.0)
 
 
@@ -135,8 +128,8 @@ def poschl_teller_ground(V0: float, B: float) -> float:
     Returns B^2 nu^2 with nu = (sqrt(1 + 4 V0/B^2) - 1)/2; the reference
     oracle for every sech^2 well in the package.
     """
-    if V0 < 0 or B <= 0:
-        raise DomainError(f"need V0 >= 0 and B > 0, got V0={V0}, B={B}")
+    if not (0 <= V0 < math.inf and 0 < B < math.inf):  # written so that NaN fails the comparison
+        raise DomainError(f"need finite V0 >= 0 and B > 0, got V0={V0}, B={B}")
     nu = 0.5 * (math.sqrt(1.0 + 4.0 * V0 / B**2) - 1.0)
     return B * B * nu * nu
 
@@ -148,8 +141,7 @@ def lt_ratio(V: Potential1D, gamma: float) -> float:
     sech^2 wells of :func:`lt_equality_potential` (up to scaling and
     translation).  Returns 0 when no bound state exists.
     """
-    if gamma <= 0.5:
-        raise DomainError(f"need gamma > 1/2, got {gamma}")
+    check_gamma(gamma)
     res = lowest_eigenpair(V)
     if res.no_bound_state:
         return 0.0

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._lazy import lazy
-from .errors import DomainError
+from .errors import DomainError, check_numeric_N
 
 eval_legendre = lazy("scipy.special", "eval_legendre")
 
@@ -59,18 +59,17 @@ class SphereQuadrature:
 
 def sphere_quadrature(N: int, m: int) -> SphereQuadrature:
     """Build an m-node quadrature on the sphere for N in {2, 3}."""
+    check_numeric_N(N)
     if N == 2:
         if m < 2:
             raise DomainError(f"need m >= 2 nodes, got {m}")
         nodes = 2.0 * math.pi * np.arange(m) / m
         weights = np.full(m, 1.0 / m)
         return SphereQuadrature(N=2, nodes=nodes, weights=weights, exactness=m - 1)
-    if N == 3:
-        if m < 1:
-            raise DomainError(f"need m >= 1 nodes, got {m}")
-        t, w = leggauss(m)
-        return SphereQuadrature(N=3, nodes=t, weights=w / 2.0, exactness=2 * m - 1)
-    raise DomainError(f"numerical sphere operations support N in {{2, 3}}, got N={N}")
+    if m < 1:
+        raise DomainError(f"need m >= 1 nodes, got {m}")
+    t, w = leggauss(m)
+    return SphereQuadrature(N=3, nodes=t, weights=w / 2.0, exactness=2 * m - 1)
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,7 @@ class ZonalField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.N not in (2, 3):
-            raise DomainError(f"numerical sphere operations support N in {{2, 3}}, got N={self.N}")
+        check_numeric_N(self.N)
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise DomainError("coeffs must be a non-empty 1-d array")

@@ -1,10 +1,14 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
+import csv
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -141,6 +145,27 @@ def test_verify_minimize_needs_a_degree_one_mode(capsys, l_max):
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "L_max >= 1" in err
 
 
+# bad input that used to leak through as a traceback, exit 1 or non-finite output:
+# argv -> (the exception the command raises, a token the one error line must name)
+_REPROS = {
+    ("verify", "chain", "--N", "3", "--p", "3", "--Lambda", "1", "--S", "nan", "--fuzz", "2"): (DomainError, "S=nan"),
+    ("verify", "minimize", "--p", "3", "--Lambda", "1", "--S", "inf"): (DomainError, "S=inf"),
+    ("verify", "lt", "--gamma", "2", "--S", "nan"): (DomainError, "S=nan"),
+    ("constants", "--N", "3", "--p", "3", "--Lambda", "1", "--theta", "nan"): (DomainError, "theta=nan"),
+    ("constants", "--N", "3", "--p", "5", "--Lambda", "2", "--theta", "0.7"): (DomainError, "theta=0.7"),
+    ("constants", "--p", "3", "--Lambda", "nan"): (DomainError, "Lambda=nan"),
+    ("constants", "--p", "nan", "--Lambda", "1"): (DomainError, "p=nan"),
+    ("region-map", "--a-min", "nan", "--na", "3", "--nb", "3"): (DomainError, "[nan, "),
+    ("region-map", "--b-max", "inf", "--format", "json"): (DomainError, ", inf]"),
+    ("constants", "--p", "3", "--Lambda", "1e300"): (ArithmeticError, "--Lambda 1e300"),
+    ("verify", "fs", "--p", "2.0000001"): (ArithmeticError, "--p 2.0000001"),
+    ("verify", "lt", "--gamma", "2", "--S", "1e-300", "--n", "64"): (ArithmeticError, "--S 1e-300"),
+    ("verify", "chain", "--p", "3", "--Lambda", "1", "--S", "1e300", "--n", "64", "--fuzz", "1"): (DomainError, "S=1e+300"),
+    ("verify", "chain", "--p", "3", "--Lambda", "1", "--n", "64", "--fuzz", "1", "--l-max", "-1"): (DomainError, "--l-max -1"),
+    ("verify", "poincare", "--q", "3", "--samples", "2", "--l-max", "0"): (DomainError, "--l-max 0"),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -156,17 +181,28 @@ def test_verify_minimize_needs_a_degree_one_mode(capsys, l_max):
         ("verify", "poincare", "--N", "3", "--q", "inf", "--samples", "5"),
         ("verify", "lt", "--gamma", "nan", "--n", "400"),
         ("verify", "lt", "--gamma", "inf", "--n", "400"),
+        *_REPROS,
     ],
 )
 def test_no_evidence_and_non_finite_inputs_exit_2(capsys, argv):
+    raised, named = _REPROS.get(argv, (DomainError, ""))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
-    # the input check itself refuses, not a later numerical failure
+    assert named in err
+    # the input check itself refuses, not a later numerical failure; an
+    # arithmetic fault is mapped to exit 2 only at the CLI boundary
     args = cli.build_parser().parse_args(list(argv))
-    with pytest.raises(DomainError):
+    with pytest.raises(raised):
         args.func(args)
+
+
+@pytest.mark.parametrize("Lambda", ["1e-300", "1e100", "1e300"])
+def test_verify_lambdacond_is_scale_free(capsys, Lambda):
+    code, out, _ = run_cli(capsys, "verify", "lambdacond", "--Lambda", Lambda, "--p", "3")
+    assert code == 0
+    assert json.loads(out)["defect"] < 1e-8
 
 
 def test_non_finite_verify_payload_exits_2(capsys, monkeypatch):
@@ -196,6 +232,76 @@ def test_sandwich_limit_case_prints_null_exponent(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.5", "--Lambda", "1")
     assert code == 0
     assert json.loads(out, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))["q"] is None
+
+
+# flag -> values for the fuzz below: non-finite and extreme tokens for every
+# float, small ranges for the counts, so a case costs at most a fraction of a second
+_SPECIAL = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "1.7e308", "5e-324", "0.5", "1", "2", "6"]
+_FLOATS = {"p": (1.5, 7.5), "Lambda": (-0.5, 5.0), "theta": (-0.2, 1.3), "gamma": (0.0, 5.0), "a": (-2.0, 1.0),
+           "b": (-2.0, 1.5), "q": (0.5, 12.0), "S": (-1.0, 30.0), "a-min": (-2.0, 1.0), "a-max": (-2.0, 1.0),
+           "b-min": (-2.0, 1.5), "b-max": (-2.0, 1.5)}
+_COUNTS = {"N": (-1, 4), "n": (-2, 400), "fuzz": (-1, 2), "samples": (-1, 3), "na": (-1, 5), "nb": (-1, 5),
+           "l-max": (-1, 4), "seed": (0, 9)}
+# command -> (flags always given, flags given half the time)
+_COMMANDS = {
+    ("constants",): ([], ["N", "a", "b", "p", "Lambda", "theta", "gamma", "format"]),
+    ("region-map",): ([], ["N", "a-min", "a-max", "b-min", "b-max", "na", "nb", "format"]),
+    ("verify", "lt"): (["gamma", "n"], ["S"]),
+    ("verify", "poincare"): (["q", "samples"], ["N", "l-max", "seed"]),
+    ("verify", "chain"): (["p", "Lambda", "fuzz", "n"], ["N", "S", "l-max", "seed"]),
+    ("verify", "lambdacond"): (["Lambda", "p"], []),
+    ("verify", "fs"): (["p"], ["N"]),
+    ("verify", "minimize"): (["p", "Lambda", "n"], ["N", "theta", "S", "l-max", "seed"]),
+    ("verify", "sandwich"): (["p", "theta"], ["N", "Lambda", "seed"]),
+}
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(list(_COMMANDS))
+    always, sometimes = _COMMANDS[command]
+    flags = always + [f for f in sometimes if rng.random() < 0.5]
+    if command == ("constants",) and rng.random() < 0.8:  # mostly one complete point
+        flags = [f for f in flags if f not in ("a", "b", "p", "Lambda")] + rng.choice([["a", "b"], ["p", "Lambda"]])
+    argv = list(command)
+    for f in flags:
+        if f == "format":
+            value = rng.choice(["csv", "json"])
+        elif f in _COUNTS:
+            value = str(rng.randint(*_COUNTS[f]))
+        elif rng.random() < 0.35:
+            value = rng.choice(_SPECIAL)
+        else:
+            value = repr(rng.uniform(*_FLOATS[f]))
+        argv.append(f"--{f}={value}")
+    return argv
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _strict_json(text):
+    return json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+
+
+def test_cli_fuzz_exit_codes_and_strict_output(capsys):
+    rng = random.Random(20261018)
+    start = time.perf_counter()
+    for _ in range(400):
+        argv = _fuzz_argv(rng)
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)
+        elif argv[0] == "verify" or "--format=json" in argv:
+            _strict_json(out)
+        else:
+            for row in list(csv.reader(io.StringIO(out)))[1:]:
+                assert all(math.isfinite(x) for x in map(_number, row) if x is not None), (argv, row)
+    assert time.perf_counter() - start <= 10.0
 
 
 def test_verify_poincare(capsys):

@@ -265,7 +265,12 @@ def test_radial_interp_constant_chain_route(p, theta):
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
-@pytest.mark.parametrize("Lambda,p", [(1.0, 3.0), (0.5, 4.0), (2.0, 2.5)])
+@pytest.mark.parametrize(
+    "Lambda,p",
+    [(1.0, 3.0), (0.5, 4.0), (2.0, 2.5),
+     # the whole float range of Lambda: no fixed s-window, no overflow or underflow
+     (5e-324, 3.0), (1e-300, 2.2), (1e-100, 5.5), (1e100, 3.0), (1e300, 4.0), (1.7e308, 5.5)],
+)
 def test_lt_identity_defect(Lambda, p):
     assert lt_identity_defect(Lambda, p) < 1e-8
 

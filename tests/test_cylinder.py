@@ -478,6 +478,16 @@ def test_proof_chain_rejects_p_out_of_range():
         proof_chain(u, 1.0, 6.5)
 
 
+def test_proof_chain_rejects_a_zero_field():
+    # no node of this grid resolves the profile: every slack would read 0 and prove nothing
+    grid = LineGrid(1e300, 64)
+    with np.errstate(over="ignore"):
+        u = extremal_field(grid, 3, 4, 1.0, 3.0)
+    assert not u.data.any()
+    with pytest.raises(DomainError):
+        proof_chain(u, 1.0, 3.0)
+
+
 # ---------------------------------------------------------------------------
 # second variation and instability threshold
 
@@ -662,6 +672,9 @@ def test_sandwich_condition_violation():
         sandwich_check(0.9, 10.0, 3.0, 3)
     with pytest.raises(DomainError):
         sandwich_check(0.9, 0.1, 3.0, 3)  # below a_c^2
+    for theta, Lambda in [(0.9, math.nan), (math.nan, 1.0)]:
+        with pytest.raises(DomainError):
+            sandwich_check(theta, Lambda, 3.0, 3)
 
 
 def test_sandwich_limit_case_flag():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cknsharp import (
     DomainError,
@@ -76,6 +78,45 @@ def test_round_trip_from_cylinder():
     cp2 = to_cylinder(from_cylinder(cp))
     assert cp2.p == pytest.approx(cp.p, rel=1e-14)
     assert cp2.Lambda == pytest.approx(cp.Lambda, rel=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(2, 8), a_off=st.floats(0.01, 10.0), frac=st.floats(0.01, 0.99))
+def test_round_trip_property(N, a_off, frac):
+    pt = ParamPoint(N, a_critical(N) - a_off, a_critical(N) - a_off + frac)
+    back = from_cylinder(to_cylinder(pt))
+    assert back.a == pytest.approx(pt.a, abs=1e-12)
+    assert back.b == pytest.approx(pt.b, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(2, 8), frac=st.floats(0.001, 1.0), Lambda=st.floats(1e-3, 1e3))
+@example(N=4, frac=1.0, Lambda=0.984375)  # critical p: b - a rounded to -1.1e-16
+def test_round_trip_property_from_cylinder(N, frac, Lambda):
+    # p swept over (2, 2N/(N-2)] (up to 12 for N = 2), where theta = 1 is admissible
+    p = 2 + frac * (4 / (N - 2) if N > 2 else 10.0)
+    cp = CylinderPoint(N, p, Lambda)
+    back = to_cylinder(from_cylinder(cp))
+    assert back.p == pytest.approx(cp.p, rel=1e-12)
+    assert back.Lambda == pytest.approx(cp.Lambda, rel=1e-12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(N=st.integers(-3, 8), a=st.floats(), b=st.floats())
+@example(N=3, a=-math.inf, b=-math.inf)
+def test_classify_never_raises(N, a, b):
+    # NaN and +-inf included: a non-finite point or N < 2 is not admissible
+    region = classify(N, a, b)
+    assert isinstance(region, Region)
+    if N < 2 or not (math.isfinite(a) and math.isfinite(b)):
+        assert region is Region.NON_ADMISSIBLE
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(2.0, 6.0, exclude_min=True, exclude_max=True), N=st.integers(2, 8))
+@example(p=2.00000001, N=3)  # p * p - 4 cancels here
+def test_threshold_ratio_property(p, N):
+    assert lambda_sym(p, N) / lambda_fs(p, N) == pytest.approx((6 - p) * (p + 2) / 16, rel=1e-12)
 
 
 def test_b_fs_starts_at_origin():
@@ -209,6 +250,13 @@ def test_region_map_basic():
         region_map(3, (0.0, -1.0), (0.0, 1.0), 10)
     with pytest.raises(DomainError):
         region_map(3, (0.0, 1.0), (0.0, 1.0), 0)
+    # non-finite ends, and a finite span whose grid overflows, never reach the output
+    for a_range, b_range in [((math.nan, 0.0), (0.0, 1.0)), ((-1.0, 0.0), (0.0, math.inf)),
+                             ((-math.inf, 0.0), (0.0, 1.0)), ((0.0, 1e308), (0.0, 1.0))]:
+        with pytest.raises(DomainError):
+            region_map(3, a_range, b_range, 5)
+    with pytest.raises(DomainError):
+        region_map(1, (0.0, 1.0), (0.0, 1.0), 3)
 
 
 def test_region_map_serialization():
@@ -234,3 +282,12 @@ def test_cylinder_point_validation():
     with pytest.raises(DomainError):
         CylinderPoint(3, 3.0, -1.0)
     CylinderPoint(2, 9.0, 1.0)  # any p > 2 for N = 2
+    # NaN fails every check with the name of the bad parameter
+    for args, name in [((3, math.nan, 1.0), "p=nan"), ((3, 3.0, math.nan), "Lambda=nan"),
+                       ((3, 3.0, 1.0, math.nan), "theta=nan"), ((3, 3.0, math.inf), "Lambda=inf"),
+                       ((3, 3.0, 1.0, 0.4), "theta=0.4")]:
+        with pytest.raises(DomainError, match=name):
+            CylinderPoint(*args)
+    for a, b in [(math.nan, 0.0), (-0.5, math.nan), (-math.inf, -math.inf)]:
+        with pytest.raises(DomainError):
+            ParamPoint(3, a, b)

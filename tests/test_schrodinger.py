@@ -134,6 +134,16 @@ def test_validation_errors():
     for gamma in (0.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             lt_equality_potential(GRID, gamma)
+    for S in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            LineGrid(S, 100)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            Potential1D(GRID, np.full(GRID.n, bad))
+        with pytest.raises(DomainError):
+            poschl_teller_ground(bad, 1.0)
+        with pytest.raises(DomainError):
+            poschl_teller_ground(1.0, bad)
 
 
 def test_csv_import_and_json_export(tmp_path):
