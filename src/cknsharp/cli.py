@@ -19,10 +19,8 @@ import numpy as np
 from . import closed_forms as cf
 from . import cylinder as cyl
 from . import params, schrodinger, sphere
-from ._lazy import lazy
+from .closed_forms import quad
 from .errors import DomainError, NumericsError
-
-quad = lazy("scipy.integrate", "quad")
 
 SCHEMA = 1
 
@@ -41,8 +39,11 @@ def _json(payload) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # an unwritable --output is bad input, not a failed verification
+            raise DomainError(f"cannot write --output {output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -115,8 +116,7 @@ def _constants_rows(args):
         row("radial_constant", cf.radial_constant(lam, p, N))
         # independent variational route: (|S^(N-1)| int u_star^p ds)^(-(p-2)/p)
         pc1 = cf.profile_constants(lam, p, 1.0)
-        half = max(30.0 / pc1.B, 30.0)
-        integral, _ = quad(lambda s: float(cf.extremal_profile(s, pc1, p)) ** p, -half, half, limit=200)
+        integral = quad(lambda s: cf.extremal_profile(s, pc1, p) ** p, 1.0 / (pc1.B * math.sqrt(2 * p / (p - 2))))
         row("radial_constant_variational", (cf.sphere_area(N) * integral) ** (-(p - 2) / p), "oracle", 1.0)
         row("radial_constant_alt", cf.radial_constant_alt(lam, p, N), "paper_typo_flag")
         row("k_interp_coefficient", cf.radial_interp_coefficient(theta, p))
@@ -182,7 +182,7 @@ def _verify_lt(args):
     V = schrodinger.lt_equality_potential(grid, args.gamma)
     res = schrodinger.lowest_eigenpair(V)
     expected = (args.gamma - 0.5) ** 2
-    ratio = schrodinger.lt_ratio(V, args.gamma)
+    ratio = schrodinger.lt_ratio(V, args.gamma, res)
     passed = abs(res.lambda1 - expected) <= 1e-4 * expected and abs(ratio - 1.0) <= 2e-3
     return {
         "gamma": args.gamma,
@@ -296,6 +296,8 @@ def _verify_minimize(args):
     theta = args.theta if args.theta is not None else 1.0
     grid = schrodinger.LineGrid(args.S, args.n)
     radial = cyl.extremal_field(grid, args.N, args.l_max, args.Lambda, args.p, theta)
+    # the theta = 1 gates need lambda_sym, so 2 < p < 6: refuse before the flow, not after it
+    lam_sym = params.lambda_sym(args.p, args.N) if theta == 1.0 else None
     q_star = cyl.rayleigh(radial, args.Lambda, args.p, theta)
     start = radial.copy()
     start.data[:, 1] = 0.1 * start.data[:, 0]
@@ -305,7 +307,7 @@ def _verify_minimize(args):
     payload = rep.to_dict()
     payload["quotient_radial"] = q_star
     payload["symmetry_broken"] = broken
-    if theta == 1.0 and args.Lambda <= params.lambda_sym(args.p, args.N):
+    if theta == 1.0 and args.Lambda <= lam_sym:
         k_star = cf.radial_interp_constant(1.0, args.Lambda, args.p)
         passed = rep.converged and abs(rep.constant - k_star) <= 5e-3 * k_star and rep.angular_fraction < 1e-6
     elif theta == 1.0 and args.Lambda > params.lambda_fs(args.p, args.N):

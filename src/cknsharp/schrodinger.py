@@ -134,15 +134,17 @@ def poschl_teller_ground(V0: float, B: float) -> float:
     return B * B * nu * nu
 
 
-def lt_ratio(V: Potential1D, gamma: float) -> float:
+def lt_ratio(V: Potential1D, gamma: float, eigenpair: EigenResult | None = None) -> float:
     """Spectral-bound ratio lambda1^gamma / (c int V^(gamma+1/2) ds).
 
     At most 1 up to discretization error, with equality exactly on the
     sech^2 wells of :func:`lt_equality_potential` (up to scaling and
-    translation).  Returns 0 when no bound state exists.
+    translation).  Returns 0 when no bound state exists.  A caller that has
+    already solved ``lowest_eigenpair(V)`` passes it as ``eigenpair``, and
+    the eigenproblem is not solved again.
     """
     check_gamma(gamma)
-    res = lowest_eigenpair(V)
+    res = lowest_eigenpair(V) if eigenpair is None else eigenpair
     if res.no_bound_state:
         return 0.0
     integral = V.grid.h * float(np.sum(V.values ** (gamma + 0.5)))

@@ -17,10 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._lazy import lazy
 from .errors import DomainError, check_numeric_N
-
-eval_legendre = lazy("scipy.special", "eval_legendre")
 
 __all__ = [
     "Q_CAP",
@@ -95,19 +92,45 @@ class ZonalField:
         return ell * (ell + self.N - 2)
 
 
+def _legendre_table(L_max: int, x) -> np.ndarray:
+    """Legendre polynomials P_0..P_L_max at x, shape x.shape + (L_max + 1,).
+
+    SciPy's recurrence for integer degree: from P_1 = x and d = x - 1,
+    d <- ((2k+1)/(k+1)) (x-1) P_k + (k/(k+1)) d and P_(k+1) = P_k + d, in the
+    same operation order, so every value is bit-identical to
+    ``scipy.special.eval_legendre`` except for |x| < 1e-5, where SciPy sums
+    the power series instead (the two differ there by at most 1.4e-16; the
+    default quadratures have an even node count and no such node).
+    """
+    x = np.asarray(x, dtype=float)
+    P = np.empty(x.shape + (L_max + 1,))
+    P[..., 0] = 1.0
+    if L_max >= 1:
+        P[..., 1] = x
+        xm1 = x - 1.0
+        d = xm1
+        for k in range(1, L_max):
+            d = ((2 * k + 1) / (k + 1)) * xm1 * P[..., k] + (k / (k + 1)) * d
+            P[..., k + 1] = P[..., k] + d
+    return P
+
+
+def eval_legendre(n: int, x) -> np.ndarray:
+    """Legendre polynomial P_n at x, from the recurrence of :func:`_legendre_table`."""
+    return _legendre_table(n, x)[..., n]
+
+
 def basis_matrix(quad: SphereQuadrature, L_max: int) -> np.ndarray:
     """Orthonormal basis sampled at the quadrature nodes, shape (m, L_max+1)."""
     if L_max < 0:
         raise DomainError(f"need L_max >= 0, got {L_max}")
+    if quad.N == 3:
+        return _legendre_table(L_max, quad.nodes) * np.sqrt(2 * np.arange(L_max + 1) + 1.0)
     m = quad.nodes.size
     B = np.empty((m, L_max + 1))
     B[:, 0] = 1.0
-    if quad.N == 2:
-        for ell in range(1, L_max + 1):
-            B[:, ell] = math.sqrt(2.0) * np.cos(ell * quad.nodes)
-    else:
-        for ell in range(1, L_max + 1):
-            B[:, ell] = math.sqrt(2 * ell + 1.0) * eval_legendre(ell, quad.nodes)
+    for ell in range(1, L_max + 1):
+        B[:, ell] = math.sqrt(2.0) * np.cos(ell * quad.nodes)
     return B
 
 

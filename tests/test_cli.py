@@ -163,6 +163,8 @@ _REPROS = {
     ("verify", "chain", "--p", "3", "--Lambda", "1", "--S", "1e300", "--n", "64", "--fuzz", "1"): (DomainError, "S=1e+300"),
     ("verify", "chain", "--p", "3", "--Lambda", "1", "--n", "64", "--fuzz", "1", "--l-max", "-1"): (DomainError, "--l-max -1"),
     ("verify", "poincare", "--q", "3", "--samples", "2", "--l-max", "0"): (DomainError, "--l-max 0"),
+    ("verify", "lambdacond", "--Lambda", "1", "--p", "3", "--output", "/nonexistent/x.json"):
+        (DomainError, "--output /nonexistent/x.json"),
 }
 
 
@@ -203,6 +205,47 @@ def test_verify_lambdacond_is_scale_free(capsys, Lambda):
     code, out, _ = run_cli(capsys, "verify", "lambdacond", "--Lambda", Lambda, "--p", "3")
     assert code == 0
     assert json.loads(out)["defect"] < 1e-8
+
+
+def test_verify_lambdacond_passes_near_p_2(capsys):
+    # the peak of sech^a narrows as a = 2p/(p-2) grows; an adaptive rule on a
+    # fixed window missed it and reported a defect of 1
+    code, out, _ = run_cli(capsys, "verify", "lambdacond", "--Lambda", "1", "--p", "2.0001")
+    assert code == 0
+    assert json.loads(out)["defect"] < 1e-8
+
+
+@pytest.mark.parametrize("p", [2.0001, 2.001, 2.05, 2.15, 2.5, 2.85, 3.0, 4.2, 5.999])
+def test_variational_route_matches_the_radial_constant(p):
+    # near p = 2 the amplitude (p Lambda/2)^(1/(p-2)) leaves the float range unless Lambda ~ 1
+    for Lambda in [10.0**k for k in range(-3, 4)] if p >= 2.05 else [0.99, 1.0, 1.01]:
+        args = cli.build_parser().parse_args(["constants", "--N", "3", "--p", repr(p), "--Lambda", repr(Lambda)])
+        rows = {name: value for name, *_, value, _ in cli._constants_rows(args)}
+        assert rows["radial_constant_variational"] == pytest.approx(rows["radial_constant"], rel=1e-10), Lambda
+
+
+def test_verify_minimize_refuses_p_6_before_the_flow(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.cyl, "minimize_quotient", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run_cli(capsys, "verify", "minimize", "--N", "2", "--p", "7", "--Lambda", "1", "--n", "100",
+                             "--l-max", "2")
+    assert (code, out, err) == (2, "", "error: need 2 < p < 6, got p=7.0\n")
+    assert calls == []
+
+
+def test_verify_lt_solves_the_eigenproblem_once(capsys, monkeypatch):
+    solve = cli.schrodinger.lowest_eigenpair
+    calls = []
+
+    def counted(V):
+        calls.append(V)
+        return solve(V)
+
+    monkeypatch.setattr(cli.schrodinger, "lowest_eigenpair", counted)
+    code, out, _ = run_cli(capsys, "verify", "lt", "--gamma", "2.5", "--n", "2000")
+    assert code == 0
+    assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=2e-3)
+    assert len(calls) == 1
 
 
 def test_non_finite_verify_payload_exits_2(capsys, monkeypatch):
@@ -360,8 +403,16 @@ def _scipy_modules_in_fresh_process(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [None, ["constants", "--gamma", "2.5"], ["region-map", "--na", "5", "--nb", "5"]],
-    ids=["import", "constants-gamma", "region-map"],
+    [
+        None,
+        ["constants", "--gamma", "2.5"],
+        ["region-map", "--na", "5", "--nb", "5"],
+        ["constants", "--N", "3", "--a", "-0.5", "--b", "0"],
+        ["constants", "--N", "3", "--p", "3", "--Lambda", "1", "--format", "json"],
+        ["verify", "lambdacond", "--Lambda", "1", "--p", "3"],
+        ["verify", "poincare", "--N", "3", "--q", "3"],
+    ],
+    ids=["import", "constants-gamma", "region-map", "constants-ab", "constants-json", "lambdacond", "poincare"],
 )
 def test_import_and_closed_form_commands_load_no_scipy(argv):
     assert _scipy_modules_in_fresh_process(argv) == set()

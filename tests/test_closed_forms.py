@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from cknsharp import (
     DomainError,
+    NumericsError,
     ParamPoint,
     chain_exponents,
     euclidean_radial_extremal,
@@ -28,6 +29,7 @@ from cknsharp import (
     sphere_area,
 )
 from cknsharp.closed_forms import _lt_constant_product_form, _lt_constant_ratio_form
+from cknsharp.closed_forms import quad as trapezoid
 
 
 def test_log_gamma_spot_values():
@@ -273,6 +275,28 @@ def test_radial_interp_constant_chain_route(p, theta):
 )
 def test_lt_identity_defect(Lambda, p):
     assert lt_identity_defect(Lambda, p) < 1e-8
+
+
+def test_trapezoid_matches_the_cosh_power_integral_for_every_p():
+    # a = 2p/(p-2): the integrand of the variational and potential-norm routes
+    for p in np.linspace(2.0001, 5.999, 81):
+        a = 2 * p / (p - 2)
+        assert trapezoid(lambda s: np.cosh(s) ** -a, a**-0.5) == pytest.approx(f_cosh_integral(a), rel=1e-10), p
+
+
+@pytest.mark.parametrize(
+    "f,width",
+    [(lambda s: np.exp(-((s / 0.01) ** 2)), 1.0),  # under-resolved: the step halving moves the sum
+     (lambda s: 1.0 / np.cosh(s), 0.1)],  # truncated: f has not decayed at 30 widths
+)
+def test_trapezoid_refuses_an_unresolved_integrand(f, width):
+    with pytest.raises(NumericsError):
+        trapezoid(f, width)
+
+
+def test_trapezoid_non_finite_sum_is_an_overflow():
+    with pytest.raises(OverflowError), np.errstate(over="ignore"):
+        trapezoid(lambda s: np.exp(np.exp(s)), 1.0)
 
 
 @pytest.mark.parametrize("Lambda,p", [(math.nan, 3.0), (math.inf, 3.0), (0.0, 3.0), (1.0, math.nan), (1.0, math.inf)])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cknsharp import ParamPoint, cli, closed_forms, cylinder, schrodinger, sphere
+from cknsharp import ParamPoint, cylinder, schrodinger
 from cknsharp.schrodinger import LineGrid
 
 
@@ -17,10 +17,6 @@ def _pushforward():
 
 BINDINGS = [
     # module, attribute, SciPy module, one fixed input, a public call that goes through the binding
-    pytest.param(cli, "quad", "scipy.integrate", (math.cos, 0.0, 1.0), {},
-                 lambda: cli.main(["constants", "--p", "3", "--Lambda", "1"]), id="cli.quad"),
-    pytest.param(closed_forms, "quad", "scipy.integrate", (math.cos, 0.0, 1.0), {},
-                 lambda: closed_forms.lt_identity_defect(1.0, 3.0), id="closed_forms.quad"),
     pytest.param(cylinder, "dst", "scipy.fft", (np.arange(6.0),), {"type": 1, "norm": "ortho"},
                  lambda: cylinder.rayleigh(cylinder.extremal_field(LineGrid(10.0, 64), 3, 2, 1.0, 3.0), 1.0, 3.0),
                  id="cylinder.dst"),
@@ -32,8 +28,6 @@ BINDINGS = [
     pytest.param(schrodinger, "eigh_tridiagonal", "scipy.linalg", (np.full(4, 2.0), np.full(3, -1.0)), {},
                  lambda: schrodinger.lowest_eigenpair(schrodinger.lt_equality_potential(LineGrid(10.0, 200), 1.5)),
                  id="schrodinger.eigh_tridiagonal"),
-    pytest.param(sphere, "eval_legendre", "scipy.special", (3, np.linspace(-1.0, 1.0, 5)), {},
-                 lambda: sphere.basis_matrix(sphere.sphere_quadrature(3, 16), 3), id="sphere.eval_legendre"),
 ]
 
 

@@ -16,11 +16,21 @@ from cknsharp import (
 from cknsharp.sphere import (
     basis_matrix,
     default_quadrature,
+    eval_legendre,
     field_from_nodal,
     nodal_values,
     zonal_field_from_json,
     zonal_field_json,
 )
+
+
+def test_eval_legendre_is_scipy_bit_for_bit_on_the_default_quadratures():
+    from scipy.special import eval_legendre as scipy_eval_legendre
+
+    for L_max in range(17):
+        x = default_quadrature(3, L_max).nodes
+        for ell in range(L_max + 1):
+            np.testing.assert_array_equal(eval_legendre(ell, x), scipy_eval_legendre(ell, x))
 
 
 @pytest.mark.parametrize("N", [2, 3])
