@@ -114,10 +114,12 @@ def _constants_rows(args):
     row("sphere_area", cf.sphere_area(N))
     if p < 6:
         row("radial_constant", cf.radial_constant(lam, p, N))
-        # independent variational route: (|S^(N-1)| int u_star^p ds)^(-(p-2)/p)
-        pc1 = cf.profile_constants(lam, p, 1.0)
-        integral = quad(lambda s: cf.extremal_profile(s, pc1, p) ** p, 1.0 / (pc1.B * math.sqrt(2 * p / (p - 2))))
-        row("radial_constant_variational", (cf.sphere_area(N) * integral) ** (-(p - 2) / p), "oracle", 1.0)
+        # independent variational route: (|S^(N-1)| int u_star^p ds)^(-(p-2)/p) with u_star = A sech(B s)^(2/(p-2));
+        # the amplitude is carried exactly, A^(-(p-2)) = 2/(p Lambda), since A^p leaves the float range near p = 2
+        B, a = cf.profile_constants(lam, p, 1.0).B, 2 * p / (p - 2)
+        integral = quad(lambda s: np.cosh(B * s) ** -a, 1.0 / (B * math.sqrt(a)))
+        row("radial_constant_variational",
+            cf.sphere_area(N) ** (-(p - 2) / p) * (2 / (p * lam)) * integral ** (-(p - 2) / p), "oracle", 1.0)
         row("radial_constant_alt", cf.radial_constant_alt(lam, p, N), "paper_typo_flag")
         row("k_interp_coefficient", cf.radial_interp_coefficient(theta, p))
         row("k_interp_constant", cf.radial_interp_constant(theta, lam, p))

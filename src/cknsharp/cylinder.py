@@ -24,8 +24,6 @@ surface-measure constant follows from the explicit sphere_area bridge.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field, fields
@@ -75,7 +73,6 @@ __all__ = [
     "eigenvalue_bound",
     "symmetric_mu_threshold",
     "sandwich_check",
-    "cyl_field_csv",
 ]
 
 DEFAULT_GRID = LineGrid(20.0, 2000)
@@ -89,7 +86,7 @@ def _angular(N: int, L_max: int):
     key = (N, L_max)
     if key not in _angular_cache:
         quad_ = sphere.default_quadrature(N, L_max)
-        _angular_cache[key] = (quad_, sphere.basis_matrix(quad_, L_max))
+        _angular_cache[key] = (quad_, quad_.basis(L_max))
     return _angular_cache[key]
 
 
@@ -132,10 +129,9 @@ class CylField:
 
 
 def radial_field(grid: LineGrid, N: int, L_max: int, profile) -> CylField:
-    """Field depending on s only; ``profile`` is a callable or nodal samples."""
-    values = profile(grid.nodes()) if callable(profile) else np.asarray(profile, dtype=float)
+    """Field depending on s only: degree 0 holds the callable ``profile`` at the grid nodes."""
     data = np.zeros((grid.n, L_max + 1))
-    data[:, 0] = values
+    data[:, 0] = profile(grid.nodes())
     return CylField(grid, N, data)
 
 
@@ -233,6 +229,12 @@ def _pieces(u: CylField, p: float):
     return pieces
 
 
+def _numerator(E: float, M: float, Lambda: float, theta: float) -> float:
+    """Numerator of the quotient: E + Lambda M, or (E + Lambda M)^theta
+    M^(1-theta) for theta < 1."""
+    return (E + Lambda * M) if theta == 1.0 else (E + Lambda * M) ** theta * M ** (1 - theta)
+
+
 def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
     """Scale-invariant quotient whose infimum is the inverse best constant.
 
@@ -242,8 +244,7 @@ def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
     """
     _check_quotient_args(Lambda, p, theta)
     E, M, P, *_ = _pieces(u, p)
-    num = (E + Lambda * M) if theta == 1.0 else (E + Lambda * M) ** theta * M ** (1 - theta)
-    return num / P ** (2.0 / p)
+    return _numerator(E, M, Lambda, theta) / P ** (2.0 / p)
 
 
 def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float):
@@ -259,13 +260,12 @@ def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float):
     # functional gradients (plain coefficient gradient divided by h), built
     # in place in one array: E and M contribute 2 (stiffness + Lambda) c, the
     # p-th power term p DST(nl)
+    G = _numerator(E, M, Lambda, theta)
     g = _stiffness(u)
     g += Lambda
     if theta == 1.0:
-        G = E + Lambda * M
         g *= 2.0
     else:
-        G = (E + Lambda * M) ** theta * M ** (1 - theta)
         common = (E + Lambda * M) ** (theta - 1) * M ** (-theta)
         g *= theta * M
         g += (1 - theta) * (E + Lambda * M)
@@ -286,20 +286,14 @@ class _Report:
 
 @dataclass
 class MinimizeOpts:
-    """Controls for the normalized flow.  step0 and grow set the
-    preconditioned-gradient step taken first and after each reset of the
-    L-BFGS pair history; an L-BFGS step always tries length 1 first."""
+    """Settings of the normalized flow: multistart adds the restarts of
+    :func:`minimize_quotient`, seed drives its random start, and max_iter
+    caps the iterations of each descent.  The line-search and stop
+    constants are fixed in this module."""
 
-    step0: float = 1.0
-    armijo: float = 1e-4
-    grow: float = 1.3
-    shrink: float = 0.5
-    max_backtracks: int = 40
-    max_iter: int = 4000
-    q_rel_tol: float = 1e-10
-    grad_tol: float = 1e-8
     multistart: bool = False
     seed: int = 7
+    max_iter: int = 4000
 
 
 @dataclass
@@ -330,6 +324,14 @@ def _angular_fraction(u: CylField, Lambda: float) -> float:
 
 # L-BFGS memory: the number of (s, y) pairs the flow direction is built from
 _LBFGS_PAIRS = 3
+# the steepest-descent step, Armijo line search and stops of _descend (see minimize_quotient)
+_STEP0 = 1.0
+_GROW = 1.3
+_ARMIJO = 1e-4
+_SHRINK = 0.5
+_MAX_BACKTRACKS = 40
+_Q_REL_TOL = 1e-10
+_GRAD_TOL = 1e-8
 
 
 def _lbfgs_direction(g, sym, S, Y, rho, order):
@@ -381,12 +383,12 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
     Y = np.empty_like(S)
     rho = np.empty(_LBFGS_PAIRS)
     order: list[int] = []
-    t = opts.step0
+    t = _STEP0
     iters = 0
     converged = False
     while iters < opts.max_iter:
         iters += 1
-        if gnorm < opts.grad_tol:
+        if gnorm < _GRAD_TOL:
             converged = True
             break
         if order:
@@ -399,7 +401,7 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
             slope = gnorm * gnorm  # positive: dc is a descent direction
             # the steepest-descent step grows from the last accepted one;
             # an L-BFGS step starts from its natural length 1
-            t = min(t * opts.grow, 1e3)
+            t = min(t * _GROW, 1e3)
         else:
             t = 1.0
         d = _dst(dc)
@@ -408,8 +410,8 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
         # arrays are reused instead of outliving the next one's allocation
         trial = CylField(u.grid, u.N, np.empty_like(d))
         trial._sine = np.empty_like(dc)
-        for _ in range(opts.max_backtracks):
-            target = Q - opts.armijo * t * slope
+        for _ in range(_MAX_BACKTRACKS):
+            target = Q - _ARMIJO * t * slope
             if target == Q:
                 # the required decrease is below one ulp of Q: roundoff
                 # alone would decide acceptance
@@ -431,7 +433,7 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
             if Qnew <= target:
                 accepted = True
                 break
-            t *= opts.shrink
+            t *= _SHRINK
         if not accepted:
             # line search stalled at machine precision: treat as converged
             converged = True
@@ -452,7 +454,7 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
             rho[slot] = 1.0 / sy
         else:
             order.clear()
-        if rel < opts.q_rel_tol:
+        if rel < _Q_REL_TOL:
             converged = True
             break
     return MinimizeReport(
@@ -500,8 +502,12 @@ def minimize_quotient(
 
     An L-BFGS step tries length 1 first; the first step, and the first after
     the pair history is cleared (a non-positive curvature pair or a
-    non-descent direction), follows the preconditioned gradient with
-    opts.step0 and opts.grow.  With opts.multistart the flow is restarted
+    non-descent direction), follows the preconditioned gradient with a
+    step that starts at 1 and grows 1.3-fold per such step.  A descent
+    stops when the preconditioned gradient norm falls below 1e-8, the
+    relative decrease of the quotient below 1e-10, or the Armijo line
+    search (fraction 1e-4, halving, at most 40 trials) stalls; these
+    constants are fixed.  With opts.multistart the flow is restarted
     from seeded perturbations of the start (its radial part, an added
     degree-1 bump, a random perturbation) as a guard against the
     non-convexity past the instability threshold, and the best run is
@@ -622,16 +628,14 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
 _SV_GRID = LineGrid(25.0, 4000)
 
 
-def second_variation_mode(
-    ell: int, Lambda: float, p: float, N: int, method: str = "grid", grid: LineGrid | None = None
-) -> float:
+def second_variation_mode(ell: int, Lambda: float, p: float, N: int, method: str = "grid") -> float:
     """Lowest eigenvalue of the linearization around the radial extremal,
     restricted to zonal degree ell.
 
     The operator is -d^2/ds^2 + Lambda + ell(ell + N - 2) - (p-1) u_star^(p-2);
     the sech^2 well makes a closed form available
     (method="closed"): Lambda + ell(ell + N - 2) - p^2 Lambda / 4.
-    method="grid" solves the well numerically.
+    method="grid" solves the well numerically on LineGrid(25, 4000).
     """
     if ell < 1:
         raise DomainError(f"need ell >= 1, got {ell}")
@@ -642,22 +646,20 @@ def second_variation_mode(
         return shift - p * p * Lambda / 4.0
     if method != "grid":
         raise DomainError(f"unknown method {method!r}")
-    g = grid or _SV_GRID
     pc = profile_constants(Lambda, p, 1.0)
-    well = Potential1D(g, (p - 1) * extremal_potential(g.nodes(), pc, p))
+    well = Potential1D(_SV_GRID, (p - 1) * extremal_potential(_SV_GRID.nodes(), pc, p))
     res = lowest_eigenpair(well)
     return shift - res.lambda1
 
 
-def fs_threshold(p: float, N: int, grid: LineGrid | None = None, xtol: float = 1e-6) -> float:
-    """Instability threshold in Lambda: bisection on the sign of the
-    degree-1 second-variation eigenvalue.  Matches 4(N-1)/(p^2-4)."""
+def fs_threshold(p: float, N: int) -> float:
+    """Instability threshold in Lambda: root (to 1e-6) of the degree-1
+    second-variation eigenvalue.  Matches 4(N-1)/(p^2-4)."""
     check_p(p, 6)
     check_subcritical(p, N)
-    g = grid or _SV_GRID
 
     def mode(lam: float) -> float:
-        return second_variation_mode(1, lam, p, N, "grid", g)
+        return second_variation_mode(1, lam, p, N, "grid")
 
     lo = 1e-3
     if mode(lo) <= 0:
@@ -669,7 +671,7 @@ def fs_threshold(p: float, N: int, grid: LineGrid | None = None, xtol: float = 1
         hi *= 2.0
     else:
         raise NumericsError(f"no sign change up to Lambda={hi}")
-    return float(brentq(mode, lo, hi, xtol=xtol))
+    return float(brentq(mode, lo, hi, xtol=1e-6))
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +741,12 @@ def emden_fowler_pushforward(s_nodes: np.ndarray, w_values: np.ndarray, pt: Para
 # ---------------------------------------------------------------------------
 # spectral-bound equivalence
 
+def _linear_law_slope(p: float) -> float:
+    """Slope of the certified-symmetric bound Lambda = slope * mu:
+    radial_interp_coefficient(1, p)^(2p/(p+2))."""
+    return radial_interp_coefficient(1.0, p) ** (2 * p / (p + 2))
+
+
 def symmetric_mu_threshold(gamma: float, p: float, N: int) -> float:
     """Largest potential size mu for which the optimizing potential of the
     cylinder spectral bound is certified s-only.
@@ -750,36 +758,27 @@ def symmetric_mu_threshold(gamma: float, p: float, N: int) -> float:
     expected = (p + 2) / (2 * (p - 2))
     if not abs(gamma - expected) <= 1e-9:
         raise DomainError(f"gamma={gamma} inconsistent with (p+2)/(2(p-2))={expected}")
-    slope = radial_interp_coefficient(1.0, p) ** (2 * p / (p + 2))
-    return lambda_sym(p, N) / slope
+    return lambda_sym(p, N) / _linear_law_slope(p)
 
 
-def eigenvalue_bound(
-    mu: float,
-    p: float,
-    N: int,
-    grid: LineGrid | None = None,
-    L_max: int = 6,
-    opts: MinimizeOpts | None = None,
-    rtol: float = 1e-3,
-) -> float:
+def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, L_max: int = 6) -> float:
     """Bound Lambda(mu) on the binding energy of cylinder potentials of
     size mu, through the best interpolation constant.
 
     In the certified-symmetric regime the bound is the linear law
     slope * mu with slope = radial_interp_coefficient(1, p)^(2p/(p+2)); past
     it, the relation mu^((p+2)/(2p)) = 1/K(Lambda) is inverted numerically
-    with the 2-d minimizer supplying K.
+    with the 2-d minimizer supplying K (multistart, at most 1500 iterations
+    per descent, default grid LineGrid(20, 1200)) to 1e-3 relative in Lambda.
     """
     if not 0 < mu < math.inf:
         raise DomainError(f"need finite mu > 0, got {mu}")
-    slope = radial_interp_coefficient(1.0, p) ** (2 * p / (p + 2))
-    lam_lin = slope * mu
+    lam_lin = _linear_law_slope(p) * mu
     if lam_lin <= lambda_sym(p, N) + 1e-12:
         return lam_lin
 
     g = grid or LineGrid(20.0, 1200)
-    opts = opts or MinimizeOpts(multistart=True, max_iter=1500)
+    opts = MinimizeOpts(multistart=True, max_iter=1500)
     target = mu ** ((p + 2) / (2 * p))
 
     solved: dict[float, float] = {}
@@ -803,7 +802,7 @@ def eigenvalue_bound(
             break
     else:
         raise NumericsError(f"no bracket for the inversion up to Lambda={hi}")
-    return float(brentq(f, lo, hi, rtol=rtol, xtol=1e-12))
+    return float(brentq(f, lo, hi, rtol=1e-3, xtol=1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -843,13 +842,13 @@ def sandwich_check(
     grid: LineGrid | None = None,
     L_max: int = DEFAULT_L_MAX,
     opts: MinimizeOpts | None = None,
-    tol: float = 5e-3,
 ) -> SandwichReport:
     """Verify the two-sided bound K_lower <= K_numeric <= K_upper.
 
     K_lower is the radial constant of the theta family, K_upper is
     K_lower * gap_factor^(((2 theta - 1) p + 2)/(2p)), and K_numeric comes
-    from the multistart 2-d minimizer.  Lambda must satisfy
+    from the multistart 2-d minimizer; the report is within when
+    K_numeric lies in [K_lower, K_upper] up to 5e-3 relative.  Lambda must satisfy
     a_c^2 < Lambda <= sandwich_lambda_bound, except at theta = theta_min
     exactly, where the window is empty (the bound degenerates to 0 for
     N = 3): there the upper check is waived, the run proceeds and the
@@ -895,7 +894,7 @@ def sandwich_check(
     holder_rhs = M_n ** ((1 - theta) * p / (p - 2)) * P_n ** ((theta * p - 2) / (p - 2))
     d_value = lt_constant(gamma_t) ** (1.0 / gamma_t) * holder_rhs ** (1.0 / gamma_t)
 
-    within = k_lower * (1 - tol) <= k_numeric <= k_upper * (1 + tol)
+    within = k_lower * (1 - 5e-3) <= k_numeric <= k_upper * (1 + 5e-3)
     return SandwichReport(
         theta=theta,
         Lambda=Lambda,
@@ -913,15 +912,3 @@ def sandwich_check(
         limit_case=limit_case,
         converged=rep.converged,
     )
-
-
-def cyl_field_csv(u: CylField) -> str:
-    """Serialize a field as CSV rows (s, ell, coefficient)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["s", "ell", "coefficient"])
-    nodes = u.grid.nodes()
-    for i in range(u.grid.n):
-        for ell in range(u.L_max + 1):
-            writer.writerow([f"{nodes[i]:.12g}", ell, f"{u.data[i, ell]:.12g}"])
-    return buf.getvalue()

@@ -230,13 +230,13 @@ def classify(N: int, a: float, b: float) -> Region:
 def region_map(N, a_range, b_range, grid):
     """Sweep classify over a rectangular (a, b) grid.
 
-    ``grid`` is (na, nb) or a single int for both axes; a degenerate axis
-    (single point) evaluates at the range start.  Rows are emitted in
+    ``grid`` is the pair (na, nb) of point counts per axis; a degenerate
+    axis (one point) evaluates at the range start.  Rows are emitted in
     row-major order (a outer, b inner) so output is deterministic.
     Returns a list of (a, b, Region) tuples; ranges must be finite, min <= max.
     """
     check_N(N)
-    na, nb = (grid, grid) if isinstance(grid, int) else grid
+    na, nb = grid
     if na < 1 or nb < 1:
         raise DomainError(f"grid resolution must be >= 1, got ({na}, {nb})")
     a_lo, a_hi = a_range

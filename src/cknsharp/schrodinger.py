@@ -10,7 +10,6 @@ which holds for all the exponentially decaying wells used here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,8 +30,6 @@ __all__ = [
     "lowest_eigenpair",
     "poschl_teller_ground",
     "lt_ratio",
-    "potential_from_csv",
-    "eigenresult_json",
 ]
 
 
@@ -151,32 +148,3 @@ def lt_ratio(V: Potential1D, gamma: float, eigenpair: EigenResult | None = None)
     if integral <= 0:
         raise DomainError("potential is identically zero but produced a bound state")
     return res.lambda1**gamma / (lt_constant(gamma) * integral)
-
-
-def potential_from_csv(path, grid: LineGrid) -> Potential1D:
-    """Load a two-column CSV (s, value) and resample it on the grid.
-
-    Linear interpolation with zero extension outside the sampled range;
-    negative samples are rejected.
-    """
-    raw = np.loadtxt(path, delimiter=",", dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != 2:
-        raise DomainError(f"expected two-column CSV, got shape {raw.shape}")
-    order = np.argsort(raw[:, 0])
-    s, v = raw[order, 0], raw[order, 1]
-    vals = np.interp(grid.nodes(), s, v, left=0.0, right=0.0)
-    return Potential1D(grid, vals)
-
-
-def eigenresult_json(res: EigenResult, grid: LineGrid) -> str:
-    """Serialize an EigenResult header as JSON {lambda1, residual_norm, n, S}."""
-    return json.dumps(
-        {
-            "lambda1": res.lambda1,
-            "residual_norm": res.residual_norm,
-            "n": grid.n,
-            "S": grid.S,
-            "no_bound_state": res.no_bound_state,
-        },
-        sort_keys=True,
-    )

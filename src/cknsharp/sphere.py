@@ -10,9 +10,8 @@ requires assembling rotation generators.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -30,8 +29,6 @@ __all__ = [
     "grad_energy",
     "poincare_deficit",
     "holder_probability_deficit",
-    "zonal_field_json",
-    "zonal_field_from_json",
 ]
 
 # For N <= 3 the admissible exponent window (1, (N+1)/(N-3)] of the sharp
@@ -52,6 +49,14 @@ class SphereQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
     exactness: int
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def basis(self, L_max: int) -> np.ndarray:
+        """basis_matrix(self, L_max), built on the first request and kept
+        with this quadrature; callers must not modify it."""
+        if L_max not in self._bases:
+            self._bases[L_max] = basis_matrix(self, L_max)
+        return self._bases[L_max]
 
 
 def sphere_quadrature(N: int, m: int) -> SphereQuadrature:
@@ -140,12 +145,12 @@ def default_quadrature(N: int, L_max: int) -> SphereQuadrature:
 
 
 def nodal_values(v: ZonalField, quad: SphereQuadrature) -> np.ndarray:
-    return basis_matrix(quad, v.L_max) @ v.coeffs
+    return quad.basis(v.L_max) @ v.coeffs
 
 
 def field_from_nodal(values: np.ndarray, quad: SphereQuadrature, L_max: int, N: int) -> ZonalField:
     """Project nodal samples onto the zonal basis up to degree L_max."""
-    B = basis_matrix(quad, L_max)
+    B = quad.basis(L_max)
     coeffs = B.T @ (quad.weights * np.asarray(values, dtype=float))
     return ZonalField(N=N, coeffs=coeffs)
 
@@ -189,15 +194,3 @@ def holder_probability_deficit(v: ZonalField, q: float, quad: SphereQuadrature |
     int_q1 = float(np.sum(quad.weights * vals ** (q + 1)))
     int_2 = float(np.sum(v.coeffs**2))
     return int_q1 ** (2.0 / (q + 1)) - int_2
-
-
-def zonal_field_json(v: ZonalField) -> str:
-    return json.dumps({"N": v.N, "L_max": v.L_max, "coeffs": v.coeffs.tolist()})
-
-
-def zonal_field_from_json(text: str) -> ZonalField:
-    obj = json.loads(text)
-    coeffs = np.asarray(obj["coeffs"], dtype=float)
-    if coeffs.size != obj["L_max"] + 1:
-        raise DomainError("inconsistent L_max and coeffs length")
-    return ZonalField(N=int(obj["N"]), coeffs=coeffs)

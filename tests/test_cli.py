@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from cknsharp import DomainError, cli
+from cknsharp import closed_forms as cf
 from cknsharp.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -157,7 +158,7 @@ _REPROS = {
     ("constants", "--p", "nan", "--Lambda", "1"): (DomainError, "p=nan"),
     ("region-map", "--a-min", "nan", "--na", "3", "--nb", "3"): (DomainError, "[nan, "),
     ("region-map", "--b-max", "inf", "--format", "json"): (DomainError, ", inf]"),
-    ("constants", "--p", "3", "--Lambda", "1e300"): (ArithmeticError, "--Lambda 1e300"),
+    ("constants", "--p", "2.001", "--Lambda", "10"): (ArithmeticError, "--Lambda 10"),
     ("verify", "fs", "--p", "2.0000001"): (ArithmeticError, "--p 2.0000001"),
     ("verify", "lt", "--gamma", "2", "--S", "1e-300", "--n", "64"): (ArithmeticError, "--S 1e-300"),
     ("verify", "chain", "--p", "3", "--Lambda", "1", "--S", "1e300", "--n", "64", "--fuzz", "1"): (DomainError, "S=1e+300"),
@@ -216,11 +217,17 @@ def test_verify_lambdacond_passes_near_p_2(capsys):
 
 
 @pytest.mark.parametrize("p", [2.0001, 2.001, 2.05, 2.15, 2.5, 2.85, 3.0, 4.2, 5.999])
-def test_variational_route_matches_the_radial_constant(p):
-    # near p = 2 the amplitude (p Lambda/2)^(1/(p-2)) leaves the float range unless Lambda ~ 1
-    for Lambda in [10.0**k for k in range(-3, 4)] if p >= 2.05 else [0.99, 1.0, 1.01]:
-        args = cli.build_parser().parse_args(["constants", "--N", "3", "--p", repr(p), "--Lambda", repr(Lambda)])
-        rows = {name: value for name, *_, value, _ in cli._constants_rows(args)}
+def test_variational_route_matches_the_radial_constant(p, capsys):
+    for Lambda in [10.0**k for k in range(-3, 4)] + [1e300]:
+        argv = ["constants", "--N", "3", "--p", repr(p), "--Lambda", repr(Lambda)]
+        try:
+            cf.profile_constants(Lambda, p)
+        except OverflowError:
+            # near p = 2 the amplitude (p Lambda/2)^(1/(p-2)) itself leaves the float range
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, len(err.splitlines())) == (2, "", 1), Lambda
+            continue
+        rows = {name: value for name, *_, value, _ in cli._constants_rows(cli.build_parser().parse_args(argv))}
         assert rows["radial_constant_variational"] == pytest.approx(rows["radial_constant"], rel=1e-10), Lambda
 
 
@@ -246,6 +253,20 @@ def test_verify_lt_solves_the_eigenproblem_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=2e-3)
     assert len(calls) == 1
+
+
+def test_verify_poincare_builds_the_basis_once(capsys, monkeypatch):
+    build = cli.sphere.basis_matrix
+    calls = []
+
+    def counted(quad, L_max):
+        calls.append(L_max)
+        return build(quad, L_max)
+
+    monkeypatch.setattr(cli.sphere, "basis_matrix", counted)
+    code, out, _ = run_cli(capsys, "verify", "poincare", "--N", "3", "--q", "3", "--samples", "50")
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert calls == [8]
 
 
 def test_non_finite_verify_payload_exits_2(capsys, monkeypatch):

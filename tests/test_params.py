@@ -237,30 +237,30 @@ def test_classify_boundaries():
 
 
 def test_region_map_basic():
-    records = region_map(3, (-1.0, 0.4), (-1.0, 1.0), 100)
+    records = region_map(3, (-1.0, 0.4), (-1.0, 1.0), (100, 100))
     assert len(records) == 10_000
     assert not any(r is Region.UNKNOWN for a, b, r in records if a >= 0)
     # single point grid degenerates to one classify call
-    single = region_map(3, (-0.5, -0.5), (0.0, 0.0), 1)
+    single = region_map(3, (-0.5, -0.5), (0.0, 0.0), (1, 1))
     assert single == [(-0.5, 0.0, classify(3, -0.5, 0.0))]
     # N = 2: every broken record has a < 0
-    rec2 = region_map(2, (-1.5, 0.3), (-1.5, 1.2), 50)
+    rec2 = region_map(2, (-1.5, 0.3), (-1.5, 1.2), (50, 50))
     assert all(a < 0 for a, b, r in rec2 if r is Region.SYMMETRY_BROKEN)
     with pytest.raises(DomainError):
-        region_map(3, (0.0, -1.0), (0.0, 1.0), 10)
+        region_map(3, (0.0, -1.0), (0.0, 1.0), (10, 10))
     with pytest.raises(DomainError):
-        region_map(3, (0.0, 1.0), (0.0, 1.0), 0)
+        region_map(3, (0.0, 1.0), (0.0, 1.0), (0, 0))
     # non-finite ends, and a finite span whose grid overflows, never reach the output
     for a_range, b_range in [((math.nan, 0.0), (0.0, 1.0)), ((-1.0, 0.0), (0.0, math.inf)),
                              ((-math.inf, 0.0), (0.0, 1.0)), ((0.0, 1e308), (0.0, 1.0))]:
         with pytest.raises(DomainError):
-            region_map(3, a_range, b_range, 5)
+            region_map(3, a_range, b_range, (5, 5))
     with pytest.raises(DomainError):
-        region_map(1, (0.0, 1.0), (0.0, 1.0), 3)
+        region_map(1, (0.0, 1.0), (0.0, 1.0), (3, 3))
 
 
 def test_region_map_serialization():
-    records = region_map(3, (-0.5, -0.5), (0.0, 0.0), 1)
+    records = region_map(3, (-0.5, -0.5), (0.0, 0.0), (1, 1))
     csv_text = region_map_csv(records)
     assert csv_text.splitlines()[0] == "a,b,region"
     assert "SymmetricProven" in csv_text
@@ -270,8 +270,8 @@ def test_region_map_serialization():
 
 def test_classify_grid_refinement_invariance():
     # pointwise rule: value at a shared point is identical across resolutions
-    coarse = dict(((a, b), r) for a, b, r in region_map(3, (-1.0, 0.0), (-1.0, 1.0), 3))
-    fine = dict(((a, b), r) for a, b, r in region_map(3, (-1.0, 0.0), (-1.0, 1.0), 5))
+    coarse = dict(((a, b), r) for a, b, r in region_map(3, (-1.0, 0.0), (-1.0, 1.0), (3, 3)))
+    fine = dict(((a, b), r) for a, b, r in region_map(3, (-1.0, 0.0), (-1.0, 1.0), (5, 5)))
     for key, r in coarse.items():
         assert fine[key] is r
 

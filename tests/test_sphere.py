@@ -19,8 +19,6 @@ from cknsharp.sphere import (
     eval_legendre,
     field_from_nodal,
     nodal_values,
-    zonal_field_from_json,
-    zonal_field_json,
 )
 
 
@@ -124,10 +122,3 @@ def test_holder_probability_deficit():
     assert holder_probability_deficit(flipped, 3.0) == pytest.approx(
         holder_probability_deficit(v, 3.0), rel=1e-14
     )
-
-
-def test_zonal_field_json_round_trip():
-    v = ZonalField(2, np.array([1.0, -0.5, 0.25]))
-    back = zonal_field_from_json(zonal_field_json(v))
-    assert back.N == 2
-    np.testing.assert_allclose(back.coeffs, v.coeffs, atol=0)
