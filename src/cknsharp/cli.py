@@ -9,7 +9,6 @@ or an arithmetic fault), with exactly one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -23,10 +22,6 @@ from .closed_forms import quad
 from .errors import DomainError, NumericsError
 
 SCHEMA = 1
-
-
-def _fmt(x) -> str:
-    return f"{x:.12g}"
 
 
 def _json(payload) -> str:
@@ -46,6 +41,24 @@ def _emit(text: str, output: str | None) -> None:
             raise DomainError(f"cannot write --output {output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _table(columns, rows, args) -> None:
+    """The one table writer: CSV with 12 significant digits, where an empty
+    cell stays empty, or ``{"schema": 1, "rows": [...]}`` through ``_json``.
+    A non-finite number refuses the whole table before anything is written;
+    the message names its row by the first cell."""
+    for row in rows:
+        for x in row:
+            if not (isinstance(x, str) or math.isfinite(x)):
+                raise NumericsError(f"non-finite value of {row[0]} in the output")
+    if args.format == "json":
+        text = _json({"schema": SCHEMA, "rows": [dict(zip(columns, row)) for row in rows]})
+    else:
+        lines = [",".join(columns)]
+        lines += [",".join([x if isinstance(x, str) else f"{x:.12g}" for x in row]) for row in rows]
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.output)
 
 
 def _canonical_point(args):
@@ -129,36 +142,7 @@ def _constants_rows(args):
 
 
 def cmd_constants(args) -> int:
-    rows = _constants_rows(args)
-    bad = [name for name, *_, value, _ in rows if not math.isfinite(value)]
-    if bad:
-        raise NumericsError(f"non-finite value of {bad[0]} in the output")
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "rows": [
-                {
-                    "name": name,
-                    "p": pv,
-                    "Lambda": lv,
-                    "theta": tv,
-                    "N": nv,
-                    "value": value,
-                    "provenance": prov,
-                }
-                for name, pv, lv, tv, nv, value, prov in rows
-            ],
-        }
-        _emit(_json(payload), args.output)
-    else:
-        buf = io.StringIO()
-        buf.write("name,p,Lambda,theta,N,value,provenance\n")
-        for name, pv, lv, tv, nv, value, prov in rows:
-            cells = [name] + [(_fmt(x) if x != "" else "") for x in (pv, lv, tv)]
-            cells.append(str(nv) if nv != "" else "")
-            cells += [_fmt(value), prov]
-            buf.write(",".join(cells) + "\n")
-        _emit(buf.getvalue(), args.output)
+    _table(("name", "p", "Lambda", "theta", "N", "value", "provenance"), _constants_rows(args), args)
     return 0
 
 
@@ -169,10 +153,7 @@ def cmd_region_map(args) -> int:
     records = params.region_map(
         args.N, (args.a_min, args.a_max), (args.b_min, args.b_max), (args.na, args.nb)
     )
-    if args.format == "json":
-        _emit(params.region_map_json(records) + "\n", args.output)
-    else:
-        _emit(params.region_map_csv(records), args.output)
+    _table(("a", "b", "region"), [(a, b, region.value) for a, b, region in records], args)
     return 0
 
 

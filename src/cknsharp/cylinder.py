@@ -623,6 +623,32 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
 
 
 # ---------------------------------------------------------------------------
+# root inversion: fs_threshold and eigenvalue_bound
+
+def _grown_root(f, lo, hi, grow, tries, sign_lo, fail, **tol) -> float | None:
+    """Root of f in (lo, hi): hi grows by the factor ``grow`` (at most
+    ``tries`` times) until f(hi) has the sign opposite to ``sign_lo``, then
+    brentq runs with f memoized, so no argument is solved twice.  Returns
+    None when f(lo) is zero or has the sign opposite to ``sign_lo``; raises
+    NumericsError with ``fail`` formatted with the last hi tried when the
+    sign never changes."""
+    solved: dict[float, float] = {}
+
+    def memo(x: float) -> float:
+        if x not in solved:
+            solved[x] = f(x)
+        return solved[x]
+
+    if sign_lo * memo(lo) <= 0:
+        return None
+    for _ in range(tries):
+        if sign_lo * memo(hi) < 0:
+            return float(brentq(memo, lo, hi, **tol))
+        hi *= grow
+    raise NumericsError(fail.format(max(solved)))
+
+
+# ---------------------------------------------------------------------------
 # second variation, instability threshold
 
 _SV_GRID = LineGrid(25.0, 4000)
@@ -658,20 +684,12 @@ def fs_threshold(p: float, N: int) -> float:
     check_p(p, 6)
     check_subcritical(p, N)
 
-    def mode(lam: float) -> float:
-        return second_variation_mode(1, lam, p, N, "grid")
-
     lo = 1e-3
-    if mode(lo) <= 0:
+    root = _grown_root(lambda lam: second_variation_mode(1, lam, p, N, "grid"), lo, 1.0, 2.0, 60, 1,
+                       "no sign change up to Lambda={}", xtol=1e-6)
+    if root is None:
         raise NumericsError(f"no positive bracket end at Lambda={lo}")
-    hi = 1.0
-    for _ in range(60):
-        if mode(hi) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericsError(f"no sign change up to Lambda={hi}")
-    return float(brentq(mode, lo, hi, xtol=1e-6))
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -781,28 +799,13 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
     opts = MinimizeOpts(multistart=True, max_iter=1500)
     target = mu ** ((p + 2) / (2 * p))
 
-    solved: dict[float, float] = {}
-
     def f(lam: float) -> float:
-        # brentq evaluates both bracket ends again: solve each Lambda once
-        if lam not in solved:
-            start = extremal_field(g, N, L_max, lam, p)
-            rep = minimize_quotient(start, lam, p, 1.0, opts)
-            solved[lam] = rep.quotient - target  # quotient = 1/K, increasing in Lambda
-        return solved[lam]
+        rep = minimize_quotient(extremal_field(g, N, L_max, lam, p), lam, p, 1.0, opts)
+        return rep.quotient - target  # quotient = 1/K, increasing in Lambda
 
-    lo = lam_lin
-    flo = f(lo)
-    if flo >= 0:
-        return lo
-    hi = lo
-    for _ in range(40):
-        hi *= 1.6
-        if f(hi) > 0:
-            break
-    else:
-        raise NumericsError(f"no bracket for the inversion up to Lambda={hi}")
-    return float(brentq(f, lo, hi, rtol=1e-3, xtol=1e-12))
+    root = _grown_root(f, lam_lin, lam_lin * 1.6, 1.6, 40, -1,
+                       "no bracket for the inversion up to Lambda={}", rtol=1e-3, xtol=1e-12)
+    return lam_lin if root is None else root
 
 
 # ---------------------------------------------------------------------------

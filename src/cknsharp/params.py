@@ -19,9 +19,6 @@ The narrow strip between the two curves is open territory and classified
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -45,8 +42,6 @@ __all__ = [
     "chain_exponents",
     "classify",
     "region_map",
-    "region_map_csv",
-    "region_map_json",
 ]
 
 
@@ -247,20 +242,3 @@ def region_map(N, a_range, b_range, grid):
     if not (a_lo <= a_hi and b_lo <= b_hi and all(map(math.isfinite, (a_hi, b_hi, *avals, *bvals)))):
         raise DomainError(f"need finite ranges with min <= max, got a in [{a_lo}, {a_hi}], b in [{b_lo}, {b_hi}]")
     return [(a, b, classify(N, a, b)) for a in avals for b in bvals]
-
-
-def region_map_csv(records) -> str:
-    """Serialize region_map records as CSV with header a,b,region."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["a", "b", "region"])
-    for a, b, region in records:
-        writer.writerow([f"{a:.12g}", f"{b:.12g}", region.value])
-    return buf.getvalue()
-
-
-def region_map_json(records) -> str:
-    """Serialize region_map records as a JSON array of {a, b, region}."""
-    return json.dumps(
-        [{"a": a, "b": b, "region": region.value} for a, b, region in records]
-    )

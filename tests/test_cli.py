@@ -93,6 +93,54 @@ def test_region_map_contains_known_point(capsys):
     assert "-0.5,0,SymmetricProven" in out
 
 
+def test_region_map_serialization(capsys):
+    argv = ("region-map", "--N", "3", "--a-min", "-0.5", "--a-max", "-0.5", "--b-min", "0", "--b-max", "0",
+            "--na", "1", "--nb", "1")
+    _, csv_text, _ = run_cli(capsys, *argv)
+    assert csv_text.splitlines()[0] == "a,b,region"
+    assert "SymmetricProven" in csv_text
+    _, json_text, _ = run_cli(capsys, *argv, "--format", "json")
+    assert '"region": "SymmetricProven"' in json_text
+
+
+def test_region_map_json_is_the_csv_table_with_a_schema(capsys):
+    argv = ("region-map", "--N", "3", "--na", "7", "--nb", "6")
+    _, csv_text, _ = run_cli(capsys, *argv)
+    code, json_text, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(json_text, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+    assert list(payload) == ["schema", "rows"] and payload["schema"] == 1
+    rows = list(csv.DictReader(io.StringIO(csv_text)))
+    assert len(payload["rows"]) == len(rows) == 7 * 6
+    for got, want in zip(payload["rows"], rows):
+        assert (f"{got['a']:.12g}", f"{got['b']:.12g}", got["region"]) == (want["a"], want["b"], want["region"])
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("constants --N 3 --a -0.5 --b 0", "constants_N3_a-0.5_b0.csv"),
+    ("constants --gamma 2.5", "constants_gamma2.5.csv"),
+    ("constants --gamma 2.5 --format json", "constants_gamma2.5.json"),
+    ("constants --N 3 --p 3 --Lambda 1", "constants_N3_p3_Lambda1.csv"),
+    ("region-map --N 3 --na 40 --nb 40", "region-map_N3_na40_nb40.csv"),
+])
+def test_stdout_matches_the_golden_file(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    want = (GOLDEN / name).read_text(encoding="utf-8")
+    assert out.endswith("\n") and out.count("\n") == want.count("\n")
+    for got_line, want_line in zip(out.splitlines(), want.splitlines()):
+        if want_line.startswith("lt_identity_defect,"):
+            # a roundoff-level defect: its digits follow the platform's cosh
+            got_cells, want_cells = got_line.split(","), want_line.split(",")
+            assert got_cells[:5] + got_cells[6:] == want_cells[:5] + want_cells[6:]
+            assert abs(float(got_cells[5])) < 1e-12
+        else:
+            assert got_line == want_line
+
+
 def test_verify_lambdacond(capsys):
     code, out, _ = run_cli(capsys, "verify", "lambdacond", "--Lambda", "1", "--p", "3")
     assert code == 0
@@ -280,9 +328,13 @@ def test_non_finite_verify_payload_exits_2(capsys, monkeypatch):
 def test_non_finite_constants_json_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli.cf, "lt_constant", lambda gamma: math.inf)
     code, out, err = run_cli(capsys, "constants", "--gamma", "2.5", "--format", "json")
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert (code, out, err) == (2, "", "error: non-finite value of c_lt in the output\n")
+
+
+def test_non_finite_constants_csv_row_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli.cf, "gap_factor", lambda p, theta: math.inf)
+    code, out, err = run_cli(capsys, "constants", "--N", "3", "--p", "3", "--Lambda", "1")
+    assert (code, out, err) == (2, "", "error: non-finite value of gap_factor in the output\n")
 
 
 def test_sandwich_limit_case_prints_null_exponent(capsys, monkeypatch):

@@ -528,6 +528,20 @@ def test_fs_threshold_quick(p, N):
     assert abs(measured - expected) <= 1e-3
 
 
+def test_fs_threshold_solves_each_lambda_once(monkeypatch):
+    # brentq evaluates both bracket ends again; the memo answers those
+    solve = cyl.lowest_eigenpair
+    calls = []
+
+    def counted(V):
+        calls.append(V)
+        return solve(V)
+
+    monkeypatch.setattr(cyl, "lowest_eigenpair", counted)
+    assert fs_threshold(3.0, 3) == pytest.approx(lambda_fs(3.0, 3), rel=5e-3)
+    assert len(calls) == 6
+
+
 def test_fs_threshold_rejects_supercritical():
     with pytest.raises(DomainError):
         fs_threshold(6.5, 3)

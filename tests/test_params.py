@@ -24,7 +24,7 @@ from cknsharp import (
     theta_min,
     to_cylinder,
 )
-from cknsharp.params import CylinderPoint, region_map_csv, region_map_json
+from cknsharp.params import CylinderPoint
 
 
 def p_of(N, a, b):
@@ -257,15 +257,6 @@ def test_region_map_basic():
             region_map(3, a_range, b_range, (5, 5))
     with pytest.raises(DomainError):
         region_map(1, (0.0, 1.0), (0.0, 1.0), (3, 3))
-
-
-def test_region_map_serialization():
-    records = region_map(3, (-0.5, -0.5), (0.0, 0.0), (1, 1))
-    csv_text = region_map_csv(records)
-    assert csv_text.splitlines()[0] == "a,b,region"
-    assert "SymmetricProven" in csv_text
-    json_text = region_map_json(records)
-    assert '"region": "SymmetricProven"' in json_text
 
 
 def test_classify_grid_refinement_invariance():
