@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_ch.add_argument("--Lambda", type=float, required=True)
     v_ch.add_argument("--fuzz", type=int, default=100)
     v_ch.add_argument("--S", type=float, default=15.0)
-    v_ch.add_argument("--n", type=int, default=600)
+    v_ch.add_argument("--n", type=int, default=599)
     v_ch.add_argument("--l-max", type=int, default=6)
 
     v_lc = vsub.add_parser("lambdacond", help="potential-norm identity defect")
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_mi.add_argument("--Lambda", type=float, required=True)
     v_mi.add_argument("--theta", type=float)
     v_mi.add_argument("--S", type=float, default=20.0)
-    v_mi.add_argument("--n", type=int, default=2000)
+    v_mi.add_argument("--n", type=int, default=1999)
     v_mi.add_argument("--l-max", type=int, default=8)
 
     v_sa = vsub.add_parser("sandwich", help="two-sided bound for theta < 1")

@@ -15,6 +15,7 @@ quadrature of the extremal profile.  The other convention is exposed as
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,14 +199,18 @@ def lt_constant(gamma: float) -> float:
     """Sharp constant of the one-bound-state spectral inequality.
 
     Two printed forms exist; they are algebraically identical (via
-    Gamma(gamma+1) = gamma Gamma(gamma)) and both are evaluated here, with
-    agreement asserted to 1e-11 relative before returning.
+    Gamma(gamma+1) = gamma Gamma(gamma)) and both are evaluated here; their
+    agreement is asserted before returning, to 1e-11 relative or to
+    16 |log Gamma(gamma+1)| machine epsilons, whichever is larger.  Each form
+    is a difference of log-Gamma values of size gamma log gamma, so the
+    cancellation grows with gamma (5e-7 relative at gamma = 1e8).
     Spot values: lt_constant(2.5) = 5/36, lt_constant(1.5) = 3/16.
     """
     check_gamma(gamma)
     c1 = _lt_constant_ratio_form(gamma)
     c2 = _lt_constant_product_form(gamma)
-    if abs(c1 - c2) > 1e-11 * abs(c1):
+    tol = max(1e-11, 16 * abs(log_gamma(gamma + 1)) * sys.float_info.epsilon)
+    if abs(c1 - c2) > tol * abs(c1):
         raise NumericsError(f"lt_constant forms disagree at gamma={gamma}: {c1} vs {c2}")
     return c1
 

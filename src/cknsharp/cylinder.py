@@ -75,7 +75,8 @@ __all__ = [
     "sandwich_check",
 ]
 
-DEFAULT_GRID = LineGrid(20.0, 2000)
+# n + 1 = 2000 = 2^4 5^3: a 5-smooth transform length keeps every DST-I fast
+DEFAULT_GRID = LineGrid(20.0, 1999)
 DEFAULT_L_MAX = 8
 
 _angular_cache: dict = {}
@@ -779,6 +780,10 @@ def symmetric_mu_threshold(gamma: float, p: float, N: int) -> float:
     return lambda_sym(p, N) / _linear_law_slope(p)
 
 
+# n + 1 = 1200 = 2^4 3 5^2 is 5-smooth, so each DST-I on it is a fast transform
+_BOUND_GRID = LineGrid(20.0, 1199)
+
+
 def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, L_max: int = 6) -> float:
     """Bound Lambda(mu) on the binding energy of cylinder potentials of
     size mu, through the best interpolation constant.
@@ -786,8 +791,16 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
     In the certified-symmetric regime the bound is the linear law
     slope * mu with slope = radial_interp_coefficient(1, p)^(2p/(p+2)); past
     it, the relation mu^((p+2)/(2p)) = 1/K(Lambda) is inverted numerically
-    with the 2-d minimizer supplying K (multistart, at most 1500 iterations
-    per descent, default grid LineGrid(20, 1200)) to 1e-3 relative in Lambda.
+    with the 2-d minimizer supplying K (at most 1500 iterations per descent,
+    default grid LineGrid(20, 1199)) to 1e-3 relative in Lambda.
+
+    The inversion continues in Lambda: until a solve returns a broken
+    minimizer (angular fraction above 1e-3), each Lambda gets a cold
+    multistart from the radial extremal, the guard against missing the
+    broken branch at the first point past the instability threshold; after
+    that, each Lambda gets one descent started from the broken minimizer of
+    the nearest solved Lambda in |log Lambda|.  A radial result never seeds
+    a descent, and the minimizers are dropped when the call returns.
     """
     if not 0 < mu < math.inf:
         raise DomainError(f"need finite mu > 0, got {mu}")
@@ -795,12 +808,20 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
     if lam_lin <= lambda_sym(p, N) + 1e-12:
         return lam_lin
 
-    g = grid or LineGrid(20.0, 1200)
-    opts = MinimizeOpts(multistart=True, max_iter=1500)
+    g = grid or _BOUND_GRID
+    cold = MinimizeOpts(multistart=True, max_iter=1500)
+    warm = MinimizeOpts(max_iter=1500)
     target = mu ** ((p + 2) / (2 * p))
+    broken: list[tuple[float, CylField]] = []  # (Lambda, minimizer) of each broken solve
 
     def f(lam: float) -> float:
-        rep = minimize_quotient(extremal_field(g, N, L_max, lam, p), lam, p, 1.0, opts)
+        if broken:
+            _, near = min(broken, key=lambda b: abs(math.log(b[0] / lam)))
+            rep = minimize_quotient(near, lam, p, 1.0, warm)
+        else:
+            rep = minimize_quotient(extremal_field(g, N, L_max, lam, p), lam, p, 1.0, cold)
+        if rep.angular_fraction > 1e-3:
+            broken.append((lam, rep.minimizer))
         return rep.quotient - target  # quotient = 1/K, increasing in Lambda
 
     root = _grown_root(f, lam_lin, lam_lin * 1.6, 1.6, 40, -1,

@@ -138,13 +138,18 @@ def lt_ratio(V: Potential1D, gamma: float, eigenpair: EigenResult | None = None)
     sech^2 wells of :func:`lt_equality_potential` (up to scaling and
     translation).  Returns 0 when no bound state exists.  A caller that has
     already solved ``lowest_eigenpair(V)`` passes it as ``eigenpair``, and
-    the eigenproblem is not solved again.
+    the eigenproblem is not solved again.  The ratio is formed in logs,
+    gamma log lambda1 - log c - log(h sum V^(gamma+1/2)), with the sum
+    shifted by its largest term, since lambda1^gamma and V^(gamma+1/2)
+    leave the float range from gamma of about 100 on.
     """
     check_gamma(gamma)
     res = lowest_eigenpair(V) if eigenpair is None else eigenpair
     if res.no_bound_state:
         return 0.0
-    integral = V.grid.h * float(np.sum(V.values ** (gamma + 0.5)))
-    if integral <= 0:
+    vmax = float(V.values.max())
+    if vmax <= 0:
         raise DomainError("potential is identically zero but produced a bound state")
-    return res.lambda1**gamma / (lt_constant(gamma) * integral)
+    log_integral = math.log(V.grid.h * float(np.sum((V.values / vmax) ** (gamma + 0.5)))) \
+        + (gamma + 0.5) * math.log(vmax)
+    return math.exp(gamma * math.log(res.lambda1) - math.log(lt_constant(gamma)) - log_integral)

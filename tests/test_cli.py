@@ -288,6 +288,17 @@ def test_verify_minimize_refuses_p_6_before_the_flow(capsys, monkeypatch):
     assert calls == []
 
 
+def test_large_gamma_is_valid_input(capsys):
+    # large gamma is valid (p -> 2): neither the dual-form cross-check of
+    # lt_constant nor the powers in lt_ratio may turn it into exit 2
+    for gamma in ("1e4", "1e8"):
+        code, out, _ = run_cli(capsys, "constants", "--gamma", gamma)
+        assert code == 0 and out.startswith("name,"), gamma
+    code, out, _ = run_cli(capsys, "verify", "lt", "--gamma", "100")
+    assert code in (0, 1)
+    assert math.isfinite(json.loads(out)["ratio"])
+
+
 def test_verify_lt_solves_the_eigenproblem_once(capsys, monkeypatch):
     solve = cli.schrodinger.lowest_eigenpair
     calls = []

@@ -1,13 +1,17 @@
 """Closed forms against independent quadrature and high-precision oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cknsharp import (
     DomainError,
+    LineGrid,
     NumericsError,
     ParamPoint,
     chain_exponents,
@@ -19,7 +23,9 @@ from cknsharp import (
     log_gamma,
     lt_constant,
     lt_ground_state,
+    lt_equality_potential,
     lt_identity_defect,
+    lt_ratio,
     moments,
     profile_constants,
     radial_constant,
@@ -186,6 +192,37 @@ def test_lt_constant_dual_forms_agree():
         c1 = _lt_constant_ratio_form(gamma)
         c2 = _lt_constant_product_form(gamma)
         assert abs(c1 - c2) <= 1e-11 * c1
+
+
+def _log_uniform_gamma(hi):
+    # gamma log-uniform in (1/2, hi]
+    return st.floats(math.log(0.5), math.log(hi)).map(math.exp).filter(lambda g: 0.5 < g <= hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_log_uniform_gamma(1e8))
+@example(1e4)
+@example(1e8)
+def test_lt_constant_finite_and_positive_up_to_1e8(gamma):
+    c = lt_constant(gamma)
+    assert math.isfinite(c) and c > 0
+    if gamma >= 10:
+        # Stirling: c e sqrt(pi gamma) = 1 + 1/(8 gamma) + O(gamma^-2), up to
+        # the cancellation the dual-form cross-check allows for
+        tol = max(1e-11, 16 * abs(log_gamma(gamma + 1)) * sys.float_info.epsilon)
+        assert c * math.e * math.sqrt(math.pi * gamma) == pytest.approx(1 + 0.125 / gamma,
+                                                                       abs=0.1 / gamma**2 + tol)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_log_uniform_gamma(1e3))
+@example(100.0)
+@example(1e3)
+def test_lt_ratio_of_equality_well_finite_up_to_1e3(gamma):
+    # lambda1^gamma and V^(gamma+1/2) overflow from gamma of about 100 on; the ratio does not
+    ratio = lt_ratio(lt_equality_potential(LineGrid(20.0, 8000), gamma), gamma)
+    assert math.isfinite(ratio)
+    assert ratio == pytest.approx(1.0, abs=1e-2)
 
 
 def test_radial_constant_spot_value_and_oracle():

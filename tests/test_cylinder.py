@@ -636,6 +636,82 @@ def test_eigenvalue_bound_solves_each_lambda_once(monkeypatch):
     assert len(solved) == len(set(solved))
 
 
+def _bound_calls(monkeypatch, lam_lin):
+    """(Lambda, multistart, start, report) of every minimize_quotient call
+    made by eigenvalue_bound at p = N = 3 whose linear law is lam_lin."""
+    calls = []
+    real = cyl.minimize_quotient
+
+    def recording(start, Lambda, p, theta, opts):
+        rep = real(start, Lambda, p, theta, opts)
+        calls.append((Lambda, opts.multistart, start, rep))
+        return rep
+
+    monkeypatch.setattr(cyl, "minimize_quotient", recording)
+    slope = radial_interp_coefficient(1.0, 3.0) ** (6.0 / 5.0)
+    eigenvalue_bound(lam_lin / slope, 3.0, 3, grid=LineGrid(18.0, 699), L_max=5)
+    monkeypatch.undo()
+    return calls
+
+
+# a point past lambda_fs = 1.6, and one in the strip lambda_sym = 1.5 < Lambda < lambda_fs;
+# whether the strip point brackets hangs on a roundoff-level sign, and when it
+# does, its bracket end 1.6 Lambda is broken, so warm descents run below lambda_fs
+_CONTINUATION_POINTS = [pytest.param(3.0, True, id="past"), pytest.param(1.54, False, id="strip")]
+
+
+@pytest.mark.parametrize("lam_lin, must_warm", _CONTINUATION_POINTS)
+def test_eigenvalue_bound_continuation(monkeypatch, lam_lin, must_warm):
+    assert lambda_sym(3.0, 3) < lam_lin and (lam_lin > lambda_fs(3.0, 3)) == must_warm
+    calls = _bound_calls(monkeypatch, lam_lin)
+    lams = [c[0] for c in calls]
+    assert len(lams) == len(set(lams))  # no Lambda is solved twice
+    broken = [rep.angular_fraction > 1e-3 for *_, rep in calls]
+    first = broken.index(True) if any(broken) else len(calls) - 1
+    for lam, multistart, start, _ in calls[: first + 1]:
+        # cold: a multistart from the radial extremal
+        assert multistart and not np.any(start.data[:, 1:]), lam
+    for lam, multistart, start, _ in calls[first + 1 :]:
+        # warm: one descent from a broken minimizer
+        assert not multistart and np.any(start.data[:, 1:]), lam
+    if must_warm:
+        assert broken[0] and len(calls) >= 3
+
+
+@pytest.mark.parametrize("lam_lin, must_warm", _CONTINUATION_POINTS)
+def test_eigenvalue_bound_warm_quotients_match_cold(monkeypatch, lam_lin, must_warm):
+    calls = _bound_calls(monkeypatch, lam_lin)
+    warm = [(lam, rep) for lam, multistart, _, rep in calls if not multistart]
+    assert warm or not must_warm
+    grid = LineGrid(18.0, 699)
+    for lam, rep in warm:
+        cold = minimize_quotient(extremal_field(grid, 3, 5, lam, 3.0), lam, 3.0, 1.0,
+                                 MinimizeOpts(multistart=True, max_iter=1500))
+        assert rep.quotient == pytest.approx(cold.quotient, rel=1e-8), lam
+
+
+def _five_smooth(m: int) -> bool:
+    for f in (2, 3, 5):
+        while m % f == 0:
+            m //= f
+    return m == 1
+
+
+def test_default_transform_grids_are_five_smooth():
+    # every default grid a DST-I runs on; the grids of the tridiagonal
+    # eigensolver (verify lt, second_variation_mode) run no transform
+    from cknsharp.cli import build_parser
+
+    parser = build_parser()
+    sizes = {
+        "DEFAULT_GRID": cyl.DEFAULT_GRID.n,
+        "eigenvalue_bound": cyl._BOUND_GRID.n,
+        **{f"verify {c}": parser.parse_args(["verify", c, "--p", "3", "--Lambda", "1"]).n
+           for c in ("minimize", "chain")},
+    }
+    assert {k: n for k, n in sizes.items() if not _five_smooth(n + 1)} == {}
+
+
 def test_eigenvalue_bound_numeric_branch():
     # just past the threshold (here also past lambda_fs) the numeric
     # inversion runs; the broken minimizer lowers the quotient below the
