@@ -194,9 +194,9 @@ def test_lt_constant_dual_forms_agree():
         assert abs(c1 - c2) <= 1e-11 * c1
 
 
-def _log_uniform_gamma(hi):
-    # gamma log-uniform in (1/2, hi]
-    return st.floats(math.log(0.5), math.log(hi)).map(math.exp).filter(lambda g: 0.5 < g <= hi)
+def _log_uniform_gamma(hi, lo=0.5):
+    # gamma log-uniform in (lo, hi]
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp).filter(lambda g: lo < g <= hi)
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,11 +215,14 @@ def test_lt_constant_finite_and_positive_up_to_1e8(gamma):
 
 
 @settings(max_examples=12, deadline=None)
-@given(_log_uniform_gamma(1e3))
+@given(_log_uniform_gamma(1e3, lo=1.0))
 @example(100.0)
 @example(1e3)
 def test_lt_ratio_of_equality_well_finite_up_to_1e3(gamma):
-    # lambda1^gamma and V^(gamma+1/2) overflow from gamma of about 100 on; the ratio does not
+    # lambda1^gamma and V^(gamma+1/2) overflow from gamma of about 100 on; the ratio does not.
+    # The ground state decays like exp(-(gamma - 1/2)|s|), so the half-width-20 box holds it
+    # only from gamma of about 1 on: at gamma = 0.6 the ratio is 0.96, at 0.55 the box has
+    # no bound state at all.
     ratio = lt_ratio(lt_equality_potential(LineGrid(20.0, 8000), gamma), gamma)
     assert math.isfinite(ratio)
     assert ratio == pytest.approx(1.0, abs=1e-2)
