@@ -286,7 +286,7 @@ def _verify_minimize(args):
     start.data[:, 1] = 0.1 * start.data[:, 0]
     rep = cyl.minimize_quotient(start, args.Lambda, args.p, theta,
                                 cyl.MinimizeOpts(seed=args.seed))
-    broken = rep.angular_fraction > 1e-3
+    broken = rep.broken
     payload = rep.to_dict()
     payload["quotient_radial"] = q_star
     payload["symmetry_broken"] = broken

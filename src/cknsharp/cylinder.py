@@ -313,6 +313,12 @@ class MinimizeReport(_Report):
     N: int
     minimizer: CylField = field(repr=False, default=None)
 
+    @property
+    def broken(self) -> bool:
+        """Whether the minimizer is symmetry-broken: more than 1e-3 of its
+        energy lies in the angular modes."""
+        return self.angular_fraction > 1e-3
+
 
 def _angular_fraction(u: CylField, Lambda: float) -> float:
     mass, senergy, _ = _ledger(u)
@@ -795,7 +801,7 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
     default grid LineGrid(20, 1199)) to 1e-3 relative in Lambda.
 
     The inversion continues in Lambda: until a solve returns a broken
-    minimizer (angular fraction above 1e-3), each Lambda gets a cold
+    minimizer (:attr:`MinimizeReport.broken`), each Lambda gets a cold
     multistart from the radial extremal, the guard against missing the
     broken branch at the first point past the instability threshold; after
     that, each Lambda gets one descent started from the broken minimizer of
@@ -820,7 +826,7 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
             rep = minimize_quotient(near, lam, p, 1.0, warm)
         else:
             rep = minimize_quotient(extremal_field(g, N, L_max, lam, p), lam, p, 1.0, cold)
-        if rep.angular_fraction > 1e-3:
+        if rep.broken:
             broken.append((lam, rep.minimizer))
         return rep.quotient - target  # quotient = 1/K, increasing in Lambda
 

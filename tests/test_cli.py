@@ -291,9 +291,14 @@ def test_verify_minimize_refuses_p_6_before_the_flow(capsys, monkeypatch):
 def test_large_gamma_is_valid_input(capsys):
     # large gamma is valid (p -> 2): neither the dual-form cross-check of
     # lt_constant nor the powers in lt_ratio may turn it into exit 2
-    for gamma in ("1e4", "1e8"):
+    for gamma in ("1e4", "1e8", "1e15"):
         code, out, _ = run_cli(capsys, "constants", "--gamma", gamma)
         assert code == 0 and out.startswith("name,"), gamma
+        # Stirling: c_lt e sqrt(pi gamma) = 1 + 1/(8 gamma) + O(gamma^-2); 12 digits are printed
+        c_lt = float(out.splitlines()[1].split(",")[5])
+        g = float(gamma)
+        stirling = (1 + 0.125 / g) / (math.e * math.sqrt(math.pi * g))
+        assert c_lt == pytest.approx(stirling, rel=1e-11 + 0.1 / g**2), gamma
     code, out, _ = run_cli(capsys, "verify", "lt", "--gamma", "100")
     assert code in (0, 1)
     assert math.isfinite(json.loads(out)["ratio"])

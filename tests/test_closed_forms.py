@@ -1,7 +1,6 @@
 """Closed forms against independent quadrature and high-precision oracles."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -199,6 +198,12 @@ def _log_uniform_gamma(hi, lo=0.5):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp).filter(lambda g: lo < g <= hi)
 
 
+def _stirling_defect(gamma):
+    # Stirling: c e sqrt(pi gamma) = 1 + 1/(8 gamma) + O(gamma^-2); the
+    # O(gamma^-2) term is below 0.1/gamma^2 from gamma = 10 on
+    return lt_constant(gamma) * math.e * math.sqrt(math.pi * gamma) - 1 - 0.125 / gamma
+
+
 @settings(max_examples=200, deadline=None)
 @given(_log_uniform_gamma(1e8))
 @example(1e4)
@@ -207,11 +212,17 @@ def test_lt_constant_finite_and_positive_up_to_1e8(gamma):
     c = lt_constant(gamma)
     assert math.isfinite(c) and c > 0
     if gamma >= 10:
-        # Stirling: c e sqrt(pi gamma) = 1 + 1/(8 gamma) + O(gamma^-2), up to
-        # the cancellation the dual-form cross-check allows for
-        tol = max(1e-11, 16 * abs(log_gamma(gamma + 1)) * sys.float_info.epsilon)
-        assert c * math.e * math.sqrt(math.pi * gamma) == pytest.approx(1 + 0.125 / gamma,
-                                                                       abs=0.1 / gamma**2 + tol)
+        assert abs(_stirling_defect(gamma)) <= 0.1 / gamma**2 + 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(math.log(1e8), math.log(1e300)).map(math.exp))
+@example(1e10)
+@example(1e15)
+def test_lt_constant_matches_stirling_past_1e8(gamma):
+    # the log-Gamma values are of size gamma log gamma here; subtracting them
+    # would leave 2e-9 at gamma = 1e15 instead of 6.56e-9
+    assert abs(_stirling_defect(gamma)) <= 1e-13
 
 
 @settings(max_examples=12, deadline=None)

@@ -636,9 +636,9 @@ def test_eigenvalue_bound_solves_each_lambda_once(monkeypatch):
     assert len(solved) == len(set(solved))
 
 
-def _bound_calls(monkeypatch, lam_lin):
+def _bound_calls(monkeypatch, lam_lin, p, N):
     """(Lambda, multistart, start, report) of every minimize_quotient call
-    made by eigenvalue_bound at p = N = 3 whose linear law is lam_lin."""
+    made by eigenvalue_bound at (p, N) whose linear law is lam_lin."""
     calls = []
     real = cyl.minimize_quotient
 
@@ -648,25 +648,30 @@ def _bound_calls(monkeypatch, lam_lin):
         return rep
 
     monkeypatch.setattr(cyl, "minimize_quotient", recording)
-    slope = radial_interp_coefficient(1.0, 3.0) ** (6.0 / 5.0)
-    eigenvalue_bound(lam_lin / slope, 3.0, 3, grid=LineGrid(18.0, 699), L_max=5)
+    slope = radial_interp_coefficient(1.0, p) ** (2 * p / (p + 2))
+    eigenvalue_bound(lam_lin / slope, p, N, grid=LineGrid(18.0, 699), L_max=5)
     monkeypatch.undo()
     return calls
 
 
-# a point past lambda_fs = 1.6, and one in the strip lambda_sym = 1.5 < Lambda < lambda_fs;
-# whether the strip point brackets hangs on a roundoff-level sign, and when it
-# does, its bracket end 1.6 Lambda is broken, so warm descents run below lambda_fs
-_CONTINUATION_POINTS = [pytest.param(3.0, True, id="past"), pytest.param(1.54, False, id="strip")]
+# points past lambda_fs (1.6 at p = N = 3, 1.78 at p = 2.5, N = 2), and one in
+# the strip lambda_sym = 1.5 < Lambda < lambda_fs at p = N = 3.  Whether the
+# strip point brackets hangs on a roundoff-level sign (the radial quotient
+# equals the target at the linear law), so it may make no warm call at all;
+# when it does bracket, its end 1.6 Lambda is broken, so warm descents run
+# below lambda_fs
+_PAST_POINTS = [pytest.param(3.0, 3.0, 3, id="past"), pytest.param(3.0, 2.5, 2, id="past-p2.5-N2")]
+_CONTINUATION_POINTS = [*_PAST_POINTS, pytest.param(1.54, 3.0, 3, id="strip")]
 
 
-@pytest.mark.parametrize("lam_lin, must_warm", _CONTINUATION_POINTS)
-def test_eigenvalue_bound_continuation(monkeypatch, lam_lin, must_warm):
-    assert lambda_sym(3.0, 3) < lam_lin and (lam_lin > lambda_fs(3.0, 3)) == must_warm
-    calls = _bound_calls(monkeypatch, lam_lin)
+@pytest.mark.parametrize("lam_lin, p, N", _CONTINUATION_POINTS)
+def test_eigenvalue_bound_continuation(monkeypatch, lam_lin, p, N):
+    must_warm = lam_lin > lambda_fs(p, N)
+    assert lambda_sym(p, N) < lam_lin
+    calls = _bound_calls(monkeypatch, lam_lin, p, N)
     lams = [c[0] for c in calls]
     assert len(lams) == len(set(lams))  # no Lambda is solved twice
-    broken = [rep.angular_fraction > 1e-3 for *_, rep in calls]
+    broken = [rep.broken for *_, rep in calls]
     first = broken.index(True) if any(broken) else len(calls) - 1
     for lam, multistart, start, _ in calls[: first + 1]:
         # cold: a multistart from the radial extremal
@@ -678,14 +683,14 @@ def test_eigenvalue_bound_continuation(monkeypatch, lam_lin, must_warm):
         assert broken[0] and len(calls) >= 3
 
 
-@pytest.mark.parametrize("lam_lin, must_warm", _CONTINUATION_POINTS)
-def test_eigenvalue_bound_warm_quotients_match_cold(monkeypatch, lam_lin, must_warm):
-    calls = _bound_calls(monkeypatch, lam_lin)
+@pytest.mark.parametrize("lam_lin, p, N", _PAST_POINTS)
+def test_eigenvalue_bound_warm_quotients_match_cold(monkeypatch, lam_lin, p, N):
+    calls = _bound_calls(monkeypatch, lam_lin, p, N)
     warm = [(lam, rep) for lam, multistart, _, rep in calls if not multistart]
-    assert warm or not must_warm
+    assert warm
     grid = LineGrid(18.0, 699)
     for lam, rep in warm:
-        cold = minimize_quotient(extremal_field(grid, 3, 5, lam, 3.0), lam, 3.0, 1.0,
+        cold = minimize_quotient(extremal_field(grid, N, 5, lam, p), lam, p, 1.0,
                                  MinimizeOpts(multistart=True, max_iter=1500))
         assert rep.quotient == pytest.approx(cold.quotient, rel=1e-8), lam
 
