@@ -19,7 +19,7 @@ from . import closed_forms as cf
 from . import cylinder as cyl
 from . import params, schrodinger, sphere
 from .closed_forms import quad
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, check_gamma, check_grid
 
 SCHEMA = 1
 
@@ -160,8 +160,17 @@ def cmd_region_map(args) -> int:
 # ---------------------------------------------------------------------------
 # verify subcommands: each returns (payload dict, passed bool)
 
+# the well's ground state decays like exp(-(gamma - 1/2)|s|): the default box
+# holds 8 decay lengths (S >= 20) at 400 nodes per unit of S, at most _LT_MAX_N
+_LT_MAX_N = 100_000
+
+
 def _verify_lt(args):
-    grid = schrodinger.LineGrid(args.S, args.n)
+    check_gamma(args.gamma)
+    S = max(20.0, 8.0 / (args.gamma - 0.5)) if args.S is None else args.S
+    if args.n is None:
+        check_grid(S, 16)  # S is checked before the node count is derived from it
+    grid = schrodinger.LineGrid(S, min(_LT_MAX_N, math.ceil(400 * S)) if args.n is None else args.n)
     V = schrodinger.lt_equality_potential(grid, args.gamma)
     res = schrodinger.lowest_eigenpair(V)
     expected = (args.gamma - 0.5) ** 2
@@ -370,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v_lt = vsub.add_parser("lt", help="equality case of the spectral bound")
     v_lt.add_argument("--gamma", type=float, required=True)
-    v_lt.add_argument("--S", type=float, default=20.0)
-    v_lt.add_argument("--n", type=int, default=8000)
+    v_lt.add_argument("--S", type=float, help="box half-width (default max(20, 8/(gamma - 1/2)))")
+    v_lt.add_argument("--n", type=int, help=f"interior nodes (default ceil(400 S), at most {_LT_MAX_N})")
 
     v_po = vsub.add_parser("poincare", help="sphere inequality deficits")
     v_po.add_argument("--N", type=int, default=3)

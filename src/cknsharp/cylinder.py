@@ -11,7 +11,7 @@ plain and interpolation inequalities, a limited-memory quasi-Newton
 (L-BFGS, three pairs) flow seeded with the diagonal preconditioner, with
 Armijo backtracking, that runs in coefficient space (two DST-I per
 iteration, none per line-search trial; one nodal power per trial, none per
-gradient, streamed in row blocks of s-nodes), the Euler-Lagrange residual,
+gradient, in reused block buffers), the Euler-Lagrange residual,
 the five-step proof-chain slack evaluator, the second-variation instability
 detector with its threshold bisection, the log-radial change of variables
 from Euclidean space, the spectral-bound equivalence, and the theta < 1
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -145,8 +146,10 @@ def extremal_field(grid: LineGrid, N: int, L_max: int, Lambda: float, p: float, 
 # ---------------------------------------------------------------------------
 # sine-spectral calculus in s
 
-def _freqs(grid: LineGrid) -> np.ndarray:
-    return np.arange(1, grid.n + 1) * math.pi / (2.0 * grid.S)
+@lru_cache(maxsize=16)
+def _omega2(grid: LineGrid) -> np.ndarray:
+    """Squared sine frequencies, built once per grid; callers must not modify them."""
+    return (np.arange(1, grid.n + 1) * math.pi / (2.0 * grid.S)) ** 2
 
 
 def _dst(arr: np.ndarray) -> np.ndarray:
@@ -160,7 +163,7 @@ def _angular_eigs(N: int, L_max: int) -> np.ndarray:
 
 def _stiffness(u: CylField) -> np.ndarray:
     """Diagonal of the gradient energy in the sine x zonal basis."""
-    return (_freqs(u.grid) ** 2)[:, None] + _angular_eigs(u.N, u.L_max)[None, :]
+    return _omega2(u.grid)[:, None] + _angular_eigs(u.N, u.L_max)[None, :]
 
 
 def _ledger(u: CylField):
@@ -169,7 +172,7 @@ def _ledger(u: CylField):
     which cost one DST unless u carries them."""
     c = _dst(u.data) if u._sine is None else u._sine
     mass = u.grid.h * (u.data**2).sum(axis=0)
-    senergy = u.grid.h * ((_freqs(u.grid) ** 2)[:, None] * c**2).sum(axis=0)
+    senergy = u.grid.h * (_omega2(u.grid) @ c**2)
     return mass, senergy, c
 
 
@@ -180,31 +183,36 @@ def _check_quotient_args(Lambda: float, p: float, theta: float) -> None:
         raise DomainError(f"need 0 < theta <= 1, got {theta}")
 
 
-# each temporary of the nodal stage holds at most this many values (32 KiB),
-# far below glibc's 128 KiB mmap threshold, so the blocks are recycled from
-# the heap instead of being mapped and faulted in afresh on every evaluation
-_BLOCK_VALUES = 4096
+# the nodal stage runs over blocks of s-rows of about this many values
+# (256 KiB) in two module-level buffers, allocated once and reused, so an
+# evaluation makes no temporaries and takes no fresh page faults (the
+# buffers make _nodal_stage non-reentrant)
+_BLOCK_VALUES = 32768
+_blocks = [np.empty(_BLOCK_VALUES), np.empty(_BLOCK_VALUES)]
 
 
 def _nodal_stage(u: CylField, p: float):
-    """(P, nl) from the nodal values U = data @ B^T, streamed over blocks of
-    s-rows: P the integral of |U|^p under the probability measure and
+    """(P, nl) from the nodal values U = data @ B^T, over blocks of s-rows:
     nl = aU @ (w B) the zonal coefficients of aU = |U|^(p-2) U
-    = |U|^(p-1) sign U (one power serves both it and |U|^p = aU U)."""
+    = |U|^(p-1) sign U, and P = h sum(data * nl) the integral of
+    |U|^p = aU U under the probability measure, by the exact identity
+    sum_j w_j aU_ij U_ij = sum_l data_il nl_il.  Only nl is a fresh array."""
     quad_, B = _angular(u.N, u.L_max)
-    w = quad_.weights
-    wB = w[:, None] * B
-    rows = max(1, _BLOCK_VALUES // len(w))
+    m = B.shape[0]
+    rows = max(1, _BLOCK_VALUES // m)
+    if _blocks[0].size < m:  # one s-row has more nodes than a block holds
+        _blocks[:] = [np.empty(m), np.empty(m)]
+    wB = quad_.weights[:, None] * B
     nl = np.empty_like(u.data)
-    P = 0.0
     for i in range(0, u.grid.n, rows):
-        U = u.data[i : i + rows] @ B.T
-        aU = np.abs(U)
+        U = _blocks[0][: min(rows, u.grid.n - i) * m].reshape(-1, m)
+        aU = _blocks[1][: U.size].reshape(U.shape)
+        np.matmul(u.data[i : i + rows], B.T, out=U)
+        np.abs(U, out=aU)
         aU **= p - 2
         aU *= U
-        P += float(np.einsum("ij,ij,j->", aU, U, w))
         np.matmul(aU, wB, out=nl[i : i + rows])
-    return u.grid.h * P, nl
+    return u.grid.h * float(np.vdot(u.data, nl)), nl
 
 
 def _pieces(u: CylField, p: float):
@@ -248,27 +256,26 @@ def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
     return _numerator(E, M, Lambda, theta) / P ** (2.0 / p)
 
 
-def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float):
+def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float, KL: np.ndarray | None = None):
     """Quotient value and its gradient w.r.t. the sine coefficients
     DST(u.data), in the h-weighted (functional) scaling.
 
-    The quadratic terms are diagonal in the sine x zonal basis; only the
-    p-th power term needs a transform (one DST when u carries its
-    coefficients, two otherwise).  On a scored flow field the pieces are
-    kept, so this adds no nodal evaluation.
+    The quadratic terms are diagonal in the sine x zonal basis, with diagonal
+    KL = _stiffness(u) + Lambda (built unless passed); only the p-th power
+    term needs a transform (one DST when u carries its coefficients, two
+    otherwise).  A scored flow field keeps its pieces: no nodal evaluation.
     """
     E, M, P, nl, c = _pieces(u, p)
     # functional gradients (plain coefficient gradient divided by h), built
     # in place in one array: E and M contribute 2 (stiffness + Lambda) c, the
     # p-th power term p DST(nl)
     G = _numerator(E, M, Lambda, theta)
-    g = _stiffness(u)
-    g += Lambda
+    KL = _stiffness(u) + Lambda if KL is None else KL
     if theta == 1.0:
-        g *= 2.0
+        g = KL * 2.0
     else:
         common = (E + Lambda * M) ** (theta - 1) * M ** (-theta)
-        g *= theta * M
+        g = KL * (theta * M)
         g += (1 - theta) * (E + Lambda * M)
         g *= 2.0 * common
     g *= c
@@ -370,7 +377,8 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
     # (Parseval) and trials are formed in that basis, so an iteration costs
     # one DST to map the direction to nodes and one in the next gradient,
     # and none per trial
-    sym = 1.0 / (_stiffness(u0) + Lambda)
+    KL = _stiffness(u0) + Lambda
+    sym = 1.0 / KL
 
     mass0 = h * float((u0.data**2).sum())
     if mass0 == 0.0:
@@ -380,7 +388,7 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
     u._sine = _dst(u.data)
 
     def gradient(u):
-        Q, g = _value_and_grad(u, Lambda, p, theta)
+        Q, g = _value_and_grad(u, Lambda, p, theta, KL)
         u._kept = None  # spent: nothing scores the iterate again
         return Q, g, math.sqrt(h * float(np.einsum("ij,ij,ij->", g, sym, g)))
 
@@ -590,7 +598,7 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
     if not mass.sum() > 0:
         raise DomainError(f"zero field: every sample on the grid (S={grid.S}, n={grid.n}) vanishes")
     per_angle_coeffs = c @ B.T
-    e_line = grid.h * ((_freqs(grid) ** 2)[:, None] * per_angle_coeffs**2).sum(axis=0)
+    e_line = grid.h * (_omega2(grid)[:, None] * per_angle_coeffs**2).sum(axis=0)
 
     c_pow = lt_constant(gamma) ** (1.0 / gamma)
     slack_lt = float(np.min(e_line - up_line + c_pow * up_line ** (1.0 / gamma) * v**2))

@@ -40,7 +40,9 @@ Q_CAP = 10.0
 class SphereQuadrature:
     """Nodes and weights for the uniform probability measure.
 
-    N = 2: uniform angles on the circle (exact for trig degree <= exactness).
+    N = 2: the m-point uniform circle rule folded onto [0, pi] (weight 1/m at
+    0, and at pi for even m, 2/m between): the same rule on zonal functions,
+    which are even; exact for trig degree <= exactness = m - 1.
     N = 3: Gauss-Legendre in t = cos(phi) (exact for poly degree <= exactness).
     Weights sum to 1.
     """
@@ -60,13 +62,14 @@ class SphereQuadrature:
 
 
 def sphere_quadrature(N: int, m: int) -> SphereQuadrature:
-    """Build an m-node quadrature on the sphere for N in {2, 3}."""
+    """Build the m-point quadrature on the sphere for N in {2, 3} (folded for N = 2)."""
     check_numeric_N(N)
     if N == 2:
         if m < 2:
             raise DomainError(f"need m >= 2 nodes, got {m}")
-        nodes = 2.0 * math.pi * np.arange(m) / m
-        weights = np.full(m, 1.0 / m)
+        nodes = 2.0 * math.pi * np.arange(m // 2 + 1) / m
+        weights = np.full(nodes.size, 2.0 / m)
+        weights[[0, -1] if m % 2 == 0 else 0] = 1.0 / m
         return SphereQuadrature(N=2, nodes=nodes, weights=weights, exactness=m - 1)
     if m < 1:
         raise DomainError(f"need m >= 1 nodes, got {m}")
@@ -131,8 +134,7 @@ def basis_matrix(quad: SphereQuadrature, L_max: int) -> np.ndarray:
         raise DomainError(f"need L_max >= 0, got {L_max}")
     if quad.N == 3:
         return _legendre_table(L_max, quad.nodes) * np.sqrt(2 * np.arange(L_max + 1) + 1.0)
-    m = quad.nodes.size
-    B = np.empty((m, L_max + 1))
+    B = np.empty((quad.nodes.size, L_max + 1))
     B[:, 0] = 1.0
     for ell in range(1, L_max + 1):
         B[:, ell] = math.sqrt(2.0) * np.cos(ell * quad.nodes)

@@ -159,6 +159,39 @@ def test_verify_lt(capsys):
     assert payload["ratio"] == pytest.approx(1.0, abs=2e-3)
 
 
+@pytest.mark.parametrize("gamma", ["0.55", "0.6", "0.75"])
+def test_verify_lt_near_one_half_widens_the_default_box(capsys, gamma):
+    # the ground state decays like exp(-(gamma - 1/2)|s|): on the fixed box
+    # S = 20, gamma = 0.6 failed with ratio 0.948 and 0.55 held no bound state
+    code, out, _ = run_cli(capsys, "verify", "lt", "--gamma", gamma)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload["ratio"] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("gamma", ["0.9", "2.5"])
+def test_verify_lt_default_box_from_gamma_0_9_on_is_s20_n8000(capsys, gamma):
+    assert run_cli(capsys, "verify", "lt", "--gamma", gamma) == run_cli(
+        capsys, "verify", "lt", "--gamma", gamma, "--S", "20", "--n", "8000"
+    )
+
+
+def test_verify_lt_caps_the_default_node_count(capsys, monkeypatch):
+    grids = []
+    real = cli.schrodinger.LineGrid
+
+    def recorded(S, n):
+        grids.append((S, n))
+        return real(S, n)
+
+    monkeypatch.setattr(cli.schrodinger, "LineGrid", recorded)
+    code, out, _ = run_cli(capsys, "verify", "lt", "--gamma", "0.5000001")
+    assert grids == [(pytest.approx(8e7), cli._LT_MAX_N)]
+    assert code == 1  # valid input that the capped grid cannot resolve: a failed check, not exit 2
+    assert json.loads(out)["pass"] is False
+
+
 def test_verify_fs(capsys):
     code, out, _ = run_cli(capsys, "verify", "fs", "--p", "3", "--N", "3")
     assert code == 0

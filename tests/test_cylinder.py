@@ -80,8 +80,9 @@ def test_nodal_coefficient_round_trip():
 
 
 def one_shot_nodal_stage(u, p):
-    """The nodal stage as one whole-grid expression: the reference for the
-    row-blocked cyl._nodal_stage."""
+    """The nodal stage as one whole-grid expression, with P summed over the
+    nodes: the reference for the blocked cyl._nodal_stage and its
+    coefficient-space P."""
     quad_, B = _angular(u.N, u.L_max)
     U = u.nodal()
     aU = np.abs(U) ** (p - 2) * U
@@ -96,8 +97,9 @@ def one_shot_nodal_stage(u, p):
     L_max=st.integers(0, 8),
     data=st.data(),
 )
-def test_blocked_nodal_stage_matches_one_shot(N, p, L_max, data):
+def test_nodal_stage_kernel_matches_one_shot(N, p, L_max, data):
     rows = cyl._BLOCK_VALUES // len(_angular(N, L_max)[0].weights)
+    # n spans one to four blocks, with a partial last block
     n = data.draw(st.integers(16, 4 * rows - 1).filter(lambda n: n % rows), label="n")  # LineGrid needs n >= 16
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     u = CylField(LineGrid(10.0, n), N, np.random.default_rng(seed).standard_normal((n, L_max + 1)))
@@ -105,6 +107,24 @@ def test_blocked_nodal_stage_matches_one_shot(N, p, L_max, data):
     P_ref, nl_ref = one_shot_nodal_stage(u, p)
     assert abs(P - P_ref) <= 1e-12 * P_ref
     np.testing.assert_allclose(nl, nl_ref, rtol=1e-12, atol=1e-12 * np.abs(nl_ref).max())
+
+
+def test_kept_pieces_do_not_alias_the_block_buffers():
+    rng = np.random.default_rng(11)
+
+    def scored(grid, N, L_max):
+        u = CylField(grid, N, rng.standard_normal((grid.n, L_max + 1)))
+        u._sine = _dst(u.data)  # a flow field: rayleigh keeps its pieces
+        rayleigh(u, 1.0, 3.3)
+        return u
+
+    a = scored(LineGrid(10.0, 3000), 3, 6)
+    P, nl = a._kept[1][2:4]
+    nl_before = nl.copy()
+    b = scored(LineGrid(12.0, 777), 2, 8)
+    assert a._kept[1][2] == P and a._kept[1][3] is nl
+    np.testing.assert_array_equal(nl, nl_before)
+    assert not np.shares_memory(nl, b._kept[1][3])
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +363,7 @@ def test_flow_stops_on_a_sub_ulp_armijo_target(monkeypatch):
     trials = count_calls(monkeypatch, "rayleigh")
     rep = minimize_quotient(start, Lambda, p)
     assert trials[0] == 0
-    assert rep.quotient == 2.3175547229132407
+    assert rep.quotient == 2.3175547229132385
 
 
 def test_multistart_skips_the_duplicate_radial_start(monkeypatch):

@@ -40,6 +40,40 @@ def test_quadrature_weights_and_orthonormality(N):
     np.testing.assert_allclose(gram, np.eye(13), atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 3, 16, 17, 40, 41])
+def test_folded_circle_rule_equals_the_full_uniform_rule(m):
+    quad = sphere_quadrature(2, m)
+    assert quad.nodes.size == m // 2 + 1
+    assert quad.exactness == m - 1
+    assert abs(quad.weights.sum() - 1.0) < 1e-15
+    # the m-point uniform rule, weight 1/m; node k reflected onto [0, pi] (an
+    # even function takes the same value there), so that nodes k and m - k
+    # carry bit-identical values, as they do mathematically
+    k = np.arange(m)
+    phi = 2.0 * math.pi * np.minimum(k, m - k) / m
+
+    def check(f, scale=1.0, exact=None):
+        full = float(f(phi).sum() / m)
+        folded = float(quad.weights @ f(quad.nodes))
+        assert abs(folded - full) <= 1e-14 * max(abs(full), scale)
+        if exact is not None:
+            assert abs(folded - exact) <= 1e-14
+
+    rng = np.random.default_rng(m)
+    for _ in range(5):
+        c = rng.standard_normal(m)
+
+        def series(x):
+            return np.cos(np.outer(x, np.arange(m))) @ c
+
+        check(series, np.abs(c).sum())  # the integral c_0 may be far below the terms
+        q = rng.uniform(1.0, 10.0)
+        check(lambda x: np.abs(series(x)) ** (q + 1))
+    for j in range(m):  # exact: the mean of cos(j phi) cos(l phi) is [j = l] (1 + [j = 0]) / 2
+        for ell in range(m - j):
+            check(lambda x: np.cos(j * x) * np.cos(ell * x), exact=(j == ell) * (1 + (j == 0)) / 2)
+
+
 @pytest.mark.parametrize("N", [2, 3])
 def test_nodal_round_trip(N):
     rng = np.random.default_rng(3)
