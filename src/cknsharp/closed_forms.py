@@ -150,13 +150,15 @@ def profile_constants(Lambda: float, p: float, theta: float = 1.0) -> ProfileCon
 def extremal_profile(s, pc: ProfileConstants, p: float):
     """Evaluate the extremal profile A cosh(B s)^(-2/(p-2)); vectorized in s."""
     s = np.asarray(s, dtype=float)
-    return pc.A * np.cosh(pc.B * s) ** (-2.0 / (p - 2))
+    with np.errstate(over="ignore"):  # cosh = inf past |B s| ~ 710, where the profile is 0
+        return pc.A * np.cosh(pc.B * s) ** (-2.0 / (p - 2))
 
 
 def extremal_potential(s, pc: ProfileConstants, p: float):
     """Evaluate the optimizing well A^(p-2) / cosh(B s)^2; vectorized in s."""
     s = np.asarray(s, dtype=float)
-    return pc.A ** (p - 2) / np.cosh(pc.B * s) ** 2
+    with np.errstate(over="ignore"):  # cosh = inf past |B s| ~ 710, where the well is 0
+        return pc.A ** (p - 2) / np.cosh(pc.B * s) ** 2
 
 
 def lt_ground_state(s, gamma: float):

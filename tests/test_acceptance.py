@@ -259,18 +259,18 @@ def test_criterion_12_log_radial_bridge():
     s = np.linspace(-30.0, 30.0, 6001)
     # smooth compact test profile
     u, rep = emden_fowler_pushforward(s, np.exp(-(s**2) / 2), pt)
-    assert rep["p_norm_mismatch"] < 1e-6
-    assert rep["grad_norm_mismatch"] < 1e-6
+    assert rep["p_norm_mismatch"] < 1e-12
+    assert rep["grad_norm_mismatch"] < 1e-12
     # pushforward of the closed-form radial extremal matches the line profile
     w = euclidean_radial_extremal(np.exp(s), pt)
     u, rep = emden_fowler_pushforward(s, w, pt)
-    assert rep["p_norm_mismatch"] < 1e-6
-    assert rep["grad_norm_mismatch"] < 1e-6
+    assert rep["p_norm_mismatch"] < 1e-12
+    assert rep["grad_norm_mismatch"] < 1e-12
     pc = profile_constants(1.0, 3.0, 1.0)
     aligned = u * (pc.A / u.max())
     sup_err = float(np.abs(aligned - extremal_profile(s, pc, 3.0)).max())
     assert sup_err < 1e-6
-    report(12, f"norm identities < 1e-6; extremal pushforward matches the line profile to {sup_err:.1e}")
+    report(12, f"norm identities < 1e-12; extremal pushforward matches the line profile to {sup_err:.1e}")
 
 
 def test_criterion_13_gradient_correctness():

@@ -1,6 +1,7 @@
 """Closed forms against independent quadrature and high-precision oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,18 @@ def test_extremal_potential_shape():
     pc = profile_constants(1.0, 3.0, 1.0)
     s = np.linspace(-5, 5, 11)
     np.testing.assert_allclose(extremal_potential(s, pc, 3.0), 1.5 / np.cosh(0.5 * s) ** 2, rtol=1e-14)
+
+
+def test_extremal_profile_and_potential_vanish_quietly_past_cosh_overflow():
+    pc = profile_constants(1e4, 3.0, 1.0)  # B = 50, so B s reaches 1000 at s = 20
+    s = np.linspace(-20.0, 20.0, 2001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = extremal_profile(s, pc, 3.0)
+        V = extremal_potential(s, pc, 3.0)
+    assert pc.B * s[-1] == pytest.approx(1000.0)
+    assert u[0] == u[-1] == V[0] == V[-1] == 0.0
+    assert u.max() == pc.A and np.all(np.isfinite(V))
 
 
 @pytest.mark.parametrize("gamma", [0.75, 1.5, 2.5, 5.0])

@@ -1,5 +1,6 @@
 """Cylinder variational problem: quotients, flows, chains, thresholds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -576,8 +577,8 @@ def test_emden_fowler_pushforward_of_radial_extremal():
     s = np.linspace(-30.0, 30.0, 6001)
     w = euclidean_radial_extremal(np.exp(s), pt)
     u, report = emden_fowler_pushforward(s, w, pt)
-    assert report["p_norm_mismatch"] < 1e-6
-    assert report["grad_norm_mismatch"] < 1e-6
+    assert report["p_norm_mismatch"] < 1e-12
+    assert report["grad_norm_mismatch"] < 1e-12
     pc = profile_constants(1.0, 3.0, 1.0)
     aligned = u * (pc.A / u.max())
     assert np.abs(aligned - extremal_profile(s, pc, 3.0)).max() < 1e-6
@@ -587,8 +588,33 @@ def test_emden_fowler_smooth_bump():
     pt = ParamPoint(3, -0.5, 0.0)
     s = np.linspace(-30.0, 30.0, 4001)
     u, report = emden_fowler_pushforward(s, np.exp(-(s**2)), pt)
-    assert report["p_norm_mismatch"] < 1e-6
-    assert report["grad_norm_mismatch"] < 1e-6
+    assert report["p_norm_mismatch"] < 1e-12
+    assert report["grad_norm_mismatch"] < 1e-12
+
+
+def test_emden_fowler_identity_check_sees_lambda_off_by_1e9(monkeypatch):
+    pt = ParamPoint(3, -0.5, 0.0)
+    s = np.linspace(-30.0, 30.0, 4001)
+    exact = cyl.to_cylinder
+
+    def skewed(q):
+        cp = exact(q)
+        return dataclasses.replace(cp, Lambda=cp.Lambda * (1 + 1e-9))
+
+    monkeypatch.setattr(cyl, "to_cylinder", skewed)
+    _, report = emden_fowler_pushforward(s, np.exp(-(s**2)), pt)
+    assert report["grad_norm_mismatch"] > 1e-10
+
+
+def test_quad_is_exact_up_to_degree_11():
+    rng = np.random.default_rng(12)
+    edges = np.sort(rng.uniform(0.1, 2.0, 9))
+    a, b = edges[0], edges[-1]
+    for k in range(12):
+        exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+        assert cyl.quad(lambda x: x**k, edges) == pytest.approx(exact, rel=1e-14, abs=0)
+    # degree 12 is past the rule: on one wide interval its error shows
+    assert abs(cyl.quad(lambda x: x**12, np.array([-1.0, 1.0])) - 2.0 / 13) > 1e-4
 
 
 def test_emden_fowler_sech_construction():

@@ -1,7 +1,10 @@
 """SciPy entry points bound at import time and imported on their first call."""
 
 import importlib
-import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ BINDINGS = [
     pytest.param(cylinder, "dst", "scipy.fft", (np.arange(6.0),), {"type": 1, "norm": "ortho"},
                  lambda: cylinder.rayleigh(cylinder.extremal_field(LineGrid(10.0, 64), 3, 2, 1.0, 3.0), 1.0, 3.0),
                  id="cylinder.dst"),
-    pytest.param(cylinder, "quad", "scipy.integrate", (math.cos, 0.0, 1.0), {}, _pushforward, id="cylinder.quad"),
     pytest.param(cylinder, "CubicSpline", "scipy.interpolate", ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0]), {},
                  _pushforward, id="cylinder.CubicSpline"),
     pytest.param(cylinder, "brentq", "scipy.optimize", (lambda x: x * x - 2.0, 0.0, 2.0), {},
@@ -55,3 +57,17 @@ def test_lazy_binding_returns_scipy_result_and_stays_swappable(monkeypatch, modu
     caller()
     assert calls
     assert getattr(module, attr) is counted
+
+
+def test_pushforward_loads_scipy_interpolate_but_not_integrate():
+    # a new interpreter: in this one earlier tests have usually imported scipy.integrate
+    code = ("import sys, numpy as np\n"
+            "from cknsharp import ParamPoint, cylinder\n"
+            "s = np.linspace(-10.0, 10.0, 401)\n"
+            "cylinder.emden_fowler_pushforward(s, np.exp(-(s**2)), ParamPoint(3, -0.5, 0.0))\n"
+            "print('scipy.interpolate' in sys.modules, 'scipy.integrate' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
