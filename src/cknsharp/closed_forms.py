@@ -168,9 +168,9 @@ def lt_ground_state(s, gamma: float):
              cosh(s)^(-gamma + 1/2), with integral of psi^2 equal to 1.
     """
     check_gamma(gamma)
-    s = np.asarray(s, dtype=float)
     norm = math.exp(-0.25 * math.log(math.pi) + 0.5 * _log_gamma_half_step(gamma - 0.5))
-    return norm * np.cosh(s) ** (-gamma + 0.5)
+    with np.errstate(over="ignore"):  # cosh = inf past |s| ~ 710, where psi is 0
+        return norm * np.cosh(np.asarray(s, dtype=float)) ** (-gamma + 0.5)
 
 
 # Stirling remainder of log Gamma(z): sum of B_2k / (2k (2k-1) z^(2k-1)), k = 1..5

@@ -1,21 +1,21 @@
 """Discretized variational problem on the cylinder R x S^(N-1).
 
-Fields are tensor products of a Dirichlet line grid (sine-spectral calculus
-in s, so derivative energies are exact for the interpolant and accurate to
+Fields are tensor products of a Dirichlet line grid (sine-spectral calculus in
+s, so derivative energies are exact for the interpolant and accurate to
 spectral order for decaying profiles) and the zonal sphere basis of
-:mod:`cknsharp.sphere` under the uniform probability measure.  One ledger
-sums the per-degree mass and s-energy from the orthonormal DST-I sine
-coefficients; the gradient energy and its preconditioner are diagonal in
-that sine x zonal basis.  On top of that sit the Rayleigh quotients of the
-plain and interpolation inequalities, a limited-memory quasi-Newton
-(L-BFGS, three pairs) flow seeded with the diagonal preconditioner, with
-Armijo backtracking, that runs in coefficient space (two DST-I per
-iteration, none per line-search trial; one nodal power per trial, none per
-gradient, in reused block buffers), the Euler-Lagrange residual,
-the five-step proof-chain slack evaluator, the second-variation instability
-detector with its threshold bisection, the log-radial change of variables
-from Euclidean space, the spectral-bound equivalence, and the theta < 1
-sandwich verification.
+:mod:`cknsharp.sphere` under the uniform probability measure.  One ledger sums
+the per-degree mass and s-energy from the orthonormal DST-I sine coefficients;
+the gradient energy and its preconditioner are diagonal in that sine x zonal
+basis.  On top of that sit the Rayleigh quotients of the plain and
+interpolation inequalities, a limited-memory quasi-Newton (L-BFGS, three
+pairs) flow seeded with the diagonal preconditioner, with Armijo backtracking,
+that runs in coefficient space (two DST-I per iteration, none per line-search
+trial; one nodal power per trial, none per gradient, in reused block buffers),
+first on a coarse sine grid of the same box and then on the requested one, the
+Euler-Lagrange residual, the five-step proof-chain slack evaluator, the
+second-variation instability detector with its threshold bisection, the
+log-radial change of variables from Euclidean space, the spectral-bound
+equivalence, and the theta < 1 sandwich verification.
 
 All angular integrals use the probability measure, so the radial benchmark
 is the interpolation-family constant radial_interp_constant; the
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -294,8 +294,8 @@ class _Report:
 class MinimizeOpts:
     """Settings of the normalized flow: multistart adds the restarts of
     :func:`minimize_quotient`, seed drives its random start, and max_iter
-    caps the iterations of each descent.  The line-search and stop
-    constants are fixed in this module."""
+    caps the iterations of each level of each descent.  The coarse grid,
+    line-search and stop constants are fixed in this module."""
 
     multistart: bool = False
     seed: int = 7
@@ -329,9 +329,7 @@ def _angular_fraction(u: CylField, Lambda: float) -> float:
     mass, senergy, _ = _ledger(u)
     mode_energy = senergy + (_angular_eigs(u.N, u.L_max) + Lambda) * mass
     total = float(mode_energy.sum())
-    if total == 0.0:
-        return 0.0
-    return float(mode_energy[1:].sum()) / total
+    return float(mode_energy[1:].sum()) / total if total else 0.0
 
 
 # L-BFGS memory: the number of (s, y) pairs the flow direction is built from
@@ -364,7 +362,18 @@ def _lbfgs_direction(g, sym, S, Y, rho, order):
     return q
 
 
-def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: MinimizeOpts) -> MinimizeReport:
+def _unit(u0: CylField) -> CylField:
+    """A unit-mass copy of u0 that carries its sine coefficients."""
+    mass0 = u0.grid.h * float((u0.data**2).sum())
+    if mass0 == 0.0:
+        raise DomainError("zero start field")
+    u = CylField(u0.grid, u0.N, u0.data / math.sqrt(mass0))
+    u._sine = _dst(u.data)
+    return u
+
+
+def _descend_single(u0: CylField, Lambda: float, p: float, theta: float, opts: MinimizeOpts) -> MinimizeReport:
+    """One L-BFGS descent on u0's grid; a flow field u0 is taken as it is."""
     h = u0.grid.h
     # gradient-energy preconditioner: the quotient Hessian is dominated by
     # the quadratic form, diagonal in the sine x zonal basis, so descending
@@ -378,12 +387,7 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
     KL = _stiffness(u0) + Lambda
     sym = 1.0 / KL
 
-    mass0 = h * float((u0.data**2).sum())
-    if mass0 == 0.0:
-        raise DomainError("zero start field")
-    u = u0.copy()
-    u.data /= math.sqrt(mass0)
-    u._sine = _dst(u.data)
+    u = u0 if u0._sine is not None else _unit(u0)
 
     def gradient(u):
         Q, g = _value_and_grad(u, Lambda, p, theta, KL)
@@ -485,6 +489,34 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
     )
 
 
+def _coarse_n(S: float, n: int) -> int:
+    """n_c: n_c + 1 is the 5-smooth number nearest 10 S (m is 5-smooth iff m | 30^bits(m))."""
+    t = min(10.0 * S, n)  # past n, n < 2 n_c + 1 anyway; the search stays near the grid size
+    lo = next(m for m in range(max(2, math.floor(t)), 1, -1) if pow(30, m.bit_length(), m) == 0)
+    hi = next(m for m in range(math.ceil(t), 2 * math.ceil(t) + 1) if pow(30, m.bit_length(), m) == 0)
+    return max(17, min(lo, hi, key=lambda m: abs(m - t)) - 1)  # a LineGrid has at least 16 nodes
+
+
+def _transfer(c: np.ndarray, n: int) -> np.ndarray:
+    """Sine coefficients c truncated or zero-padded to n rows, rescaled: one interpolant, n nodes."""
+    out = np.zeros((n, c.shape[1]))
+    out[: len(c)] = c[:n] * math.sqrt((n + 1) / (len(c) + 1))
+    return out
+
+
+def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: MinimizeOpts) -> MinimizeReport:
+    """One start, in two levels on a fine enough grid (see minimize_quotient)."""
+    n, n_c, args = u0.grid.n, _coarse_n(u0.grid.S, u0.grid.n), (Lambda, p, theta, opts)
+    if n < 2 * n_c + 1:
+        return _descend_single(u0, *args)
+    u = _unit(u0)
+    coarse = _descend_single(CylField(LineGrid(u.grid.S, n_c), u.N, _dst(_transfer(u._sine, n_c))), *args)
+    fine = CylField(u.grid, u.N, _transfer(_dst(coarse.minimizer.data), n))
+    fine._sine, fine.data = fine.data, _dst(fine.data)
+    rep = _descend_single(min(fine, u, key=lambda v: rayleigh(v, Lambda, p, theta)), *args)
+    return replace(rep, iterations=rep.iterations + coarse.iterations)
+
+
 def _starts(start: CylField, opts: MinimizeOpts):
     """The flow's starting fields, built one at a time: the start itself and,
     with opts.multistart, its radial part (unless that is the start), a
@@ -520,21 +552,20 @@ def minimize_quotient(
     stops when the preconditioned gradient norm falls below 1e-8, the
     relative decrease of the quotient below 1e-10, or the Armijo line
     search (fraction 1e-4, halving, at most 40 trials) stalls; these
-    constants are fixed.  With opts.multistart the flow is restarted
-    from seeded perturbations of the start (its radial part, an added
-    degree-1 bump, a random perturbation) as a guard against the
+    constants are fixed.  Each start is solved first on the coarse grid
+    LineGrid(S, n_c), n_c + 1 the 5-smooth number nearest 10 S, then on the
+    requested grid from the zero-padded coarse minimizer, or from the start
+    if that scores lower (one level when n < 2 n_c + 1); max_iter caps each
+    level, and iterations count both.  With opts.multistart the flow is
+    restarted from seeded perturbations of the start (its radial part, an
+    added degree-1 bump, a random perturbation) as a guard against the
     non-convexity past the instability threshold, and the best run is
     returned; a start with no angular content is not run twice.  Exhausting
     max_iter yields a non-converged report, not an exception.
     """
     _check_quotient_args(Lambda, p, theta)
     opts = opts or MinimizeOpts()
-    best = None
-    for s in _starts(start, opts):
-        rep = _descend(s, Lambda, p, theta, opts)
-        if best is None or rep.quotient < best.quotient:
-            best = rep
-    return best
+    return min((_descend(s, Lambda, p, theta, opts) for s in _starts(start, opts)), key=lambda r: r.quotient)
 
 
 def el_residual(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
@@ -799,8 +830,8 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
     In the certified-symmetric regime the bound is the linear law
     slope * mu with slope = radial_interp_coefficient(1, p)^(2p/(p+2)); past
     it, the relation mu^((p+2)/(2p)) = 1/K(Lambda) is inverted numerically
-    with the 2-d minimizer supplying K (at most 1500 iterations per descent,
-    default grid LineGrid(20, 1199)) to 1e-3 relative in Lambda.
+    with the 2-d minimizer supplying K (two levels of at most 1500 iterations
+    per descent, default grid LineGrid(20, 1199)) to 1e-3 relative in Lambda.
 
     The inversion continues in Lambda: until a solve returns a broken
     minimizer (:attr:`MinimizeReport.broken`), each Lambda gets a cold
@@ -911,8 +942,7 @@ def sandwich_check(
 
     g = grid or DEFAULT_GRID
     opts = opts or MinimizeOpts(multistart=True)
-    start = extremal_field(g, N, L_max, Lambda, p, theta)
-    rep = minimize_quotient(start, Lambda, p, theta, opts)
+    rep = minimize_quotient(extremal_field(g, N, L_max, Lambda, p, theta), Lambda, p, theta, opts)
     k_numeric = rep.constant
 
     # chain quantities on the Euler-Lagrange-normalized minimizer

@@ -84,8 +84,8 @@ class EigenResult:
 
 def sech_squared_potential(grid: LineGrid, V0: float, B: float, center: float = 0.0) -> Potential1D:
     """Well V0 / cosh(B (s - center))^2 sampled on the grid."""
-    s = grid.nodes()
-    return Potential1D(grid, V0 / np.cosh(B * (s - center)) ** 2)
+    with np.errstate(over="ignore"):  # cosh = inf past |B s| ~ 710, where the well is 0
+        return Potential1D(grid, V0 / np.cosh(B * (grid.nodes() - center)) ** 2)
 
 
 def lt_equality_potential(grid: LineGrid, gamma: float) -> Potential1D:

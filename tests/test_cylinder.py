@@ -204,6 +204,21 @@ def test_gradient_matches_finite_differences(theta):
                                    atol=1e-13 * np.abs(g).max())
 
 
+def level_recorder(monkeypatch, count):
+    """Wrap the single-level descent: the returned list gets one (report,
+    growth of count() during the level) pair per level run, in order."""
+    levels, real = [], cyl._descend_single
+
+    def wrapper(*args):
+        before = count()
+        rep = real(*args)
+        levels.append((rep, count() - before))
+        return rep
+
+    monkeypatch.setattr(cyl, "_descend_single", wrapper)
+    return levels
+
+
 @pytest.mark.parametrize("theta", [1.0, 0.9])
 def test_flow_makes_two_transforms_per_iteration_and_none_per_trial(monkeypatch, theta):
     transforms, per_trial = [0], []
@@ -219,18 +234,25 @@ def test_flow_makes_two_transforms_per_iteration_and_none_per_trial(monkeypatch,
         per_trial.append(transforms[0] - before)
         return value
 
+    levels = level_recorder(monkeypatch, lambda: transforms[0])
     monkeypatch.setattr(cyl, "dst", counting_dst)
     monkeypatch.setattr(cyl, "rayleigh", recording_rayleigh)
     rep = minimize_quotient(perturbed_start(LineGrid(18.0, 600), 3, 6, 3.0, 3.0), 3.0, 3.0, theta)
     assert rep.iterations > 5
-    assert transforms[0] <= 2 * rep.iterations + 2
+    assert len(levels) == 2 and rep.iterations == sum(lv.iterations for lv, _ in levels)
+    for lv, spent in levels:  # each level: two per iteration, plus its start
+        assert spent <= 2 * lv.iterations + 2
+    # the transfer costs four more: the fine start's coefficients, the
+    # restricted start's nodes, the coarse minimizer's coefficients and the
+    # prolonged field's nodes
+    assert transforms[0] <= 2 * rep.iterations + 2 * len(levels) + 4
     assert len(per_trial) >= rep.iterations - 1
     assert set(per_trial) == {0}
 
 
 @pytest.mark.parametrize("theta,multistart", [(1.0, False), (0.9, False), (1.0, True)])
 def test_flow_takes_one_nodal_power_per_trial_and_none_per_gradient(monkeypatch, theta, multistart):
-    counts = {"_nodal_stage": 0, "rayleigh": 0, "_descend": 0}
+    counts = {"_nodal_stage": 0, "rayleigh": 0, "_descend": 0, "_descend_single": 0}
 
     def counted(name):
         real = getattr(cyl, name)
@@ -247,7 +269,10 @@ def test_flow_takes_one_nodal_power_per_trial_and_none_per_gradient(monkeypatch,
     rep = minimize_quotient(start, 3.0, 3.0, theta, MinimizeOpts(multistart=multistart, max_iter=300))
     assert rep.iterations > 5
     assert counts["_descend"] == (4 if multistart else 1)
-    # every line-search trial is evaluated once; each descent adds only its start
+    assert counts["_descend_single"] == 2 * counts["_descend"]  # two levels per start
+    # every line-search trial, and each of the two fields the transfer
+    # compares, is evaluated once; each start adds only its coarse start,
+    # since the fine level begins from a compared field and keeps its pieces
     assert counts["_nodal_stage"] == counts["rayleigh"] + counts["_descend"]
 
 
@@ -264,8 +289,10 @@ def test_flow_gradient_uses_the_pieces_of_its_own_iterate(monkeypatch):
         return Q, g
 
     monkeypatch.setattr(cyl, "_value_and_grad", checked)
+    levels = level_recorder(monkeypatch, lambda: 0)
     rep = minimize_quotient(perturbed_start(LineGrid(18.0, 600), 3, 6, 3.0, 3.0), 3.0, 3.0)
     assert rep.iterations > 5
+    assert len(levels) == 2  # the fine level starts from the kept pieces of a scored field
     assert q_err[0] < 1e-13
     assert g_err[0] < 1e-10
 
@@ -331,7 +358,7 @@ def test_minimize_lmax_zero_reduces_to_radial_problem():
 def test_minimize_iteration_exhaustion_is_reported():
     rep = minimize_quotient(perturbed_start(GRID, 3, 8, 3.0, 3.0), 3.0, 3.0, opts=MinimizeOpts(max_iter=2))
     assert not rep.converged
-    assert rep.iterations == 2
+    assert rep.iterations == 4  # max_iter caps each of the two levels
 
 
 def count_calls(monkeypatch, name):
@@ -361,9 +388,12 @@ def test_flow_stops_on_a_sub_ulp_armijo_target(monkeypatch):
     # no trial can show the required decrease, so none is scored
     Lambda, p = 1.090455595356829, 3.5188064841820563
     start = extremal_field(LineGrid(20.0, 899), 3, 6, Lambda, p)
-    trials = count_calls(monkeypatch, "rayleigh")
+    scored = count_calls(monkeypatch, "rayleigh")
+    levels = level_recorder(monkeypatch, lambda: scored[0])
     rep = minimize_quotient(start, Lambda, p)
-    assert trials[0] == 0
+    assert len(levels) == 2
+    assert [trials for _, trials in levels] == [0, 0]  # the line search of either level
+    assert scored[0] == 2  # only the two fields the transfer compares
     assert rep.quotient == 2.3175547229132385
 
 
@@ -385,24 +415,125 @@ def test_multistart_skips_the_duplicate_radial_start(monkeypatch):
 def test_flow_descends_and_reports_the_gradient_of_its_last_iterate(N, p, Lambda, theta):
     grid = LineGrid(18.0, 600)
     start = perturbed_start(grid, N, 6, Lambda, p)
-    values, grads = [], []
-    real = cyl._value_and_grad
+    values, grads = [], []  # values: one list per level
+    real, real_level = cyl._value_and_grad, cyl._descend_single
 
     def recording(u, *args):
         Q, g = real(u, *args)
-        values.append(Q)
+        values[-1].append(Q)
         grads.append(g)
         return Q, g
 
+    def level(*args):
+        values.append([])
+        return real_level(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cyl, "_value_and_grad", recording)
+        mp.setattr(cyl, "_descend_single", level)
         rep = minimize_quotient(start, Lambda, p, theta, MinimizeOpts(max_iter=300))
-    assert all(b <= a for a, b in zip(values, values[1:]))
-    assert rep.quotient == values[-1]
+    assert len(values) == 2
+    for qs in values:  # monotone within each level
+        assert all(b <= a for a, b in zip(qs, qs[1:]))
+    assert rep.quotient == values[-1][-1]
     assert rep.quotient <= rayleigh(start, Lambda, p, theta)
     sym = 1.0 / (cyl._stiffness(start) + Lambda)
     g = grads[-1]
     assert rep.grad_norm == pytest.approx(math.sqrt(grid.h * float((g * sym * g).sum())), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# two-level descent: coarse grid, transfer, start guard
+
+
+def test_coarse_grid_rule():
+    # n_c + 1 is the 5-smooth number nearest 10 S, at least 18
+    rule = [cyl._coarse_n(S, 1999) for S in (20.0, 18.0, 25.0, 9.336, 1.45, 0.01)]
+    assert rule == [199, 179, 249, 95, 17, 17]
+    smooth = [2**i * 3**j * 5**k for i in range(13) for j in range(8) for k in range(6)]
+    for S in np.linspace(2.0, 300.0, 300):
+        m = cyl._coarse_n(S, 10**5) + 1
+        assert m in smooth
+        assert abs(m - 10 * S) == min(abs(k - 10 * S) for k in smooth)
+    # a box too wide for its grid gets one level at once, however wide
+    for S, n in ((1e300, 100), (1e9, 10**5), (300.0, 2999)):
+        assert n < 2 * cyl._coarse_n(S, n) + 1
+
+
+def test_prolong_then_restrict_is_the_identity():
+    rng = np.random.default_rng(5)
+    for n_c, n in ((199, 1999), (179, 600), (14, 29)):
+        c = rng.standard_normal((n_c, 7))
+        up = cyl._transfer(c, n)
+        assert np.all(up[n_c:] == 0.0)
+        np.testing.assert_allclose(cyl._transfer(up, n_c), c, rtol=4e-16, atol=0)
+
+
+def test_prolongation_is_interpolation_and_keeps_mass_and_s_energy():
+    # the fine grid n = 2 n_c + 1 holds every coarse node: the zero-padded
+    # interpolant takes the coarse values there, and Parseval keeps the
+    # per-degree mass and s-energy
+    rng = np.random.default_rng(6)
+    coarse = CylField(LineGrid(20.0, 199), 3, rng.standard_normal((199, 5)))
+    c = _dst(coarse.data)
+    fine = CylField(LineGrid(20.0, 399), 3, _dst(cyl._transfer(c, 399)))
+    np.testing.assert_allclose(fine.data[1::2], coarse.data, rtol=0, atol=1e-13)
+    for a, b in zip(cyl._ledger(fine)[:2], cyl._ledger(coarse)[:2]):
+        np.testing.assert_allclose(a, b, rtol=1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    N=st.sampled_from([2, 3]),
+    p=st.floats(2.5, 5.0, exclude_min=True, exclude_max=True),
+    Lambda=st.floats(0.3, 3.0, exclude_min=True, exclude_max=True),
+    theta=st.sampled_from([1.0, 0.9]),
+)
+def test_two_level_descent_matches_the_single_level_one(N, p, Lambda, theta):
+    grid = LineGrid(18.0, 600)
+    start = perturbed_start(grid, N, 6, Lambda, p)
+    opts = MinimizeOpts(max_iter=300)
+    two = minimize_quotient(start, Lambda, p, theta, opts)
+    one = cyl._descend_single(start, Lambda, p, theta, opts)
+    assert two.quotient == pytest.approx(one.quotient, rel=1e-8, abs=0)
+    assert two.broken == one.broken
+    assert two.quotient <= rayleigh(start, Lambda, p, theta)
+
+
+def test_the_fine_level_starts_from_the_start_when_the_transfer_scores_above_it(monkeypatch):
+    # a coarse level that returns a poor field: the fine level runs from the
+    # start itself, exactly as the single-level descent does (the sub-ulp
+    # saddle above meets the same guard on its own)
+    grid = LineGrid(18.0, 600)
+    start = perturbed_start(grid, 3, 6, 3.0, 3.0)
+    one = cyl._descend_single(start, 3.0, 3.0, 1.0, MinimizeOpts())
+    real = cyl._descend_single
+
+    def spoiled(u, *args):
+        rep = real(u, *args)
+        if u.grid.n < grid.n:
+            rep.minimizer.data[:, 2] += 3.0 * rep.minimizer.data[:, 0]
+        return rep
+
+    monkeypatch.setattr(cyl, "_descend_single", spoiled)
+    rep = minimize_quotient(start, 3.0, 3.0)
+    assert rep.quotient <= rayleigh(start, 3.0, 3.0)
+    assert (rep.quotient, rep.grad_norm) == (one.quotient, one.grad_norm)
+    assert rep.iterations > one.iterations
+    assert np.array_equal(rep.minimizer.data, one.minimizer.data)
+
+
+def test_a_grid_below_the_coarse_threshold_keeps_the_single_level_descent(monkeypatch):
+    # n = 299 < 2 n_c + 1 = 399 at S = 20: one level, bit for bit
+    start = perturbed_start(LineGrid(20.0, 299), 3, 6, 3.0, 3.0)
+    levels = level_recorder(monkeypatch, lambda: 0)
+    rep = minimize_quotient(start, 3.0, 3.0)
+    assert len(levels) == 1
+    assert (rep.quotient, rep.iterations, rep.grad_norm) == (4.38685979847107, 13, 2.3445274330310735e-06)
+    monkeypatch.undo()
+    one = cyl._descend_single(start, 3.0, 3.0, 1.0, MinimizeOpts())
+    assert rep.to_dict() == one.to_dict()
+    assert np.array_equal(rep.minimizer.data, one.minimizer.data)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,20 @@ def test_equality_well_ground_state(gamma):
     assert np.all(res.eigenfunction > -1e-12)  # ground state is positive
 
 
+def test_sech_tails_vanish_on_boxes_past_the_cosh_overflow():
+    # cosh overflows to inf past |s| ~ 710, where the well and the ground
+    # state are 0; under the tier-1 warning filter an overflow warning fails
+    wide = LineGrid(800.0, 1000)
+    s = wide.nodes()
+    inner, outer = np.abs(s) < 350.0, np.abs(s) > 711.0  # cosh(s)^2 is finite on inner, cosh(s) not on outer
+    for V, V0 in ((sech_squared_potential(wide, 1.0, 1.0), 1.0), (lt_equality_potential(wide, 2.5), 6.0)):
+        assert outer.any() and np.all(V.values[outer] == 0.0)
+        np.testing.assert_allclose(V.values[inner], V0 / np.cosh(s[inner]) ** 2, rtol=1e-15, atol=0)
+    psi = lt_ground_state(s, 2.5)
+    assert np.all(psi[outer] == 0.0) and lt_ground_state(-800.0, 2.5) == 0.0 == lt_ground_state(800.0, 2.5)
+    np.testing.assert_allclose(psi[inner], lt_ground_state(0.0, 2.5) / np.cosh(s[inner]) ** 2, rtol=1e-13, atol=0)
+
+
 def test_eigenfunction_matches_closed_form():
     gamma = 2.5
     res = lowest_eigenpair(lt_equality_potential(GRID, gamma))
