@@ -1,21 +1,22 @@
 """Discretized variational problem on the cylinder R x S^(N-1).
 
-Fields are tensor products of a Dirichlet line grid (sine-spectral calculus in
-s, so derivative energies are exact for the interpolant and accurate to
+Fields are tensor products of a Dirichlet line grid (sine-spectral calculus
+in s, so derivative energies are exact for the interpolant and accurate to
 spectral order for decaying profiles) and the zonal sphere basis of
-:mod:`cknsharp.sphere` under the uniform probability measure.  One ledger sums
-the per-degree mass and s-energy from the orthonormal DST-I sine coefficients;
-the gradient energy and its preconditioner are diagonal in that sine x zonal
-basis.  On top of that sit the Rayleigh quotients of the plain and
-interpolation inequalities, a limited-memory quasi-Newton (L-BFGS, three
-pairs) flow seeded with the diagonal preconditioner, with Armijo backtracking,
-that runs in coefficient space (two DST-I per iteration, none per line-search
-trial; one nodal power per trial, none per gradient, in reused block buffers),
-first on a coarse sine grid of the same box and then on the requested one, the
-Euler-Lagrange residual, the five-step proof-chain slack evaluator, the
-second-variation instability detector with its threshold bisection, the
-log-radial change of variables from Euclidean space, the spectral-bound
-equivalence, and the theta < 1 sandwich verification.
+:mod:`cknsharp.sphere` under the uniform probability measure.  One ledger
+sums the per-degree mass and s-energy from the orthonormal DST-I sine
+coefficients; the gradient energy and its preconditioner are diagonal in
+that sine x zonal basis.  On top of that sit the Rayleigh quotients of the
+plain and interpolation inequalities, a limited-memory quasi-Newton
+(L-BFGS, three pairs) flow seeded with the diagonal preconditioner, with
+Armijo backtracking, that runs in coefficient space (two DST-I per
+iteration, none per line-search trial; one nodal power per trial, none per
+gradient, in reused block buffers), first on a coarse sine grid of the
+same box and then on the requested one, the Euler-Lagrange residual,
+the five-step proof-chain slack evaluator, the second-variation instability
+detector with its threshold bisection, the log-radial change of variables
+from Euclidean space, the spectral-bound equivalence, and the theta < 1
+sandwich verification.
 
 All angular integrals use the probability measure, so the radial benchmark
 is the interpolation-family constant radial_interp_constant; the
@@ -294,8 +295,8 @@ class _Report:
 class MinimizeOpts:
     """Settings of the normalized flow: multistart adds the restarts of
     :func:`minimize_quotient`, seed drives its random start, and max_iter
-    caps the iterations of each level of each descent.  The coarse grid,
-    line-search and stop constants are fixed in this module."""
+    caps the iterations of each descent, both of its levels together.  The
+    coarse grid, line-search and stop constants are fixed in this module."""
 
     multistart: bool = False
     seed: int = 7
@@ -329,7 +330,9 @@ def _angular_fraction(u: CylField, Lambda: float) -> float:
     mass, senergy, _ = _ledger(u)
     mode_energy = senergy + (_angular_eigs(u.N, u.L_max) + Lambda) * mass
     total = float(mode_energy.sum())
-    return float(mode_energy[1:].sum()) / total if total else 0.0
+    if total == 0.0:
+        return 0.0
+    return float(mode_energy[1:].sum()) / total
 
 
 # L-BFGS memory: the number of (s, y) pairs the flow direction is built from
@@ -491,7 +494,7 @@ def _descend_single(u0: CylField, Lambda: float, p: float, theta: float, opts: M
 
 def _coarse_n(S: float, n: int) -> int:
     """n_c: n_c + 1 is the 5-smooth number nearest 10 S (m is 5-smooth iff m | 30^bits(m))."""
-    t = min(10.0 * S, n)  # past n, n < 2 n_c + 1 anyway; the search stays near the grid size
+    t = min(10.0 * S, n)  # past n, one level anyway; the search stays near the grid size
     lo = next(m for m in range(max(2, math.floor(t)), 1, -1) if pow(30, m.bit_length(), m) == 0)
     hi = next(m for m in range(math.ceil(t), 2 * math.ceil(t) + 1) if pow(30, m.bit_length(), m) == 0)
     return max(17, min(lo, hi, key=lambda m: abs(m - t)) - 1)  # a LineGrid has at least 16 nodes
@@ -504,16 +507,25 @@ def _transfer(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+# two levels only when (n + 1) / (n_c + 1) is at least this: timed at S = 20
+# (BENCH_twolevel.json), some eigenvalue_bound inversions run slower with two
+# levels up to a ratio of 2.9, and all of them and all cold descents faster from 3
+_MIN_FINE_OVER_COARSE = 3.0
+
+
 def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: MinimizeOpts) -> MinimizeReport:
     """One start, in two levels on a fine enough grid (see minimize_quotient)."""
-    n, n_c, args = u0.grid.n, _coarse_n(u0.grid.S, u0.grid.n), (Lambda, p, theta, opts)
-    if n < 2 * n_c + 1:
-        return _descend_single(u0, *args)
+    n, n_c = u0.grid.n, _coarse_n(u0.grid.S, u0.grid.n)
+    if n + 1 < _MIN_FINE_OVER_COARSE * (n_c + 1):
+        return _descend_single(u0, Lambda, p, theta, opts)
     u = _unit(u0)
-    coarse = _descend_single(CylField(LineGrid(u.grid.S, n_c), u.N, _dst(_transfer(u._sine, n_c))), *args)
+    restricted = CylField(LineGrid(u.grid.S, n_c), u.N, _dst(_transfer(u._sine, n_c)))
+    coarse = _descend_single(restricted, Lambda, p, theta, opts)
     fine = CylField(u.grid, u.N, _transfer(_dst(coarse.minimizer.data), n))
     fine._sine, fine.data = fine.data, _dst(fine.data)
-    rep = _descend_single(min(fine, u, key=lambda v: rayleigh(v, Lambda, p, theta)), *args)
+    # the fine level gets what the coarse one left of the max_iter budget
+    rest = replace(opts, max_iter=opts.max_iter - coarse.iterations)
+    rep = _descend_single(min(fine, u, key=lambda v: rayleigh(v, Lambda, p, theta)), Lambda, p, theta, rest)
     return replace(rep, iterations=rep.iterations + coarse.iterations)
 
 
@@ -555,17 +567,23 @@ def minimize_quotient(
     constants are fixed.  Each start is solved first on the coarse grid
     LineGrid(S, n_c), n_c + 1 the 5-smooth number nearest 10 S, then on the
     requested grid from the zero-padded coarse minimizer, or from the start
-    if that scores lower (one level when n < 2 n_c + 1); max_iter caps each
-    level, and iterations count both.  With opts.multistart the flow is
-    restarted from seeded perturbations of the start (its radial part, an
-    added degree-1 bump, a random perturbation) as a guard against the
+    if that scores lower; a grid with n + 1 < 3 (n_c + 1) takes one level.
+    max_iter is the budget of both levels, and iterations counts both.
+    With opts.multistart the flow is restarted
+    from seeded perturbations of the start (its radial part, an added
+    degree-1 bump, a random perturbation) as a guard against the
     non-convexity past the instability threshold, and the best run is
     returned; a start with no angular content is not run twice.  Exhausting
     max_iter yields a non-converged report, not an exception.
     """
     _check_quotient_args(Lambda, p, theta)
     opts = opts or MinimizeOpts()
-    return min((_descend(s, Lambda, p, theta, opts) for s in _starts(start, opts)), key=lambda r: r.quotient)
+    best = None
+    for s in _starts(start, opts):
+        rep = _descend(s, Lambda, p, theta, opts)
+        if best is None or rep.quotient < best.quotient:
+            best = rep
+    return best
 
 
 def el_residual(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
@@ -830,8 +848,9 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
     In the certified-symmetric regime the bound is the linear law
     slope * mu with slope = radial_interp_coefficient(1, p)^(2p/(p+2)); past
     it, the relation mu^((p+2)/(2p)) = 1/K(Lambda) is inverted numerically
-    with the 2-d minimizer supplying K (two levels of at most 1500 iterations
-    per descent, default grid LineGrid(20, 1199)) to 1e-3 relative in Lambda.
+    with the 2-d minimizer supplying K (at most 1500 iterations per descent,
+    both levels together, default grid LineGrid(20, 1199)) to 1e-3 relative
+    in Lambda.
 
     The inversion continues in Lambda: until a solve returns a broken
     minimizer (:attr:`MinimizeReport.broken`), each Lambda gets a cold
@@ -942,7 +961,8 @@ def sandwich_check(
 
     g = grid or DEFAULT_GRID
     opts = opts or MinimizeOpts(multistart=True)
-    rep = minimize_quotient(extremal_field(g, N, L_max, Lambda, p, theta), Lambda, p, theta, opts)
+    start = extremal_field(g, N, L_max, Lambda, p, theta)
+    rep = minimize_quotient(start, Lambda, p, theta, opts)
     k_numeric = rep.constant
 
     # chain quantities on the Euler-Lagrange-normalized minimizer

@@ -358,7 +358,7 @@ def test_minimize_lmax_zero_reduces_to_radial_problem():
 def test_minimize_iteration_exhaustion_is_reported():
     rep = minimize_quotient(perturbed_start(GRID, 3, 8, 3.0, 3.0), 3.0, 3.0, opts=MinimizeOpts(max_iter=2))
     assert not rep.converged
-    assert rep.iterations == 4  # max_iter caps each of the two levels
+    assert rep.iterations == 2
 
 
 def count_calls(monkeypatch, name):
@@ -457,7 +457,26 @@ def test_coarse_grid_rule():
         assert abs(m - 10 * S) == min(abs(k - 10 * S) for k in smooth)
     # a box too wide for its grid gets one level at once, however wide
     for S, n in ((1e300, 100), (1e9, 10**5), (300.0, 2999)):
-        assert n < 2 * cyl._coarse_n(S, n) + 1
+        assert n + 1 < cyl._MIN_FINE_OVER_COARSE * (cyl._coarse_n(S, n) + 1)
+
+
+@pytest.mark.parametrize("n,levels", [(598, 1), (599, 2)])
+def test_two_levels_start_at_three_times_the_coarse_modes(monkeypatch, n, levels):
+    # at S = 20, n_c + 1 = 200: two levels from n + 1 = 600 on
+    assert cyl._MIN_FINE_OVER_COARSE == 3.0
+    ran = level_recorder(monkeypatch, lambda: 0)
+    minimize_quotient(perturbed_start(LineGrid(20.0, n), 3, 6, 3.0, 3.0), 3.0, 3.0, opts=MinimizeOpts(max_iter=2))
+    assert [rep.minimizer.grid.n for rep, _ in ran] == [199, n][2 - levels:]
+
+
+def test_max_iter_is_the_budget_of_both_levels(monkeypatch):
+    # the coarse level spends the whole budget: the fine one takes none and
+    # reports its start, not converged
+    levels = level_recorder(monkeypatch, lambda: 0)
+    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 600), 3, 6, 3.0, 3.0), 3.0, 3.0,
+                            opts=MinimizeOpts(max_iter=5))
+    assert [lv.iterations for lv, _ in levels] == [5, 0]
+    assert rep.iterations == 5 and not rep.converged
 
 
 def test_prolong_then_restrict_is_the_identity():
@@ -524,7 +543,7 @@ def test_the_fine_level_starts_from_the_start_when_the_transfer_scores_above_it(
 
 
 def test_a_grid_below_the_coarse_threshold_keeps_the_single_level_descent(monkeypatch):
-    # n = 299 < 2 n_c + 1 = 399 at S = 20: one level, bit for bit
+    # n + 1 = 300 < 3 (n_c + 1) = 600 at S = 20: one level, bit for bit
     start = perturbed_start(LineGrid(20.0, 299), 3, 6, 3.0, 3.0)
     levels = level_recorder(monkeypatch, lambda: 0)
     rep = minimize_quotient(start, 3.0, 3.0)
