@@ -312,8 +312,9 @@ def _verify_minimize(args):
 def _verify_sandwich(args):
     lam = args.Lambda
     if lam is None:
-        lam = 0.9 * cyl.sandwich_lambda_bound(args.theta, args.p, args.N) if args.theta < 1 \
-            else 0.9 * params.lambda_sym(args.p, args.N)
+        lam = 0.9 * cyl.sandwich_lambda_bound(args.theta, args.p, args.N)
+        if abs(args.theta - params.theta_min(args.p, args.N)) < 1e-12:
+            raise DomainError("--Lambda is required at theta = theta_min: the admissible window is empty")
     rep = cyl.sandwich_check(args.theta, lam, args.p, args.N,
                              opts=cyl.MinimizeOpts(multistart=True, seed=args.seed))
     payload = rep.to_dict()

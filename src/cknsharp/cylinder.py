@@ -11,12 +11,12 @@ plain and interpolation inequalities, a limited-memory quasi-Newton
 (L-BFGS, three pairs) flow seeded with the diagonal preconditioner, with
 Armijo backtracking, that runs in coefficient space (two DST-I per
 iteration, none per line-search trial; one nodal power per trial, none per
-gradient, in reused block buffers), first on a coarse sine grid of the
-same box and then on the requested one, the Euler-Lagrange residual,
-the five-step proof-chain slack evaluator, the second-variation instability
-detector with its threshold bisection, the log-radial change of variables
-from Euclidean space, the spectral-bound equivalence, and the theta < 1
-sandwich verification.
+gradient, in two block buffers per thread, so flows may run in threads),
+first on a coarse sine grid of the same box and then on the requested one,
+the Euler-Lagrange residual, the five-step proof-chain slack evaluator, the
+second-variation instability detector with its threshold bisection, the
+log-radial change of variables from Euclidean space, the spectral-bound
+equivalence, and the theta < 1 sandwich verification.
 
 All angular integrals use the probability measure, so the radial benchmark
 is the interpolation-family constant radial_interp_constant; the
@@ -26,6 +26,8 @@ surface-measure constant follows from the explicit sphere_area bridge.
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
 from functools import lru_cache
 from dataclasses import dataclass, field, fields, replace
 
@@ -79,16 +81,12 @@ __all__ = [
 DEFAULT_GRID = LineGrid(20.0, 1999)
 DEFAULT_L_MAX = 8
 
-_angular_cache: dict = {}
 
-
+@lru_cache(maxsize=None)
 def _angular(N: int, L_max: int):
-    """Cached (quadrature, basis matrix) pair for the zonal calculus."""
-    key = (N, L_max)
-    if key not in _angular_cache:
-        quad_ = sphere.default_quadrature(N, L_max)
-        _angular_cache[key] = (quad_, quad_.basis(L_max))
-    return _angular_cache[key]
+    """(quadrature, basis matrix) pair for the zonal calculus, built once per (N, L_max)."""
+    quad_ = sphere.default_quadrature(N, L_max)
+    return quad_, quad_.basis(L_max)
 
 
 @dataclass
@@ -183,29 +181,29 @@ def _check_quotient_args(Lambda: float, p: float, theta: float) -> None:
 
 
 # the nodal stage runs over blocks of s-rows of about this many values
-# (256 KiB) in two module-level buffers, allocated once and reused, so an
-# evaluation makes no temporaries and takes no fresh page faults (the
-# buffers make _nodal_stage non-reentrant)
+# (256 KiB) in two buffers per thread, allocated once and reused: no
+# temporaries, no fresh page faults, and no buffer shared by two threads
 _BLOCK_VALUES = 32768
-_blocks = [np.empty(_BLOCK_VALUES), np.empty(_BLOCK_VALUES)]
+_local = threading.local()
 
 
 def _nodal_stage(u: CylField, p: float):
-    """(P, nl) from the nodal values U = data @ B^T, over blocks of s-rows:
-    nl = aU @ (w B) the zonal coefficients of aU = |U|^(p-2) U
-    = |U|^(p-1) sign U, and P = h sum(data * nl) the integral of
-    |U|^p = aU U under the probability measure, by the exact identity
-    sum_j w_j aU_ij U_ij = sum_l data_il nl_il.  Only nl is a fresh array."""
+    """(P, nl) from the nodal values U = data @ B^T, over blocks of s-rows in
+    the calling thread's buffers: nl = aU @ (w B) the zonal coefficients of
+    aU = |U|^(p-2) U = |U|^(p-1) sign U, and P = h sum(data * nl) the
+    integral of |U|^p = aU U under the probability measure, by the exact
+    identity sum_j w_j aU_ij U_ij = sum_l data_il nl_il.  Only nl is fresh."""
     quad_, B = _angular(u.N, u.L_max)
     m = B.shape[0]
     rows = max(1, _BLOCK_VALUES // m)
-    if _blocks[0].size < m:  # one s-row has more nodes than a block holds
-        _blocks[:] = [np.empty(m), np.empty(m)]
+    blocks = getattr(_local, "blocks", None)
+    if blocks is None or blocks[0].size < m:  # one s-row may hold more nodes than a block
+        blocks = _local.blocks = [np.empty(max(_BLOCK_VALUES, m)) for _ in range(2)]
     wB = quad_.weights[:, None] * B
     nl = np.empty_like(u.data)
     for i in range(0, u.grid.n, rows):
-        U = _blocks[0][: min(rows, u.grid.n - i) * m].reshape(-1, m)
-        aU = _blocks[1][: U.size].reshape(U.shape)
+        U = blocks[0][: min(rows, u.grid.n - i) * m].reshape(-1, m)
+        aU = blocks[1][: U.size].reshape(U.shape)
         np.matmul(u.data[i : i + rows], B.T, out=U)
         np.abs(U, out=aU)
         aU **= p - 2
@@ -255,21 +253,20 @@ def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
     return _numerator(E, M, Lambda, theta) / P ** (2.0 / p)
 
 
-def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float, KL: np.ndarray | None = None):
+def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float, KL: np.ndarray):
     """Quotient value and its gradient w.r.t. the sine coefficients
     DST(u.data), in the h-weighted (functional) scaling.
 
     The quadratic terms are diagonal in the sine x zonal basis, with diagonal
-    KL = _stiffness(u) + Lambda (built unless passed); only the p-th power
-    term needs a transform (one DST when u carries its coefficients, two
-    otherwise).  A scored flow field keeps its pieces: no nodal evaluation.
+    KL = _stiffness(u) + Lambda; only the p-th power term needs a transform
+    (one DST when u carries its coefficients, two otherwise).  A scored flow
+    field keeps its pieces: no nodal evaluation.
     """
     E, M, P, nl, c = _pieces(u, p)
     # functional gradients (plain coefficient gradient divided by h), built
     # in place in one array: E and M contribute 2 (stiffness + Lambda) c, the
     # p-th power term p DST(nl)
     G = _numerator(E, M, Lambda, theta)
-    KL = _stiffness(u) + Lambda if KL is None else KL
     if theta == 1.0:
         g = KL * 2.0
     else:
@@ -347,21 +344,21 @@ _Q_REL_TOL = 1e-10
 _GRAD_TOL = 1e-8
 
 
-def _lbfgs_direction(g, sym, S, Y, rho, order):
+def _lbfgs_direction(g, sym, pairs):
     """Two-loop recursion (Liu-Nocedal): the inverse-Hessian estimate built
-    from the pairs S[i], Y[i] (i in ``order``, oldest first) applied to g.
+    from ``pairs``, (s, y, rho = 1/s.y) tuples oldest first, applied to g.
     The initial matrix is gamma sym with gamma = s.y / (y.sym.y) of the
     newest pair."""
     q = g.copy()
-    alpha = {}
-    for i in reversed(order):
-        alpha[i] = rho[i] * float(np.vdot(S[i], q))
-        q -= alpha[i] * Y[i]
-    new = order[-1]
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(np.vdot(s, q)))
+        q -= alphas[-1] * y
+    _, y, rho = pairs[-1]
     q *= sym
-    q *= 1.0 / (rho[new] * float(np.einsum("ij,ij,ij->", Y[new], sym, Y[new])))
-    for i in order:
-        q += (alpha[i] - rho[i] * float(np.vdot(Y[i], q))) * S[i]
+    q *= 1.0 / (rho * float(np.einsum("ij,ij,ij->", y, sym, y)))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(np.vdot(y, q))) * s
     return q
 
 
@@ -398,11 +395,8 @@ def _descend_single(u0: CylField, Lambda: float, p: float, theta: float, opts: M
         return Q, g, math.sqrt(h * float(np.einsum("ij,ij,ij->", g, sym, g)))
 
     Q, g, gnorm = gradient(u)
-    # pairs s = c_new - c, y = g_new - g in a ring of _LBFGS_PAIRS slots
-    S = np.empty((_LBFGS_PAIRS, *g.shape))
-    Y = np.empty_like(S)
-    rho = np.empty(_LBFGS_PAIRS)
-    order: list[int] = []
+    # the last pairs (s, y, 1/s.y) with s = c_new - c, y = g_new - g
+    pairs = deque(maxlen=_LBFGS_PAIRS)
     t = _STEP0
     iters = 0
     converged = False
@@ -411,12 +405,12 @@ def _descend_single(u0: CylField, Lambda: float, p: float, theta: float, opts: M
         if gnorm < _GRAD_TOL:
             converged = True
             break
-        if order:
-            dc = _lbfgs_direction(g, sym, S, Y, rho, order)
+        if pairs:
+            dc = _lbfgs_direction(g, sym, pairs)
             slope = h * float(np.vdot(g, dc))
             if not slope > 0:
-                order.clear()
-        if not order:
+                pairs.clear()
+        if not pairs:
             dc = sym * g
             slope = gnorm * gnorm  # positive: dc is a descent direction
             # the steepest-descent step grows from the last accepted one;
@@ -426,21 +420,14 @@ def _descend_single(u0: CylField, Lambda: float, p: float, theta: float, opts: M
             t = 1.0
         d = _dst(dc)
         accepted = False
-        # one trial field serves every backtrack, so a rejected trial's
-        # arrays are reused instead of outliving the next one's allocation
-        trial = CylField(u.grid, u.N, np.empty_like(d))
-        trial._sine = np.empty_like(dc)
         for _ in range(_MAX_BACKTRACKS):
             target = Q - _ARMIJO * t * slope
             if target == Q:
                 # the required decrease is below one ulp of Q: roundoff
                 # alone would decide acceptance
                 break
-            trial._kept = None
-            np.multiply(d, -t, out=trial.data)
-            trial.data += u.data
-            np.multiply(dc, -t, out=trial._sine)
-            trial._sine += u._sine
+            trial = CylField(u.grid, u.N, u.data - t * d)
+            trial._sine = u._sine - t * dc
             try:
                 # normalized before it is scored (the quotient is scale invariant),
                 # so the pieces rayleigh keeps are those the next gradient needs
@@ -459,21 +446,16 @@ def _descend_single(u0: CylField, Lambda: float, p: float, theta: float, opts: M
             converged = True
             break
         rel = abs(Q - Qnew) / abs(Q)
-        del d, dc  # released before the gradient allocates its own arrays
-        slot = (order[-1] + 1) % _LBFGS_PAIRS if order else 0
-        np.subtract(trial._sine, u._sine, out=S[slot])
+        s = trial._sine - u._sine
         u = trial
         Q, g_new, gnorm = gradient(u)
-        np.subtract(g_new, g, out=Y[slot])
+        y = g_new - g
         g = g_new
-        sy = float(np.vdot(S[slot], Y[slot]))
+        sy = float(np.vdot(s, y))
         if sy > 0:
-            if slot in order:
-                order.remove(slot)
-            order.append(slot)
-            rho[slot] = 1.0 / sy
+            pairs.append((s, y, 1.0 / sy))
         else:
-            order.clear()
+            pairs.clear()
         if rel < _Q_REL_TOL:
             converged = True
             break
@@ -521,8 +503,9 @@ def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: Minimize
     u = _unit(u0)
     restricted = CylField(LineGrid(u.grid.S, n_c), u.N, _dst(_transfer(u._sine, n_c)))
     coarse = _descend_single(restricted, Lambda, p, theta, opts)
-    fine = CylField(u.grid, u.N, _transfer(_dst(coarse.minimizer.data), n))
-    fine._sine, fine.data = fine.data, _dst(fine.data)
+    c = _transfer(_dst(coarse.minimizer.data), n)
+    fine = CylField(u.grid, u.N, _dst(c))
+    fine._sine = c
     # the fine level gets what the coarse one left of the max_iter budget
     rest = replace(opts, max_iter=opts.max_iter - coarse.iterations)
     rep = _descend_single(min(fine, u, key=lambda v: rayleigh(v, Lambda, p, theta)), Lambda, p, theta, rest)
@@ -946,7 +929,7 @@ def sandwich_check(
     if not Lambda > ac2:  # written so that NaN fails the comparison
         raise DomainError(f"need Lambda > a_c^2 = {ac2}, got {Lambda}")
     if not limit_case:
-        bound = sandwich_lambda_bound(theta, p, N) if theta < 1.0 else lambda_sym(p, N)
+        bound = sandwich_lambda_bound(theta, p, N)
         if Lambda > bound * (1 + 1e-12):
             raise DomainError(f"Lambda={Lambda} violates the admissible window ({ac2}, {bound}]")
 

@@ -123,11 +123,6 @@ def _legendre_table(L_max: int, x) -> np.ndarray:
     return P
 
 
-def eval_legendre(n: int, x) -> np.ndarray:
-    """Legendre polynomial P_n at x, from the recurrence of :func:`_legendre_table`."""
-    return _legendre_table(n, x)[..., n]
-
-
 def basis_matrix(quad: SphereQuadrature, L_max: int) -> np.ndarray:
     """Orthonormal basis sampled at the quadrature nodes, shape (m, L_max+1)."""
     if L_max < 0:

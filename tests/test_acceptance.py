@@ -45,7 +45,7 @@ from cknsharp import (
     sphere_area,
 )
 from cknsharp.closed_forms import _lt_constant_product_form, _lt_constant_ratio_form
-from cknsharp.cylinder import _angular, _dst, _value_and_grad, sandwich_lambda_bound
+from cknsharp.cylinder import _angular, _dst, _stiffness, _value_and_grad, sandwich_lambda_bound
 from cknsharp.schrodinger import Potential1D
 from cknsharp.sphere import default_quadrature
 
@@ -281,7 +281,7 @@ def test_criterion_13_gradient_correctness():
     for _ in range(10):
         u = CylField(grid, 3, (0.5 + rng.random((256, 5))) * envelope)
         d = rng.standard_normal((256, 5)) * envelope
-        _, g = _value_and_grad(u, 1.0, 3.0, 1.0)
+        _, g = _value_and_grad(u, 1.0, 3.0, 1.0, _stiffness(u) + 1.0)
         eps = 1e-6
         fd = (
             rayleigh(CylField(grid, 3, u.data + eps * d), 1.0, 3.0)

@@ -247,6 +247,8 @@ _REPROS = {
     ("verify", "poincare", "--q", "3", "--samples", "2", "--l-max", "0"): (DomainError, "--l-max 0"),
     ("verify", "lambdacond", "--Lambda", "1", "--p", "3", "--output", "/nonexistent/x.json"):
         (DomainError, "--output /nonexistent/x.json"),
+    # at theta_min the window is empty, so there is no default Lambda to take
+    ("verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.5"): (DomainError, "--Lambda is required"),
 }
 
 

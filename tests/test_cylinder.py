@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from cknsharp import (
 from cknsharp.cylinder import (
     _angular,
     _dst,
+    _stiffness,
     _value_and_grad,
     sandwich_lambda_bound,
 )
@@ -128,6 +132,24 @@ def test_kept_pieces_do_not_alias_the_block_buffers():
     assert not np.shares_memory(nl, b._kept[1][3])
 
 
+def test_nodal_stage_is_thread_safe():
+    # NumPy releases the GIL in matmul, so threads evaluating at once must
+    # not share block buffers: every threaded result equals the serial one
+    rng = np.random.default_rng(5)
+    grid = LineGrid(20.0, 3000)
+    fields = [CylField(grid, 3, rng.standard_normal((grid.n, 9))) for _ in range(4)]
+    serial = [cyl._nodal_stage(u, 3.3) for u in fields]
+    start = threading.Barrier(len(fields))
+
+    def mismatches(k):
+        start.wait()
+        results = [cyl._nodal_stage(fields[k], 3.3) for _ in range(30)]
+        return sum(P != serial[k][0] or not np.array_equal(nl, serial[k][1]) for P, nl in results)
+
+    with ThreadPoolExecutor(len(fields)) as pool:
+        assert sum(pool.map(mismatches, range(len(fields)))) == 0
+
+
 # ---------------------------------------------------------------------------
 # Rayleigh quotient
 
@@ -189,7 +211,7 @@ def test_gradient_matches_finite_differences(theta):
     for _ in range(10):
         u = CylField(grid, 3, (0.5 + rng.random((256, 5))) * envelope)
         d = rng.standard_normal((256, 5)) * envelope
-        _, g = _value_and_grad(u, 1.0, 3.0, theta)
+        _, g = _value_and_grad(u, 1.0, 3.0, theta, _stiffness(u) + 1.0)
         eps = 1e-6
         fd = (
             rayleigh(CylField(grid, 3, u.data + eps * d), 1.0, 3.0, theta)
@@ -200,8 +222,33 @@ def test_gradient_matches_finite_differences(theta):
         # a field that carries its sine coefficients yields the same gradient
         carried = CylField(grid, 3, u.data)
         carried._sine = _dst(u.data)
-        np.testing.assert_allclose(_value_and_grad(carried, 1.0, 3.0, theta)[1], g, rtol=0,
+        np.testing.assert_allclose(_value_and_grad(carried, 1.0, 3.0, theta, _stiffness(u) + 1.0)[1], g, rtol=0,
                                    atol=1e-13 * np.abs(g).max())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lbfgs_direction_is_the_bfgs_inverse_hessian_product(k):
+    # the two-loop recursion equals H g for the BFGS update H <- V^T H V
+    # + rho s s^T, V = I - rho y s^T, over the pairs oldest first, started
+    # at gamma diag(sym) with gamma = s.y / (y.sym.y) of the newest pair
+    rng = np.random.default_rng(k)
+    shape = (12, 3)
+    sym = 1.0 / (1.0 + 10.0 * rng.random(shape))
+    g = rng.standard_normal(shape)
+    pairs = deque(maxlen=3)
+    for _ in range(k):
+        s = rng.standard_normal(shape)
+        y = s / sym + 0.1 * rng.standard_normal(shape)
+        assert np.vdot(s, y) > 0
+        pairs.append((s, y, 1.0 / float(np.vdot(s, y))))
+    _, y, rho = pairs[-1]
+    H = np.diag(sym.ravel()) / (rho * float(np.vdot(y, sym * y)))
+    for s, y, rho in pairs:
+        V = np.eye(g.size) - rho * np.outer(y.ravel(), s.ravel())
+        H = V.T @ H @ V + rho * np.outer(s.ravel(), s.ravel())
+    expected = (H @ g.ravel()).reshape(shape)
+    direction = cyl._lbfgs_direction(g, sym, pairs)
+    assert np.linalg.norm(direction - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def level_recorder(monkeypatch, count):
@@ -553,6 +600,20 @@ def test_a_grid_below_the_coarse_threshold_keeps_the_single_level_descent(monkey
     one = cyl._descend_single(start, 3.0, 3.0, 1.0, MinimizeOpts())
     assert rep.to_dict() == one.to_dict()
     assert np.array_equal(rep.minimizer.data, one.minimizer.data)
+
+
+@pytest.mark.parametrize("Lambda,theta,multistart,pinned", [
+    (1.2, 0.9, False, (2.164993450842051, 12, 1.49659707101401e-05)),
+    (3.0, 1.0, True, (4.3868597984663555, 14, 1.1241659078896426e-06)),
+])
+def test_two_level_descents_are_pinned(monkeypatch, Lambda, theta, multistart, pinned):
+    # n + 1 = 900 >= 3 (n_c + 1) = 600 at S = 20: every start takes both levels
+    start = extremal_field(LineGrid(20.0, 899), 3, 6, Lambda, 3.0, theta)
+    start.data[:, 1] = 0.1 * start.data[:, 0]
+    levels = level_recorder(monkeypatch, lambda: 0)
+    rep = minimize_quotient(start, Lambda, 3.0, theta, MinimizeOpts(multistart=multistart))
+    assert len(levels) == 2 * (4 if multistart else 1)
+    assert (rep.quotient, rep.iterations, rep.grad_norm) == pinned
 
 
 # ---------------------------------------------------------------------------
@@ -965,6 +1026,10 @@ def test_sandwich_theta_1_degenerate():
     assert rep.within
     assert rep.k_upper == pytest.approx(rep.k_lower, rel=1e-14)
     assert rep.k_numeric == pytest.approx(rep.k_lower, rel=5e-3)
+    # at theta = 1 the window's upper end is lambda_sym exactly (gap_factor is 1.0)
+    for N in (2, 3, 4, 5):
+        for p in np.linspace(2.0, 6.0, 4003)[1:-1]:
+            assert sandwich_lambda_bound(1.0, p, N) == lambda_sym(p, N)
 
 
 def test_sandwich_condition_violation():
