@@ -9,7 +9,7 @@ coefficients; the gradient energy and its preconditioner are diagonal in
 that sine x zonal basis.  On top of that sit the Rayleigh quotients of the
 plain and interpolation inequalities, a limited-memory quasi-Newton
 (L-BFGS, three pairs) flow seeded with the diagonal preconditioner, with
-Armijo backtracking, that runs in coefficient space (two DST-I per
+Armijo backtracking, that runs in coefficient space (two transforms per
 iteration, none per line-search trial; one nodal power per trial, none per
 gradient, in two block buffers per thread, so flows may run in threads),
 first on a coarse sine grid of the same box and then on the requested one,
@@ -21,6 +21,10 @@ equivalence, and the theta < 1 sandwich verification.
 All angular integrals use the probability measure, so the radial benchmark
 is the interpolation-family constant radial_interp_constant; the
 surface-measure constant follows from the explicit sphere_area bridge.
+The flow runs over fields even in s: Steiner symmetrization in s at each angle keeps M and P
+and does not raise E (Polya-Szego; Lieb-Loss, Analysis, ch. 3), so their infimum is the
+infimum, as Catrina-Wang (CPAM 2001) use for CKN extremals on the cylinder; it says nothing
+of angular symmetry.  With n odd, such a field is its s <= 0 half or its odd sine modes.
 """
 
 from __future__ import annotations
@@ -96,7 +100,8 @@ class CylField:
     grid: LineGrid
     N: int
     data: np.ndarray
-    # DST(data), carried only by the flow's own iterates and line-search
+    half: bool = False  # the flow's fields: even in s, rows 1..(n+1)/2 of the grid (s <= 0, s = 0 last)
+    # _sine_of(data), carried only by the flow's own iterates and line-search
     # trials, which also keep their (p, _pieces) from the first evaluation;
     # a field handed to a caller holds neither, so editing data cannot leave
     # them stale
@@ -105,8 +110,11 @@ class CylField:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 2 or self.data.shape[0] != self.grid.n:
-            raise DomainError(f"data must have shape ({self.grid.n}, L_max+1), got {self.data.shape}")
+        if self.half and self.grid.n % 2 == 0:  # the flow's fields are even in s
+            raise DomainError(f"the flow needs odd n, a node at s = 0; got n={self.grid.n}")
+        rows = (self.grid.n + 1) // 2 if self.half else self.grid.n
+        if self.data.ndim != 2 or self.data.shape[0] != rows:
+            raise DomainError(f"data must have shape ({rows}, L_max+1), got {self.data.shape}")
         check_numeric_N(self.N)
 
     @property
@@ -124,7 +132,7 @@ class CylField:
         return cls(grid, N, values @ (quad_.weights[:, None] * B))
 
     def copy(self) -> "CylField":
-        return CylField(self.grid, self.N, self.data.copy())
+        return CylField(self.grid, self.N, self.data.copy(), self.half)
 
 
 def radial_field(grid: LineGrid, N: int, L_max: int, profile) -> CylField:
@@ -144,9 +152,9 @@ def extremal_field(grid: LineGrid, N: int, L_max: int, Lambda: float, p: float, 
 # sine-spectral calculus in s
 
 @lru_cache(maxsize=16)
-def _omega2(grid: LineGrid) -> np.ndarray:
-    """Squared sine frequencies, built once per grid; callers must not modify them."""
-    return (np.arange(1, grid.n + 1) * math.pi / (2.0 * grid.S)) ** 2
+def _omega2(grid: LineGrid, half: bool = False) -> np.ndarray:
+    """Squared sine frequencies (odd-index ones if half), built once per grid; callers must not modify them."""
+    return (np.arange(1, grid.n + 1, 1 + half) * math.pi / (2.0 * grid.S)) ** 2
 
 
 def _dst(arr: np.ndarray) -> np.ndarray:
@@ -158,18 +166,34 @@ def _angular_eigs(N: int, L_max: int) -> np.ndarray:
     return ell * (ell + N - 2.0)
 
 
+def _sine_of(values: np.ndarray, half: bool) -> np.ndarray:
+    """Orthonormal sine coefficients of field values: the DST-I, or the odd-index ones of a half field."""
+    return dst(values, type=3, axis=0) / math.sqrt(len(values)) if half else _dst(values)
+
+
+def _half_nodes(c: np.ndarray) -> np.ndarray:
+    """A half field's values from its odd sine modes, by a DST-II: the inverse of _sine_of."""
+    return dst(c, type=2, axis=0) / (2.0 * math.sqrt(len(c)))
+
+
+@lru_cache(maxsize=32)
+def _weights(rows: int, half: bool):
+    """Row weights of sums over s-nodes, shared: 1, or for a half field 2 (a row and its mirror), 1 at s = 0."""
+    return np.append(np.full(rows - 1, 2.0), 1.0)[:, None] if half else 1.0
+
+
 def _stiffness(u: CylField) -> np.ndarray:
     """Diagonal of the gradient energy in the sine x zonal basis."""
-    return _omega2(u.grid)[:, None] + _angular_eigs(u.N, u.L_max)[None, :]
+    return _omega2(u.grid, u.half)[:, None] + _angular_eigs(u.N, u.L_max)[None, :]
 
 
 def _ledger(u: CylField):
     """(mass, senergy, c): per-degree squared L2 norm and Dirichlet energy in
-    s of the sine interpolant, and its sine coefficients c = DST(u.data),
-    which cost one DST unless u carries them."""
-    c = _dst(u.data) if u._sine is None else u._sine
-    mass = u.grid.h * (u.data**2).sum(axis=0)
-    senergy = u.grid.h * (_omega2(u.grid) @ c**2)
+    s of the sine interpolant, and its sine coefficients c (_sine_of), which
+    cost one transform unless u carries them."""
+    c = _sine_of(u.data, u.half) if u._sine is None else u._sine
+    mass = u.grid.h * (_weights(len(u.data), u.half) * u.data**2).sum(axis=0)
+    senergy = u.grid.h * (_omega2(u.grid, u.half) @ c**2)
     return mass, senergy, c
 
 
@@ -192,7 +216,7 @@ def _nodal_stage(u: CylField, p: float):
     the calling thread's buffers: nl = aU @ (w B) the zonal coefficients of
     aU = |U|^(p-2) U = |U|^(p-1) sign U, and P = h sum(data * nl) the
     integral of |U|^p = aU U under the probability measure, by the exact
-    identity sum_j w_j aU_ij U_ij = sum_l data_il nl_il.  Only nl is fresh."""
+    identity sum_j w_j aU_ij U_ij = sum_l data_il nl_il (rows weighted by _weights).  Only nl is fresh."""
     quad_, B = _angular(u.N, u.L_max)
     m = B.shape[0]
     rows = max(1, _BLOCK_VALUES // m)
@@ -201,15 +225,15 @@ def _nodal_stage(u: CylField, p: float):
         blocks = _local.blocks = [np.empty(max(_BLOCK_VALUES, m)) for _ in range(2)]
     wB = quad_.weights[:, None] * B
     nl = np.empty_like(u.data)
-    for i in range(0, u.grid.n, rows):
-        U = blocks[0][: min(rows, u.grid.n - i) * m].reshape(-1, m)
+    for i in range(0, len(u.data), rows):
+        U = blocks[0][: min(rows, len(u.data) - i) * m].reshape(-1, m)
         aU = blocks[1][: U.size].reshape(U.shape)
         np.matmul(u.data[i : i + rows], B.T, out=U)
         np.abs(U, out=aU)
         aU **= p - 2
         aU *= U
         np.matmul(aU, wB, out=nl[i : i + rows])
-    return u.grid.h * float(np.vdot(u.data, nl)), nl
+    return u.grid.h * float(np.vdot(_weights(len(u.data), u.half) * u.data, nl)), nl
 
 
 def _pieces(u: CylField, p: float):
@@ -254,8 +278,8 @@ def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
 
 
 def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float, KL: np.ndarray):
-    """Quotient value and its gradient w.r.t. the sine coefficients
-    DST(u.data), in the h-weighted (functional) scaling.
+    """Quotient value and its gradient w.r.t. the sine coefficients of u
+    (_sine_of), in the h-weighted (functional) scaling.
 
     The quadratic terms are diagonal in the sine x zonal basis, with diagonal
     KL = _stiffness(u) + Lambda; only the p-th power term needs a transform
@@ -275,7 +299,7 @@ def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float, KL: np.n
         g += (1 - theta) * (E + Lambda * M)
         g *= 2.0 * common
     g *= c
-    gP = _dst(nl)
+    gP = _sine_of(nl, u.half)
     gP *= 2.0 * G / P
     g -= gP
     g /= P ** (2.0 / p)
@@ -302,7 +326,7 @@ class MinimizeOpts:
 
 @dataclass
 class MinimizeReport(_Report):
-    """Outcome of a quotient minimization."""
+    """Outcome of a quotient minimization; reason names the last descent's stop (see minimize_quotient)."""
 
     constant: float
     quotient: float
@@ -310,6 +334,7 @@ class MinimizeReport(_Report):
     grad_norm: float
     angular_fraction: float
     converged: bool
+    reason: str
     Lambda: float
     p: float
     theta: float
@@ -362,19 +387,31 @@ def _lbfgs_direction(g, sym, pairs):
     return q
 
 
-def _unit(u0: CylField) -> CylField:
-    """A unit-mass copy of u0 that carries its sine coefficients."""
-    mass0 = u0.grid.h * float((u0.data**2).sum())
-    if mass0 == 0.0:
-        raise DomainError("zero start field")
-    u = CylField(u0.grid, u0.N, u0.data / math.sqrt(mass0))
-    u._sine = _dst(u.data)
+def _unit(u: CylField) -> CylField:
+    """u, which carries its sine coefficients, scaled in place to unit mass (by Parseval)."""
+    norm = math.sqrt(u.grid.h * float(np.vdot(u._sine, u._sine)))
+    if norm == 0.0:
+        raise DomainError("zero field")
+    u.data /= norm
+    u._sine /= norm
     return u
 
 
-def _descend_single(u0: CylField, Lambda: float, p: float, theta: float, opts: MinimizeOpts) -> MinimizeReport:
-    """One L-BFGS descent on u0's grid; a flow field u0 is taken as it is."""
-    h = u0.grid.h
+def _flow_field(grid: LineGrid, N: int, values=None, c=None) -> CylField:
+    """The unit-mass half field on grid with the given values or odd sine modes c, carrying both."""
+    u = CylField(grid, N, _half_nodes(c) if values is None else values, half=True)
+    u._sine = _sine_of(u.data, True) if c is None else c
+    return _unit(u)
+
+
+def _even(u0: CylField) -> CylField:
+    """The flow field of a start u0: its even part in s."""
+    return _flow_field(u0.grid, u0.N, 0.5 * (u0.data + u0.data[::-1])[: (u0.grid.n + 1) // 2])
+
+
+def _descend_single(u: CylField, Lambda: float, p: float, theta: float, opts: MinimizeOpts) -> MinimizeReport:
+    """One L-BFGS descent on the grid of the flow field u; the minimizer is the last flow field."""
+    h = u.grid.h
     # gradient-energy preconditioner: the quotient Hessian is dominated by
     # the quadratic form, diagonal in the sine x zonal basis, so descending
     # along its inverse image removes the grid-induced stiffness.  It seeds
@@ -382,12 +419,10 @@ def _descend_single(u0: CylField, Lambda: float, p: float, theta: float, opts: M
     # resolves the nearly flat degree-1 mode near the instability threshold.
     # The flow carries u with its sine coefficients; direction, slope
     # (Parseval) and trials are formed in that basis, so an iteration costs
-    # one DST to map the direction to nodes and one in the next gradient,
-    # and none per trial
-    KL = _stiffness(u0) + Lambda
+    # one transform to map the direction to nodes and one in the next
+    # gradient, and none per trial
+    KL = _stiffness(u) + Lambda
     sym = 1.0 / KL
-
-    u = u0 if u0._sine is not None else _unit(u0)
 
     def gradient(u):
         Q, g = _value_and_grad(u, Lambda, p, theta, KL)
@@ -399,11 +434,11 @@ def _descend_single(u0: CylField, Lambda: float, p: float, theta: float, opts: M
     pairs = deque(maxlen=_LBFGS_PAIRS)
     t = _STEP0
     iters = 0
-    converged = False
+    reason = None  # the stop that ends the descent; None while max_iter lasts
     while iters < opts.max_iter:
         iters += 1
         if gnorm < _GRAD_TOL:
-            converged = True
+            reason = "grad_tol"
             break
         if pairs:
             dc = _lbfgs_direction(g, sym, pairs)
@@ -418,32 +453,28 @@ def _descend_single(u0: CylField, Lambda: float, p: float, theta: float, opts: M
             t = min(t * _GROW, 1e3)
         else:
             t = 1.0
-        d = _dst(dc)
-        accepted = False
+        d = _half_nodes(dc)
         for _ in range(_MAX_BACKTRACKS):
             target = Q - _ARMIJO * t * slope
             if target == Q:
                 # the required decrease is below one ulp of Q: roundoff
                 # alone would decide acceptance
+                reason = "sub_ulp"
                 break
-            trial = CylField(u.grid, u.N, u.data - t * d)
+            trial = CylField(u.grid, u.N, u.data - t * d, half=True)
             trial._sine = u._sine - t * dc
             try:
                 # normalized before it is scored (the quotient is scale invariant),
                 # so the pieces rayleigh keeps are those the next gradient needs
-                norm = math.sqrt(h * float((trial.data**2).sum()))
-                trial.data /= norm
-                trial._sine /= norm
-                Qnew = rayleigh(trial, Lambda, p, theta)
+                Qnew = rayleigh(_unit(trial), Lambda, p, theta)
             except (DomainError, FloatingPointError):
                 Qnew = math.inf
             if Qnew <= target:
-                accepted = True
                 break
             t *= _SHRINK
-        if not accepted:
-            # line search stalled at machine precision: treat as converged
-            converged = True
+        else:
+            reason = "line_search_stall"
+        if reason:  # stalled at machine precision: counted as converged
             break
         rel = abs(Q - Qnew) / abs(Q)
         s = trial._sine - u._sine
@@ -457,7 +488,7 @@ def _descend_single(u0: CylField, Lambda: float, p: float, theta: float, opts: M
         else:
             pairs.clear()
         if rel < _Q_REL_TOL:
-            converged = True
+            reason = "q_rel_tol"
             break
     return MinimizeReport(
         constant=1.0 / Q,
@@ -465,27 +496,28 @@ def _descend_single(u0: CylField, Lambda: float, p: float, theta: float, opts: M
         iterations=iters,
         grad_norm=gnorm,
         angular_fraction=_angular_fraction(u, Lambda),
-        converged=converged,
+        converged=reason is not None,
+        reason=reason or "max_iter",
         Lambda=Lambda,
         p=p,
         theta=theta,
         N=u.N,
-        minimizer=CylField(u.grid, u.N, u.data),
+        minimizer=u,
     )
 
 
 def _coarse_n(S: float, n: int) -> int:
-    """n_c: n_c + 1 is the 5-smooth number nearest 10 S (m is 5-smooth iff m | 30^bits(m))."""
+    """n_c: n_c + 1 is the even 5-smooth number nearest 10 S, so n_c is odd (m is 5-smooth iff m | 30^bits(m))."""
     t = min(10.0 * S, n)  # past n, one level anyway; the search stays near the grid size
-    lo = next(m for m in range(max(2, math.floor(t)), 1, -1) if pow(30, m.bit_length(), m) == 0)
-    hi = next(m for m in range(math.ceil(t), 2 * math.ceil(t) + 1) if pow(30, m.bit_length(), m) == 0)
+    lo = next(m for m in range(max(2, math.floor(t)), 1, -1) if m % 2 == 0 and pow(30, m.bit_length(), m) == 0)
+    hi = next(m for m in range(math.ceil(t), 2 * math.ceil(t) + 1) if m % 2 == 0 and pow(30, m.bit_length(), m) == 0)
     return max(17, min(lo, hi, key=lambda m: abs(m - t)) - 1)  # a LineGrid has at least 16 nodes
 
 
-def _transfer(c: np.ndarray, n: int) -> np.ndarray:
-    """Sine coefficients c truncated or zero-padded to n rows, rescaled: one interpolant, n nodes."""
-    out = np.zeros((n, c.shape[1]))
-    out[: len(c)] = c[:n] * math.sqrt((n + 1) / (len(c) + 1))
+def _transfer(c: np.ndarray, rows: int) -> np.ndarray:
+    """Odd sine modes c truncated or zero-padded to rows modes, rescaled: one interpolant, 2 rows - 1 nodes."""
+    out = np.zeros((rows, c.shape[1]))
+    out[: len(c)] = c[:rows] * math.sqrt(rows / len(c))
     return out
 
 
@@ -496,16 +528,14 @@ _MIN_FINE_OVER_COARSE = 3.0
 
 
 def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: MinimizeOpts) -> MinimizeReport:
-    """One start, in two levels on a fine enough grid (see minimize_quotient)."""
-    n, n_c = u0.grid.n, _coarse_n(u0.grid.S, u0.grid.n)
+    """One start, from its even part, in two levels on a fine enough grid (see minimize_quotient)."""
+    u = _even(u0)
+    n, n_c = u.grid.n, _coarse_n(u.grid.S, u.grid.n)
     if n + 1 < _MIN_FINE_OVER_COARSE * (n_c + 1):
-        return _descend_single(u0, Lambda, p, theta, opts)
-    u = _unit(u0)
-    restricted = CylField(LineGrid(u.grid.S, n_c), u.N, _dst(_transfer(u._sine, n_c)))
+        return _descend_single(u, Lambda, p, theta, opts)
+    restricted = _flow_field(LineGrid(u.grid.S, n_c), u.N, c=_transfer(u._sine, (n_c + 1) // 2))
     coarse = _descend_single(restricted, Lambda, p, theta, opts)
-    c = _transfer(_dst(coarse.minimizer.data), n)
-    fine = CylField(u.grid, u.N, _dst(c))
-    fine._sine = c
+    fine = _flow_field(u.grid, u.N, c=_transfer(coarse.minimizer._sine, len(u.data)))
     # the fine level gets what the coarse one left of the max_iter budget
     rest = replace(opts, max_iter=opts.max_iter - coarse.iterations)
     rep = _descend_single(min(fine, u, key=lambda v: rayleigh(v, Lambda, p, theta)), Lambda, p, theta, rest)
@@ -540,24 +570,30 @@ def minimize_quotient(
     quotient, seeded with the gradient-energy preconditioner, with Armijo
     backtracking.
 
-    An L-BFGS step tries length 1 first; the first step, and the first after
-    the pair history is cleared (a non-positive curvature pair or a
-    non-descent direction), follows the preconditioned gradient with a
-    step that starts at 1 and grows 1.3-fold per such step.  A descent
-    stops when the preconditioned gradient norm falls below 1e-8, the
-    relative decrease of the quotient below 1e-10, or the Armijo line
-    search (fraction 1e-4, halving, at most 40 trials) stalls; these
-    constants are fixed.  Each start is solved first on the coarse grid
-    LineGrid(S, n_c), n_c + 1 the 5-smooth number nearest 10 S, then on the
-    requested grid from the zero-padded coarse minimizer, or from the start
-    if that scores lower; a grid with n + 1 < 3 (n_c + 1) takes one level.
-    max_iter is the budget of both levels, and iterations counts both.
-    With opts.multistart the flow is restarted
-    from seeded perturbations of the start (its radial part, an added
-    degree-1 bump, a random perturbation) as a guard against the
-    non-convexity past the instability threshold, and the best run is
-    returned; a start with no angular content is not run twice.  Exhausting
-    max_iter yields a non-converged report, not an exception.
+    The grid needs odd n (even n raises DomainError): each start enters the
+    flow as its even part in s (see the module docstring).  An L-BFGS step
+    tries length 1 first; the first step, and the first after the pair
+    history is cleared (a non-positive curvature pair or a non-descent
+    direction), follows the preconditioned gradient with a step that starts
+    at 1 and grows 1.3-fold per such step.  A descent stops, and its
+    report's reason says why, when the preconditioned gradient norm falls
+    below 1e-8 (grad_tol), the relative decrease of the quotient below
+    1e-10 (q_rel_tol), the Armijo line search (fraction 1e-4, halving, at
+    most 40 trials) fails (line_search_stall) or asks for a decrease below
+    one ulp of the quotient (sub_ulp), or max_iter runs out (max_iter, the
+    one stop not counted as converged); these constants are fixed.  Each
+    start is solved first on the coarse grid LineGrid(S, n_c), n_c + 1 the
+    even 5-smooth number nearest 10 S, then on the requested grid from the
+    zero-padded coarse minimizer, or from the start's even part if that
+    scores lower, so the result never scores above the start's even part
+    (which, translation being free, can score above an off-centre start);
+    a grid with n + 1 < 3 (n_c + 1) takes one level.  max_iter is the
+    budget of both levels, and iterations counts both.  With
+    opts.multistart the flow is restarted from seeded perturbations of the
+    start (its radial part, an added degree-1 bump, a random perturbation)
+    as a guard against the non-convexity past the instability threshold,
+    and the best run is returned; a start with no angular content is not
+    run twice.  The minimizer is a full field, the flow's half mirrored.
     """
     _check_quotient_args(Lambda, p, theta)
     opts = opts or MinimizeOpts()
@@ -566,7 +602,8 @@ def minimize_quotient(
         rep = _descend(s, Lambda, p, theta, opts)
         if best is None or rep.quotient < best.quotient:
             best = rep
-    return best
+    u = best.minimizer
+    return replace(best, minimizer=CylField(u.grid, u.N, np.concatenate([u.data, u.data[-2::-1]])))
 
 
 def el_residual(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
@@ -892,6 +929,7 @@ class SandwichReport(_Report):
     within: bool
     limit_case: bool
     converged: bool
+    reason: str
 
 
 def sandwich_lambda_bound(theta: float, p: float, N: int) -> float:
@@ -917,7 +955,8 @@ def sandwich_check(
     a_c^2 < Lambda <= sandwich_lambda_bound, except at theta = theta_min
     exactly, where the window is empty (the bound degenerates to 0 for
     N = 3): there the upper check is waived, the run proceeds and the
-    report is flagged limit_case.  Also reports the chain quantities:
+    report is flagged limit_case.  An empty window at any other theta (at
+    N = 2, every theta up to 3(p - 2)/(2p)) is refused.  Also reports the chain quantities:
     gamma_theta, q, the chain constant D on the renormalized minimizer
     (Lambda <= D <= gap * Lambda on solutions) and the slack of the
     theta-Hoelder step.
@@ -925,13 +964,13 @@ def sandwich_check(
     tmin = theta_min(p, N)
     check_theta_window(theta, tmin)
     limit_case = abs(theta - tmin) < 1e-12
-    ac2 = a_critical(N) ** 2
+    ac2, bound = a_critical(N) ** 2, sandwich_lambda_bound(theta, p, N)
+    if not (limit_case or bound > ac2):
+        raise DomainError(f"the admissible window ({ac2}, {bound}] of Lambda is empty at theta={theta}")
     if not Lambda > ac2:  # written so that NaN fails the comparison
         raise DomainError(f"need Lambda > a_c^2 = {ac2}, got {Lambda}")
-    if not limit_case:
-        bound = sandwich_lambda_bound(theta, p, N)
-        if Lambda > bound * (1 + 1e-12):
-            raise DomainError(f"Lambda={Lambda} violates the admissible window ({ac2}, {bound}]")
+    if not limit_case and Lambda > bound * (1 + 1e-12):
+        raise DomainError(f"Lambda={Lambda} violates the admissible window ({ac2}, {bound}]")
 
     gamma_t = ((2 * theta - 1) * p + 2) / (2 * (p - 2))
     if not gamma_t >= 1.0 - 1e-12:
@@ -976,4 +1015,5 @@ def sandwich_check(
         within=within,
         limit_case=limit_case,
         converged=rep.converged,
+        reason=rep.reason,
     )

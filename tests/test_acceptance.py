@@ -123,7 +123,7 @@ def test_criterion_04_instability_threshold_recovery():
 
 def test_criterion_05_symmetric_regime_minimization():
     t0 = time.time()
-    grid = LineGrid(20.0, 2000)
+    grid = LineGrid(20.0, 1999)
     start = extremal_field(grid, 3, 8, 1.0, 3.0)
     start.data[:, 1] = 0.1 * start.data[:, 0]
     rep = minimize_quotient(start, 1.0, 3.0)
@@ -137,7 +137,7 @@ def test_criterion_05_symmetric_regime_minimization():
 
 
 def test_criterion_06_symmetry_breaking():
-    grid = LineGrid(20.0, 2000)
+    grid = LineGrid(20.0, 1999)
     start = extremal_field(grid, 3, 8, 3.0, 3.0)
     start.data[:, 1] = 0.1 * start.data[:, 0]
     q_star = rayleigh(extremal_field(grid, 3, 8, 3.0, 3.0), 3.0, 3.0)
@@ -219,7 +219,7 @@ def test_criterion_10_sharp_constant_adjudication():
     c_quad = (sphere_area(3) * up) ** (-1.0 / 3.0)
     assert abs(c_quad - target) <= 1e-9
     # route 3: full 2-d minimization, bridged to the surface measure
-    grid = LineGrid(20.0, 2000)
+    grid = LineGrid(20.0, 1999)
     start = extremal_field(grid, 3, 8, 1.0, 3.0)
     start.data[:, 1] = 0.1 * start.data[:, 0]
     rep = minimize_quotient(start, 1.0, 3.0)

@@ -202,7 +202,7 @@ def test_verify_fs(capsys):
 
 def test_verify_minimize_breaking(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--n", "1000",
+        capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--n", "999",
     )
     assert code == 0
     payload = json.loads(out)
@@ -249,6 +249,10 @@ _REPROS = {
         (DomainError, "--output /nonexistent/x.json"),
     # at theta_min the window is empty, so there is no default Lambda to take
     ("verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.5"): (DomainError, "--Lambda is required"),
+    # the flow's fields are even in s: a grid without a node at s = 0 is refused
+    ("verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--n", "2000"): (DomainError, "odd n"),
+    # at N = 2 the window (a_c^2, sandwich_lambda_bound] is empty up to theta = 3(p - 2)/(2p), not only at theta_min
+    ("verify", "sandwich", "--N", "2", "--p", "3", "--theta", "0.4"): (DomainError, "window (0.0, -0.0"),
 }
 
 
@@ -393,7 +397,7 @@ def test_sandwich_limit_case_prints_null_exponent(capsys, monkeypatch):
     report = cli.cyl.SandwichReport(
         theta=0.5, Lambda=1.0, p=3.0, N=3, k_lower=0.5, k_numeric=0.6, k_upper=0.7, gap=1.2,
         gamma_theta=1.0, q=math.inf, d_value=0.7, holder_theta_slack=0.1, within=True, limit_case=True,
-        converged=True,
+        converged=True, reason="q_rel_tol",
     )
     monkeypatch.setattr(cli.cyl, "sandwich_check", lambda *args, **kwargs: report)
     code, out, _ = run_cli(capsys, "verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.5", "--Lambda", "1")

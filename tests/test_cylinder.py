@@ -41,6 +41,7 @@ from cknsharp import (
     second_variation_mode,
     sech_squared_potential,
     symmetric_mu_threshold,
+    theta_min,
 )
 from cknsharp.cylinder import (
     _angular,
@@ -50,7 +51,7 @@ from cknsharp.cylinder import (
     sandwich_lambda_bound,
 )
 
-GRID = LineGrid(20.0, 2000)
+GRID = LineGrid(20.0, 1999)
 
 
 def perturbed_start(grid, N, L_max, Lambda, p, frac=0.1):
@@ -284,7 +285,7 @@ def test_flow_makes_two_transforms_per_iteration_and_none_per_trial(monkeypatch,
     levels = level_recorder(monkeypatch, lambda: transforms[0])
     monkeypatch.setattr(cyl, "dst", counting_dst)
     monkeypatch.setattr(cyl, "rayleigh", recording_rayleigh)
-    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 600), 3, 6, 3.0, 3.0), 3.0, 3.0, theta)
+    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 599), 3, 6, 3.0, 3.0), 3.0, 3.0, theta)
     assert rep.iterations > 5
     assert len(levels) == 2 and rep.iterations == sum(lv.iterations for lv, _ in levels)
     for lv, spent in levels:  # each level: two per iteration, plus its start
@@ -312,7 +313,7 @@ def test_flow_takes_one_nodal_power_per_trial_and_none_per_gradient(monkeypatch,
 
     for name in counts:
         counted(name)
-    start = perturbed_start(LineGrid(18.0, 600), 3, 6, 3.0, 3.0)
+    start = perturbed_start(LineGrid(18.0, 599), 3, 6, 3.0, 3.0)
     rep = minimize_quotient(start, 3.0, 3.0, theta, MinimizeOpts(multistart=multistart, max_iter=300))
     assert rep.iterations > 5
     assert counts["_descend"] == (4 if multistart else 1)
@@ -330,14 +331,14 @@ def test_flow_gradient_uses_the_pieces_of_its_own_iterate(monkeypatch):
 
     def checked(u, *args):
         Q, g = real(u, *args)
-        Q_ref, g_ref = real(CylField(u.grid, u.N, u.data.copy()), *args)
+        Q_ref, g_ref = real(CylField(u.grid, u.N, u.data.copy(), u.half), *args)
         q_err[0] = max(q_err[0], abs(Q - Q_ref) / Q_ref)
         g_err[0] = max(g_err[0], float(np.abs(g - g_ref).max()))
         return Q, g
 
     monkeypatch.setattr(cyl, "_value_and_grad", checked)
     levels = level_recorder(monkeypatch, lambda: 0)
-    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 600), 3, 6, 3.0, 3.0), 3.0, 3.0)
+    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 599), 3, 6, 3.0, 3.0), 3.0, 3.0)
     assert rep.iterations > 5
     assert len(levels) == 2  # the fine level starts from the kept pieces of a scored field
     assert q_err[0] < 1e-13
@@ -345,7 +346,7 @@ def test_flow_gradient_uses_the_pieces_of_its_own_iterate(monkeypatch):
 
 
 def test_minimizer_carries_no_stale_coefficients():
-    grid = LineGrid(18.0, 600)
+    grid = LineGrid(18.0, 599)
     rep = minimize_quotient(perturbed_start(grid, 3, 6, 3.0, 3.0), 3.0, 3.0)
     assert rep.minimizer._sine is None and rep.minimizer._kept is None
     rep.minimizer.data[:, 1] += 0.3 * rep.minimizer.data[:, 0]
@@ -385,7 +386,7 @@ def test_minimize_multistart_finds_broken_branch_from_radial():
 
 
 def test_minimize_monotone_in_lambda_and_dominated_by_radial():
-    grid = LineGrid(18.0, 900)
+    grid = LineGrid(18.0, 899)
     prev = math.inf
     for lam in (0.5, 1.0, 2.0, 3.0):
         rep = minimize_quotient(perturbed_start(grid, 3, 6, lam, 3.0), lam, 3.0)
@@ -396,7 +397,7 @@ def test_minimize_monotone_in_lambda_and_dominated_by_radial():
 
 
 def test_minimize_lmax_zero_reduces_to_radial_problem():
-    grid = LineGrid(18.0, 900)
+    grid = LineGrid(18.0, 899)
     rep = minimize_quotient(extremal_field(grid, 3, 0, 1.0, 3.0), 1.0, 3.0)
     assert rep.constant == pytest.approx(radial_interp_coefficient(1.0, 3.0), rel=1e-6)
     assert rep.angular_fraction == 0.0
@@ -424,7 +425,7 @@ def test_flow_resolves_the_flat_degree_one_mode_in_the_strip():
     # Lambda between lambda_sym and lambda_fs: the degree-1 mode is nearly
     # flat, where preconditioned steepest descent took 143 iterations and
     # stopped at an angular fraction of 9e-7
-    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 600), 3, 6, 1.55, 3.0), 1.55, 3.0)
+    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 599), 3, 6, 1.55, 3.0), 1.55, 3.0)
     assert rep.converged
     assert rep.iterations <= 40
     assert rep.angular_fraction < 1e-8
@@ -441,12 +442,12 @@ def test_flow_stops_on_a_sub_ulp_armijo_target(monkeypatch):
     assert len(levels) == 2
     assert [trials for _, trials in levels] == [0, 0]  # the line search of either level
     assert scored[0] == 2  # only the two fields the transfer compares
-    assert rep.quotient == 2.3175547229132385
+    assert rep.quotient == 2.3175547229132416
 
 
 def test_multistart_skips_the_duplicate_radial_start(monkeypatch):
     descents = count_calls(monkeypatch, "_descend")
-    start = extremal_field(LineGrid(18.0, 600), 3, 6, 3.0, 3.0)
+    start = extremal_field(LineGrid(18.0, 599), 3, 6, 3.0, 3.0)
     rep = minimize_quotient(start, 3.0, 3.0, opts=MinimizeOpts(multistart=True, max_iter=300))
     assert descents[0] == 3
     assert rep.quotient < rayleigh(start, 3.0, 3.0)
@@ -460,7 +461,7 @@ def test_multistart_skips_the_duplicate_radial_start(monkeypatch):
     theta=st.sampled_from([1.0, 0.9]),
 )
 def test_flow_descends_and_reports_the_gradient_of_its_last_iterate(N, p, Lambda, theta):
-    grid = LineGrid(18.0, 600)
+    grid = LineGrid(18.0, 599)
     start = perturbed_start(grid, N, 6, Lambda, p)
     values, grads = [], []  # values: one list per level
     real, real_level = cyl._value_and_grad, cyl._descend_single
@@ -484,7 +485,7 @@ def test_flow_descends_and_reports_the_gradient_of_its_last_iterate(N, p, Lambda
         assert all(b <= a for a, b in zip(qs, qs[1:]))
     assert rep.quotient == values[-1][-1]
     assert rep.quotient <= rayleigh(start, Lambda, p, theta)
-    sym = 1.0 / (cyl._stiffness(start) + Lambda)
+    sym = 1.0 / (cyl._stiffness(start)[::2] + Lambda)  # the flow's odd sine modes
     g = grads[-1]
     assert rep.grad_norm == pytest.approx(math.sqrt(grid.h * float((g * sym * g).sum())), rel=1e-12)
 
@@ -494,10 +495,10 @@ def test_flow_descends_and_reports_the_gradient_of_its_last_iterate(N, p, Lambda
 
 
 def test_coarse_grid_rule():
-    # n_c + 1 is the 5-smooth number nearest 10 S, at least 18
+    # n_c + 1 is the even 5-smooth number nearest 10 S, at least 18
     rule = [cyl._coarse_n(S, 1999) for S in (20.0, 18.0, 25.0, 9.336, 1.45, 0.01)]
     assert rule == [199, 179, 249, 95, 17, 17]
-    smooth = [2**i * 3**j * 5**k for i in range(13) for j in range(8) for k in range(6)]
+    smooth = [2**i * 3**j * 5**k for i in range(1, 13) for j in range(8) for k in range(6)]
     for S in np.linspace(2.0, 300.0, 300):
         m = cyl._coarse_n(S, 10**5) + 1
         assert m in smooth
@@ -507,7 +508,7 @@ def test_coarse_grid_rule():
         assert n + 1 < cyl._MIN_FINE_OVER_COARSE * (cyl._coarse_n(S, n) + 1)
 
 
-@pytest.mark.parametrize("n,levels", [(598, 1), (599, 2)])
+@pytest.mark.parametrize("n,levels", [(597, 1), (599, 2)])
 def test_two_levels_start_at_three_times_the_coarse_modes(monkeypatch, n, levels):
     # at S = 20, n_c + 1 = 200: two levels from n + 1 = 600 on
     assert cyl._MIN_FINE_OVER_COARSE == 3.0
@@ -520,7 +521,7 @@ def test_max_iter_is_the_budget_of_both_levels(monkeypatch):
     # the coarse level spends the whole budget: the fine one takes none and
     # reports its start, not converged
     levels = level_recorder(monkeypatch, lambda: 0)
-    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 600), 3, 6, 3.0, 3.0), 3.0, 3.0,
+    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 599), 3, 6, 3.0, 3.0), 3.0, 3.0,
                             opts=MinimizeOpts(max_iter=5))
     assert [lv.iterations for lv, _ in levels] == [5, 0]
     assert rep.iterations == 5 and not rep.converged
@@ -538,14 +539,28 @@ def test_prolong_then_restrict_is_the_identity():
 def test_prolongation_is_interpolation_and_keeps_mass_and_s_energy():
     # the fine grid n = 2 n_c + 1 holds every coarse node: the zero-padded
     # interpolant takes the coarse values there, and Parseval keeps the
-    # per-degree mass and s-energy
+    # per-degree mass and s-energy (half fields: 100 and 200 odd modes)
     rng = np.random.default_rng(6)
-    coarse = CylField(LineGrid(20.0, 199), 3, rng.standard_normal((199, 5)))
-    c = _dst(coarse.data)
-    fine = CylField(LineGrid(20.0, 399), 3, _dst(cyl._transfer(c, 399)))
+    coarse = CylField(LineGrid(20.0, 199), 3, rng.standard_normal((100, 5)), half=True)
+    c = cyl._sine_of(coarse.data, True)
+    fine = CylField(LineGrid(20.0, 399), 3, cyl._half_nodes(cyl._transfer(c, 200)), half=True)
     np.testing.assert_allclose(fine.data[1::2], coarse.data, rtol=0, atol=1e-13)
     for a, b in zip(cyl._ledger(fine)[:2], cyl._ledger(coarse)[:2]):
         np.testing.assert_allclose(a, b, rtol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(9, 1500), L_max=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_half_transforms_are_the_odd_modes_of_the_mirrored_field(rows, L_max, seed):
+    # a half field holds rows 1..M of an s-even field on n = 2 M - 1 nodes,
+    # s = 0 last: its DST-III modes are the odd-index DST-I coefficients of
+    # the mirrored field (the even-index ones vanish), and the DST-II maps back
+    half = np.random.default_rng(seed).standard_normal((rows, L_max + 1))
+    c = _dst(np.concatenate([half, half[-2::-1]]))
+    scale = float(np.abs(c).max())
+    assert float(np.abs(cyl._sine_of(half, True) - c[::2]).max()) <= 1e-13 * scale
+    assert float(np.abs(c[1::2]).max()) <= 1e-13 * scale
+    assert float(np.abs(cyl._half_nodes(c[::2]) - half).max()) <= 1e-13 * float(np.abs(half).max())
 
 
 @settings(max_examples=20, deadline=None)
@@ -556,11 +571,11 @@ def test_prolongation_is_interpolation_and_keeps_mass_and_s_energy():
     theta=st.sampled_from([1.0, 0.9]),
 )
 def test_two_level_descent_matches_the_single_level_one(N, p, Lambda, theta):
-    grid = LineGrid(18.0, 600)
+    grid = LineGrid(18.0, 599)
     start = perturbed_start(grid, N, 6, Lambda, p)
     opts = MinimizeOpts(max_iter=300)
     two = minimize_quotient(start, Lambda, p, theta, opts)
-    one = cyl._descend_single(start, Lambda, p, theta, opts)
+    one = cyl._descend_single(cyl._even(start), Lambda, p, theta, opts)
     assert two.quotient == pytest.approx(one.quotient, rel=1e-8, abs=0)
     assert two.broken == one.broken
     assert two.quotient <= rayleigh(start, Lambda, p, theta)
@@ -570,15 +585,15 @@ def test_the_fine_level_starts_from_the_start_when_the_transfer_scores_above_it(
     # a coarse level that returns a poor field: the fine level runs from the
     # start itself, exactly as the single-level descent does (the sub-ulp
     # saddle above meets the same guard on its own)
-    grid = LineGrid(18.0, 600)
+    grid = LineGrid(18.0, 599)
     start = perturbed_start(grid, 3, 6, 3.0, 3.0)
-    one = cyl._descend_single(start, 3.0, 3.0, 1.0, MinimizeOpts())
+    one = cyl._descend_single(cyl._even(start), 3.0, 3.0, 1.0, MinimizeOpts())
     real = cyl._descend_single
 
     def spoiled(u, *args):
         rep = real(u, *args)
-        if u.grid.n < grid.n:
-            rep.minimizer.data[:, 2] += 3.0 * rep.minimizer.data[:, 0]
+        if u.grid.n < grid.n:  # the levels hand over sine modes
+            rep.minimizer._sine[:, 2] += 3.0 * rep.minimizer._sine[:, 0]
         return rep
 
     monkeypatch.setattr(cyl, "_descend_single", spoiled)
@@ -586,7 +601,7 @@ def test_the_fine_level_starts_from_the_start_when_the_transfer_scores_above_it(
     assert rep.quotient <= rayleigh(start, 3.0, 3.0)
     assert (rep.quotient, rep.grad_norm) == (one.quotient, one.grad_norm)
     assert rep.iterations > one.iterations
-    assert np.array_equal(rep.minimizer.data, one.minimizer.data)
+    assert np.array_equal(rep.minimizer.data[: len(one.minimizer.data)], one.minimizer.data)
 
 
 def test_a_grid_below_the_coarse_threshold_keeps_the_single_level_descent(monkeypatch):
@@ -595,16 +610,16 @@ def test_a_grid_below_the_coarse_threshold_keeps_the_single_level_descent(monkey
     levels = level_recorder(monkeypatch, lambda: 0)
     rep = minimize_quotient(start, 3.0, 3.0)
     assert len(levels) == 1
-    assert (rep.quotient, rep.iterations, rep.grad_norm) == (4.38685979847107, 13, 2.3445274330310735e-06)
+    assert (rep.quotient, rep.iterations, rep.grad_norm) == (4.386859798471069, 13, 2.3445274329101184e-06)
     monkeypatch.undo()
-    one = cyl._descend_single(start, 3.0, 3.0, 1.0, MinimizeOpts())
+    one = cyl._descend_single(cyl._even(start), 3.0, 3.0, 1.0, MinimizeOpts())
     assert rep.to_dict() == one.to_dict()
-    assert np.array_equal(rep.minimizer.data, one.minimizer.data)
+    assert np.array_equal(rep.minimizer.data[: len(one.minimizer.data)], one.minimizer.data)
 
 
 @pytest.mark.parametrize("Lambda,theta,multistart,pinned", [
-    (1.2, 0.9, False, (2.164993450842051, 12, 1.49659707101401e-05)),
-    (3.0, 1.0, True, (4.3868597984663555, 14, 1.1241659078896426e-06)),
+    (1.2, 0.9, False, (2.1649934508420516, 12, 1.496597071047643e-05)),
+    (3.0, 1.0, True, (4.386859798466357, 14, 1.1241659073950713e-06)),
 ])
 def test_two_level_descents_are_pinned(monkeypatch, Lambda, theta, multistart, pinned):
     # n + 1 = 900 >= 3 (n_c + 1) = 600 at S = 20: every start takes both levels
@@ -614,6 +629,39 @@ def test_two_level_descents_are_pinned(monkeypatch, Lambda, theta, multistart, p
     rep = minimize_quotient(start, Lambda, 3.0, theta, MinimizeOpts(multistart=multistart))
     assert len(levels) == 2 * (4 if multistart else 1)
     assert (rep.quotient, rep.iterations, rep.grad_norm) == pinned
+
+
+@pytest.mark.parametrize("reason,constants,max_iter", [
+    ("grad_tol", {"_GRAD_TOL": 1e3}, 4000),  # every gradient is below the bound
+    ("q_rel_tol", {"_Q_REL_TOL": 1.0}, 4000),  # every accepted step is small enough
+    ("sub_ulp", {"_ARMIJO": 1e-300}, 4000),  # every required decrease is below one ulp
+    ("line_search_stall", {"_ARMIJO": 1e6, "_MAX_BACKTRACKS": 2}, 4000),  # no trial decreases enough
+    ("max_iter", {}, 2),
+])
+def test_the_report_names_why_the_flow_stopped(monkeypatch, reason, constants, max_iter):
+    for name, value in constants.items():
+        monkeypatch.setattr(cyl, name, value)
+    start = perturbed_start(LineGrid(20.0, 299), 3, 6, 3.0, 3.0)  # one level
+    rep = minimize_quotient(start, 3.0, 3.0, opts=MinimizeOpts(max_iter=max_iter))
+    assert rep.reason == reason
+    assert rep.iterations == (2 if reason == "max_iter" else 1)
+    assert rep.converged == (reason != "max_iter")
+    assert list(rep.to_dict())[5:7] == ["converged", "reason"]
+
+
+def test_even_n_is_refused_before_any_solve(monkeypatch):
+    # the flow's fields are even in s, so its grid needs a node at s = 0
+    levels = level_recorder(monkeypatch, lambda: 0)
+    grid = LineGrid(18.0, 600)
+    calls = [
+        lambda: minimize_quotient(perturbed_start(grid, 3, 6, 3.0, 3.0), 3.0, 3.0),
+        lambda: sandwich_check(0.9, 0.9 * sandwich_lambda_bound(0.9, 3.0, 3), 3.0, 3, grid=grid, L_max=6),
+        lambda: eigenvalue_bound(2.0 * symmetric_mu_threshold(2.5, 3.0, 3), 3.0, 3, grid=LineGrid(18.0, 700)),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="odd n"):
+            call()
+    assert levels == []
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +936,7 @@ def test_eigenvalue_bound_solves_each_lambda_once(monkeypatch):
     monkeypatch.setattr(cyl, "minimize_quotient", recording)
     mu = 2.0 * symmetric_mu_threshold(2.5, 3.0, 3)  # linear law at 2 lambda_sym, past lambda_fs
     assert radial_interp_coefficient(1.0, 3.0) ** 1.2 * mu > lambda_fs(3.0, 3)
-    eigenvalue_bound(mu, 3.0, 3, grid=LineGrid(18.0, 700), L_max=5)
+    eigenvalue_bound(mu, 3.0, 3, grid=LineGrid(18.0, 699), L_max=5)
     assert len(solved) >= 3  # the bracket and at least one interior brentq step
     assert len(solved) == len(set(solved))
 
@@ -980,7 +1028,7 @@ def test_eigenvalue_bound_numeric_branch():
     # radial one, so the bound lies at or above the linear law, and close to it
     slope = radial_interp_coefficient(1.0, 3.0) ** (6.0 / 5.0)
     mu = 1.1 * symmetric_mu_threshold(2.5, 3.0, 3)
-    lam = eigenvalue_bound(mu, 3.0, 3, grid=LineGrid(18.0, 700), L_max=5)
+    lam = eigenvalue_bound(mu, 3.0, 3, grid=LineGrid(18.0, 699), L_max=5)
     assert slope * mu <= lam <= slope * mu * (1 + 5e-3)
     assert lam > lambda_sym(3.0, 3)
 
@@ -1042,11 +1090,25 @@ def test_sandwich_condition_violation():
             sandwich_check(theta, Lambda, 3.0, 3)
 
 
+def test_sandwich_refuses_an_empty_window_before_the_solve(monkeypatch):
+    # at N = 2, a_c^2 = 0 and sandwich_lambda_bound <= 0 for every theta up
+    # to 3(p - 2)/(2p): the window is empty, whatever Lambda is given
+    solves = count_calls(monkeypatch, "minimize_quotient")
+    for p in (2.5, 3.0, 4.0):
+        tmin, tmax = theta_min(p, 2), 3 * (p - 2) / (2 * p)
+        for theta in np.linspace(tmin, tmax, 7)[1:]:
+            assert sandwich_lambda_bound(theta, p, 2) <= 0.0
+            for Lambda in (0.5, sandwich_lambda_bound(theta, p, 2)):
+                with pytest.raises(DomainError, match="window .* is empty"):
+                    sandwich_check(theta, Lambda, p, 2)
+    assert solves[0] == 0
+
+
 def test_sandwich_limit_case_flag():
     # at theta = theta_min(3, 3) = 1/2 the admissible window is empty
     # ((2 theta - 3) p + 6 = 0); the check still runs and flags the report
     assert sandwich_lambda_bound(0.5, 3.0, 3) == pytest.approx(0.0, abs=1e-14)
-    rep = sandwich_check(0.5, 1.0, 3.0, 3, grid=LineGrid(18.0, 900), L_max=6)
+    rep = sandwich_check(0.5, 1.0, 3.0, 3, grid=LineGrid(18.0, 899), L_max=6)
     assert rep.limit_case
     assert rep.q == math.inf
     assert rep.gamma_theta == pytest.approx(1.0, abs=1e-14)
