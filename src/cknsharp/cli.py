@@ -114,7 +114,7 @@ def _constants_rows(args):
         row("q", q)
         row("c_lt", cf.lt_constant(gamma))
     except DomainError:
-        pass  # chain exponents degenerate at the critical p; table continues
+        pass  # no chain exponents where gamma <= 1: theta <= 3(p - 2)/(2p), or p >= 6 at theta = 1; table continues
     pc = cf.profile_constants(lam, p, theta)
     row("eta", pc.eta)
     row("amplitude_A", pc.A)

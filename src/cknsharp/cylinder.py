@@ -33,7 +33,7 @@ import math
 import threading
 from collections import deque
 from functools import lru_cache
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,13 +100,7 @@ class CylField:
     grid: LineGrid
     N: int
     data: np.ndarray
-    half: bool = False  # the flow's fields: even in s, rows 1..(n+1)/2 of the grid (s <= 0, s = 0 last)
-    # _sine_of(data), carried only by the flow's own iterates and line-search
-    # trials, which also keep their (p, _pieces) from the first evaluation;
-    # a field handed to a caller holds neither, so editing data cannot leave
-    # them stale
-    _sine: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    half = False  # a class attribute, not a field: True only for the flow's _Even
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -132,7 +126,7 @@ class CylField:
         return cls(grid, N, values @ (quad_.weights[:, None] * B))
 
     def copy(self) -> "CylField":
-        return CylField(self.grid, self.N, self.data.copy(), self.half)
+        return CylField(self.grid, self.N, self.data.copy())
 
 
 def radial_field(grid: LineGrid, N: int, L_max: int, profile) -> CylField:
@@ -189,9 +183,9 @@ def _stiffness(u: CylField) -> np.ndarray:
 
 def _ledger(u: CylField):
     """(mass, senergy, c): per-degree squared L2 norm and Dirichlet energy in
-    s of the sine interpolant, and its sine coefficients c (_sine_of), which
-    cost one transform unless u carries them."""
-    c = _sine_of(u.data, u.half) if u._sine is None else u._sine
+    s of the sine interpolant, and its sine coefficients c: one DST-I, or
+    the odd modes an _Even holds."""
+    c = u.c if u.half else _dst(u.data)
     mass = u.grid.h * (_weights(len(u.data), u.half) * u.data**2).sum(axis=0)
     senergy = u.grid.h * (_omega2(u.grid, u.half) @ c**2)
     return mass, senergy, c
@@ -242,20 +236,20 @@ def _pieces(u: CylField, p: float):
     zonal coefficients of |u|^(p-2) u (see _nodal_stage) and c the sine
     coefficients.  A zero field (M = 0 or P = 0) raises DomainError.
 
-    A flow field (one carrying _sine) keeps its pieces, keyed on p: the line
-    search scores normalized trials, so the gradient at the accepted one
-    reuses them and takes no second power.
+    An _Even keeps its pieces (one flow, one p): the line search scores
+    normalized trials, so the gradient at the accepted one reuses them and
+    takes no second power.
     """
-    if u._kept is not None and u._kept[0] == p:
-        return u._kept[1]
+    if u.half and u._pieces is not None:
+        return u._pieces
     mass, senergy, c = _ledger(u)
     E = float(senergy.sum() + (_angular_eigs(u.N, u.L_max) * mass).sum())
     M = float(mass.sum())
     pieces = (E, M, *_nodal_stage(u, p), c)
     if M == 0.0 or pieces[2] == 0.0:
         raise DomainError("zero field")
-    if u._sine is not None:
-        u._kept = (p, pieces)
+    if u.half:
+        u._pieces = pieces
     return pieces
 
 
@@ -279,12 +273,12 @@ def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
 
 def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float, KL: np.ndarray):
     """Quotient value and its gradient w.r.t. the sine coefficients of u
-    (_sine_of), in the h-weighted (functional) scaling.
+    (see _ledger), in the h-weighted (functional) scaling.
 
     The quadratic terms are diagonal in the sine x zonal basis, with diagonal
     KL = _stiffness(u) + Lambda; only the p-th power term needs a transform
-    (one DST when u carries its coefficients, two otherwise).  A scored flow
-    field keeps its pieces: no nodal evaluation.
+    (one DST for an _Even, two otherwise).  A scored _Even keeps its pieces:
+    no nodal evaluation.
     """
     E, M, P, nl, c = _pieces(u, p)
     # functional gradients (plain coefficient gradient divided by h), built
@@ -326,7 +320,8 @@ class MinimizeOpts:
 
 @dataclass
 class MinimizeReport(_Report):
-    """Outcome of a quotient minimization; reason names the last descent's stop (see minimize_quotient)."""
+    """Outcome of a quotient minimization: every field describes the winning start, reason its
+    stop (see minimize_quotient) and iterations both of its levels."""
 
     constant: float
     quotient: float
@@ -387,37 +382,39 @@ def _lbfgs_direction(g, sym, pairs):
     return q
 
 
-def _unit(u: CylField) -> CylField:
-    """u, which carries its sine coefficients, scaled in place to unit mass (by Parseval)."""
-    norm = math.sqrt(u.grid.h * float(np.vdot(u._sine, u._sine)))
-    if norm == 0.0:
-        raise DomainError("zero field")
-    u.data /= norm
-    u._sine /= norm
-    return u
+class _Even(CylField):
+    """The flow's field, even in s: its rows 1..(n+1)/2 of the grid (s <= 0, s = 0
+    last) and its odd sine modes c.  Built from either (one transform makes the
+    other) or both, which it takes over, not copies, and scales to unit mass
+    (Parseval).  It keeps its _pieces: one flow, one p."""
+
+    half = True
+
+    def __init__(self, grid: LineGrid, N: int, values=None, c=None):
+        super().__init__(grid, N, _half_nodes(c) if values is None else values)
+        self.c = _sine_of(self.data, True) if c is None else c
+        norm = math.sqrt(grid.h * float(np.vdot(self.c, self.c)))
+        if norm == 0.0:
+            raise DomainError("zero field")
+        self.data /= norm
+        self.c /= norm
+        self._pieces = None
 
 
-def _flow_field(grid: LineGrid, N: int, values=None, c=None) -> CylField:
-    """The unit-mass half field on grid with the given values or odd sine modes c, carrying both."""
-    u = CylField(grid, N, _half_nodes(c) if values is None else values, half=True)
-    u._sine = _sine_of(u.data, True) if c is None else c
-    return _unit(u)
-
-
-def _even(u0: CylField) -> CylField:
+def _even(u0: CylField) -> _Even:
     """The flow field of a start u0: its even part in s."""
-    return _flow_field(u0.grid, u0.N, 0.5 * (u0.data + u0.data[::-1])[: (u0.grid.n + 1) // 2])
+    return _Even(u0.grid, u0.N, 0.5 * (u0.data + u0.data[::-1])[: (u0.grid.n + 1) // 2])
 
 
-def _descend_single(u: CylField, Lambda: float, p: float, theta: float, opts: MinimizeOpts) -> MinimizeReport:
-    """One L-BFGS descent on the grid of the flow field u; the minimizer is the last flow field."""
+def _descend_single(u: _Even, Lambda: float, p: float, theta: float, max_iter: int):
+    """One L-BFGS descent on the grid of u: (last field, Q, preconditioned gradient norm, iterations, reason)."""
     h = u.grid.h
     # gradient-energy preconditioner: the quotient Hessian is dominated by
     # the quadratic form, diagonal in the sine x zonal basis, so descending
     # along its inverse image removes the grid-induced stiffness.  It seeds
     # an L-BFGS direction built from the last _LBFGS_PAIRS steps, which
     # resolves the nearly flat degree-1 mode near the instability threshold.
-    # The flow carries u with its sine coefficients; direction, slope
+    # The flow's fields hold their sine coefficients; direction, slope
     # (Parseval) and trials are formed in that basis, so an iteration costs
     # one transform to map the direction to nodes and one in the next
     # gradient, and none per trial
@@ -426,7 +423,7 @@ def _descend_single(u: CylField, Lambda: float, p: float, theta: float, opts: Mi
 
     def gradient(u):
         Q, g = _value_and_grad(u, Lambda, p, theta, KL)
-        u._kept = None  # spent: nothing scores the iterate again
+        u._pieces = None  # spent: nothing scores the iterate again
         return Q, g, math.sqrt(h * float(np.einsum("ij,ij,ij->", g, sym, g)))
 
     Q, g, gnorm = gradient(u)
@@ -435,7 +432,7 @@ def _descend_single(u: CylField, Lambda: float, p: float, theta: float, opts: Mi
     t = _STEP0
     iters = 0
     reason = None  # the stop that ends the descent; None while max_iter lasts
-    while iters < opts.max_iter:
+    while iters < max_iter:
         iters += 1
         if gnorm < _GRAD_TOL:
             reason = "grad_tol"
@@ -461,12 +458,11 @@ def _descend_single(u: CylField, Lambda: float, p: float, theta: float, opts: Mi
                 # alone would decide acceptance
                 reason = "sub_ulp"
                 break
-            trial = CylField(u.grid, u.N, u.data - t * d, half=True)
-            trial._sine = u._sine - t * dc
             try:
                 # normalized before it is scored (the quotient is scale invariant),
                 # so the pieces rayleigh keeps are those the next gradient needs
-                Qnew = rayleigh(_unit(trial), Lambda, p, theta)
+                trial = _Even(u.grid, u.N, u.data - t * d, u.c - t * dc)
+                Qnew = rayleigh(trial, Lambda, p, theta)
             except (DomainError, FloatingPointError):
                 Qnew = math.inf
             if Qnew <= target:
@@ -477,7 +473,7 @@ def _descend_single(u: CylField, Lambda: float, p: float, theta: float, opts: Mi
         if reason:  # stalled at machine precision: counted as converged
             break
         rel = abs(Q - Qnew) / abs(Q)
-        s = trial._sine - u._sine
+        s = trial.c - u.c
         u = trial
         Q, g_new, gnorm = gradient(u)
         y = g_new - g
@@ -490,20 +486,7 @@ def _descend_single(u: CylField, Lambda: float, p: float, theta: float, opts: Mi
         if rel < _Q_REL_TOL:
             reason = "q_rel_tol"
             break
-    return MinimizeReport(
-        constant=1.0 / Q,
-        quotient=Q,
-        iterations=iters,
-        grad_norm=gnorm,
-        angular_fraction=_angular_fraction(u, Lambda),
-        converged=reason is not None,
-        reason=reason or "max_iter",
-        Lambda=Lambda,
-        p=p,
-        theta=theta,
-        N=u.N,
-        minimizer=u,
-    )
+    return u, Q, gnorm, iters, reason or "max_iter"
 
 
 def _coarse_n(S: float, n: int) -> int:
@@ -527,25 +510,25 @@ def _transfer(c: np.ndarray, rows: int) -> np.ndarray:
 _MIN_FINE_OVER_COARSE = 3.0
 
 
-def _descend(u0: CylField, Lambda: float, p: float, theta: float, opts: MinimizeOpts) -> MinimizeReport:
+def _descend(u0: CylField, Lambda: float, p: float, theta: float, max_iter: int):
     """One start, from its even part, in two levels on a fine enough grid (see minimize_quotient)."""
     u = _even(u0)
     n, n_c = u.grid.n, _coarse_n(u.grid.S, u.grid.n)
     if n + 1 < _MIN_FINE_OVER_COARSE * (n_c + 1):
-        return _descend_single(u, Lambda, p, theta, opts)
-    restricted = _flow_field(LineGrid(u.grid.S, n_c), u.N, c=_transfer(u._sine, (n_c + 1) // 2))
-    coarse = _descend_single(restricted, Lambda, p, theta, opts)
-    fine = _flow_field(u.grid, u.N, c=_transfer(coarse.minimizer._sine, len(u.data)))
+        return _descend_single(u, Lambda, p, theta, max_iter)
+    restricted = _Even(LineGrid(u.grid.S, n_c), u.N, c=_transfer(u.c, (n_c + 1) // 2))
+    coarse, _, _, spent, _ = _descend_single(restricted, Lambda, p, theta, max_iter)
+    fine = _Even(u.grid, u.N, c=_transfer(coarse.c, len(u.data)))
     # the fine level gets what the coarse one left of the max_iter budget
-    rest = replace(opts, max_iter=opts.max_iter - coarse.iterations)
-    rep = _descend_single(min(fine, u, key=lambda v: rayleigh(v, Lambda, p, theta)), Lambda, p, theta, rest)
-    return replace(rep, iterations=rep.iterations + coarse.iterations)
+    v, Q, gnorm, iters, reason = _descend_single(min(fine, u, key=lambda v: rayleigh(v, Lambda, p, theta)),
+                                                 Lambda, p, theta, max_iter - spent)
+    return v, Q, gnorm, iters + spent, reason
 
 
 def _starts(start: CylField, opts: MinimizeOpts):
     """The flow's starting fields, built one at a time: the start itself and,
-    with opts.multistart, its radial part (unless that is the start), a
-    degree-1 bump and a seeded random perturbation."""
+    with opts.multistart, its radial part and a degree-1 bump (each unless
+    it is the start) and a seeded random perturbation."""
     yield start
     if not opts.multistart:
         return
@@ -553,10 +536,10 @@ def _starts(start: CylField, opts: MinimizeOpts):
         radial = start.copy()
         radial.data[:, 1:] = 0.0
         yield radial
-    bump = start.copy()
-    if bump.L_max >= 1:
+    if start.L_max >= 1:
+        bump = start.copy()
         bump.data[:, 1] += 0.1 * np.abs(bump.data[:, 0])
-    yield bump
+        yield bump
     rng = np.random.default_rng(opts.seed)
     noisy = start.copy()
     noisy.data += 0.05 * float(np.abs(noisy.data).max()) * rng.standard_normal(noisy.data.shape)
@@ -590,20 +573,29 @@ def minimize_quotient(
     a grid with n + 1 < 3 (n_c + 1) takes one level.  max_iter is the
     budget of both levels, and iterations counts both.  With
     opts.multistart the flow is restarted from seeded perturbations of the
-    start (its radial part, an added degree-1 bump, a random perturbation)
+    start (its radial part, an added degree-1 bump if L_max >= 1, a random perturbation)
     as a guard against the non-convexity past the instability threshold,
     and the best run is returned; a start with no angular content is not
     run twice.  The minimizer is a full field, the flow's half mirrored.
     """
     _check_quotient_args(Lambda, p, theta)
     opts = opts or MinimizeOpts()
-    best = None
-    for s in _starts(start, opts):
-        rep = _descend(s, Lambda, p, theta, opts)
-        if best is None or rep.quotient < best.quotient:
-            best = rep
-    u = best.minimizer
-    return replace(best, minimizer=CylField(u.grid, u.N, np.concatenate([u.data, u.data[-2::-1]])))
+    runs = (_descend(s, Lambda, p, theta, opts.max_iter) for s in _starts(start, opts))
+    u, Q, gnorm, iters, reason = min(runs, key=lambda run: run[1])  # the first of the lowest Q
+    return MinimizeReport(
+        constant=1.0 / Q,
+        quotient=Q,
+        iterations=iters,
+        grad_norm=gnorm,
+        angular_fraction=_angular_fraction(u, Lambda),
+        converged=reason != "max_iter",
+        reason=reason,
+        Lambda=Lambda,
+        p=p,
+        theta=theta,
+        N=u.N,
+        minimizer=CylField(u.grid, u.N, np.concatenate([u.data, u.data[-2::-1]])),
+    )
 
 
 def el_residual(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:

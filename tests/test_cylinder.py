@@ -44,6 +44,7 @@ from cknsharp import (
     theta_min,
 )
 from cknsharp.cylinder import (
+    DEFAULT_GRID,
     _angular,
     _dst,
     _stiffness,
@@ -85,6 +86,17 @@ def test_nodal_coefficient_round_trip():
     np.testing.assert_allclose(back.data, u.data, atol=1e-12)
 
 
+def test_a_cylinder_field_is_its_grid_N_and_data():
+    # the flow's even half fields are private: the public type takes no
+    # representation option and holds n rows (so does every minimizer, see
+    # test_minimizer_carries_no_stale_coefficients)
+    grid = LineGrid(18.0, 599)
+    with pytest.raises(TypeError):
+        CylField(grid, 3, np.ones((grid.n, 7)), half=True)
+    with pytest.raises(DomainError):
+        CylField(grid, 3, np.ones(((grid.n + 1) // 2, 7)))
+
+
 def one_shot_nodal_stage(u, p):
     """The nodal stage as one whole-grid expression, with P summed over the
     nodes: the reference for the blocked cyl._nodal_stage and its
@@ -119,18 +131,18 @@ def test_kept_pieces_do_not_alias_the_block_buffers():
     rng = np.random.default_rng(11)
 
     def scored(grid, N, L_max):
-        u = CylField(grid, N, rng.standard_normal((grid.n, L_max + 1)))
-        u._sine = _dst(u.data)  # a flow field: rayleigh keeps its pieces
+        u = cyl._Even(grid, N, rng.standard_normal(((grid.n + 1) // 2, L_max + 1)))  # rayleigh keeps its pieces
         rayleigh(u, 1.0, 3.3)
         return u
 
-    a = scored(LineGrid(10.0, 3000), 3, 6)
-    P, nl = a._kept[1][2:4]
+    a = scored(LineGrid(10.0, 2999), 3, 6)
+    assert len(a.data) * len(_angular(3, 6)[0].weights) > cyl._BLOCK_VALUES  # more than one block
+    P, nl = a._pieces[2:4]
     nl_before = nl.copy()
     b = scored(LineGrid(12.0, 777), 2, 8)
-    assert a._kept[1][2] == P and a._kept[1][3] is nl
+    assert a._pieces[2] == P and a._pieces[3] is nl
     np.testing.assert_array_equal(nl, nl_before)
-    assert not np.shares_memory(nl, b._kept[1][3])
+    assert not np.shares_memory(nl, b._pieces[3])
 
 
 def test_nodal_stage_is_thread_safe():
@@ -220,10 +232,12 @@ def test_gradient_matches_finite_differences(theta):
         ) / (2 * eps)
         analytic = grid.h * float((g * _dst(d)).sum())  # g is in sine coefficients
         assert abs(fd - analytic) <= 1e-6 * max(abs(fd), 1e-3)
-        # a field that carries its sine coefficients yields the same gradient
-        carried = CylField(grid, 3, u.data)
-        carried._sine = _dst(u.data)
-        np.testing.assert_allclose(_value_and_grad(carried, 1.0, 3.0, theta, _stiffness(u) + 1.0)[1], g, rtol=0,
+        # the flow's _Even, which holds its odd sine modes, yields the gradient
+        # of its mirrored full field at those modes
+        even = cyl._Even(LineGrid(12.0, 255), 3, u.data[:128].copy())
+        full = CylField(even.grid, 3, np.concatenate([even.data, even.data[-2::-1]]))
+        g = _value_and_grad(full, 1.0, 3.0, theta, _stiffness(full) + 1.0)[1]
+        np.testing.assert_allclose(_value_and_grad(even, 1.0, 3.0, theta, _stiffness(even) + 1.0)[1], g[::2], rtol=0,
                                    atol=1e-13 * np.abs(g).max())
 
 
@@ -253,15 +267,16 @@ def test_lbfgs_direction_is_the_bfgs_inverse_hessian_product(k):
 
 
 def level_recorder(monkeypatch, count):
-    """Wrap the single-level descent: the returned list gets one (report,
-    growth of count() during the level) pair per level run, in order."""
+    """Wrap the single-level descent: the returned list gets one (result,
+    growth of count() during the level) pair per level run, in order; a
+    result is (field, Q, gnorm, iterations, reason)."""
     levels, real = [], cyl._descend_single
 
     def wrapper(*args):
         before = count()
-        rep = real(*args)
-        levels.append((rep, count() - before))
-        return rep
+        run = real(*args)
+        levels.append((run, count() - before))
+        return run
 
     monkeypatch.setattr(cyl, "_descend_single", wrapper)
     return levels
@@ -287,9 +302,9 @@ def test_flow_makes_two_transforms_per_iteration_and_none_per_trial(monkeypatch,
     monkeypatch.setattr(cyl, "rayleigh", recording_rayleigh)
     rep = minimize_quotient(perturbed_start(LineGrid(18.0, 599), 3, 6, 3.0, 3.0), 3.0, 3.0, theta)
     assert rep.iterations > 5
-    assert len(levels) == 2 and rep.iterations == sum(lv.iterations for lv, _ in levels)
-    for lv, spent in levels:  # each level: two per iteration, plus its start
-        assert spent <= 2 * lv.iterations + 2
+    assert len(levels) == 2 and rep.iterations == sum(iters for (*_, iters, _), _ in levels)
+    for (*_, iters, _), spent in levels:  # each level: two per iteration, plus its start
+        assert spent <= 2 * iters + 2
     # the transfer costs four more: the fine start's coefficients, the
     # restricted start's nodes, the coarse minimizer's coefficients and the
     # prolonged field's nodes
@@ -331,7 +346,7 @@ def test_flow_gradient_uses_the_pieces_of_its_own_iterate(monkeypatch):
 
     def checked(u, *args):
         Q, g = real(u, *args)
-        Q_ref, g_ref = real(CylField(u.grid, u.N, u.data.copy(), u.half), *args)
+        Q_ref, g_ref = real(cyl._Even(u.grid, u.N, u.data.copy()), *args)
         q_err[0] = max(q_err[0], abs(Q - Q_ref) / Q_ref)
         g_err[0] = max(g_err[0], float(np.abs(g - g_ref).max()))
         return Q, g
@@ -348,7 +363,7 @@ def test_flow_gradient_uses_the_pieces_of_its_own_iterate(monkeypatch):
 def test_minimizer_carries_no_stale_coefficients():
     grid = LineGrid(18.0, 599)
     rep = minimize_quotient(perturbed_start(grid, 3, 6, 3.0, 3.0), 3.0, 3.0)
-    assert rep.minimizer._sine is None and rep.minimizer._kept is None
+    assert type(rep.minimizer) is CylField and rep.minimizer.data.shape == (grid.n, 7)
     rep.minimizer.data[:, 1] += 0.3 * rep.minimizer.data[:, 0]
     rep.minimizer.data *= 2.0
     fresh = CylField(grid, 3, rep.minimizer.data.copy())
@@ -453,6 +468,35 @@ def test_multistart_skips_the_duplicate_radial_start(monkeypatch):
     assert rep.quotient < rayleigh(start, 3.0, 3.0)
 
 
+def test_multistart_skips_the_duplicate_bump_without_degree_one(monkeypatch):
+    # at L_max = 0 there is no degree-1 bump to add: the start and the random
+    # perturbation are the only descents, and the start wins as before
+    descents = count_calls(monkeypatch, "_descend")
+    start = extremal_field(LineGrid(20.0, 999), 3, 0, 1.0, 3.0)
+    rep = minimize_quotient(start, 1.0, 3.0, opts=MinimizeOpts(multistart=True))
+    assert descents[0] == 2
+    assert rep.quotient == 1.9309787692112608
+
+
+def test_concurrent_flows_match_serial_ones():
+    # each flow keeps its state in its own fields and the nodal stage uses
+    # per-thread buffers, so flows in threads give the serial results bit for bit
+    starts = [(extremal_field(DEFAULT_GRID, 3, 6, lam, 3.0), lam) for lam in (1.0, 2.0, 3.0)]
+    opts = MinimizeOpts(multistart=True)
+    serial = [minimize_quotient(u, lam, 3.0, opts=opts) for u, lam in starts]
+    barrier = threading.Barrier(len(starts))
+
+    def solve(k):
+        barrier.wait(timeout=60)
+        return minimize_quotient(starts[k][0], starts[k][1], 3.0, opts=opts)
+
+    with ThreadPoolExecutor(len(starts)) as pool:
+        threaded = list(pool.map(solve, range(len(starts)), timeout=300))
+    for a, b in zip(serial, threaded):
+        assert a.to_dict() == b.to_dict()
+        assert a.minimizer.data.tobytes() == b.minimizer.data.tobytes()
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     N=st.sampled_from([2, 3]),
@@ -514,7 +558,7 @@ def test_two_levels_start_at_three_times_the_coarse_modes(monkeypatch, n, levels
     assert cyl._MIN_FINE_OVER_COARSE == 3.0
     ran = level_recorder(monkeypatch, lambda: 0)
     minimize_quotient(perturbed_start(LineGrid(20.0, n), 3, 6, 3.0, 3.0), 3.0, 3.0, opts=MinimizeOpts(max_iter=2))
-    assert [rep.minimizer.grid.n for rep, _ in ran] == [199, n][2 - levels:]
+    assert [u.grid.n for (u, *_), _ in ran] == [199, n][2 - levels:]
 
 
 def test_max_iter_is_the_budget_of_both_levels(monkeypatch):
@@ -523,7 +567,7 @@ def test_max_iter_is_the_budget_of_both_levels(monkeypatch):
     levels = level_recorder(monkeypatch, lambda: 0)
     rep = minimize_quotient(perturbed_start(LineGrid(18.0, 599), 3, 6, 3.0, 3.0), 3.0, 3.0,
                             opts=MinimizeOpts(max_iter=5))
-    assert [lv.iterations for lv, _ in levels] == [5, 0]
+    assert [iters for (*_, iters, _), _ in levels] == [5, 0]
     assert rep.iterations == 5 and not rep.converged
 
 
@@ -540,11 +584,12 @@ def test_prolongation_is_interpolation_and_keeps_mass_and_s_energy():
     # the fine grid n = 2 n_c + 1 holds every coarse node: the zero-padded
     # interpolant takes the coarse values there, and Parseval keeps the
     # per-degree mass and s-energy (half fields: 100 and 200 odd modes)
-    rng = np.random.default_rng(6)
-    coarse = CylField(LineGrid(20.0, 199), 3, rng.standard_normal((100, 5)), half=True)
+    values = np.random.default_rng(6).standard_normal((100, 5))
+    coarse = cyl._Even(LineGrid(20.0, 199), 3, values.copy())
+    norm = values[0, 0] / coarse.data[0, 0]  # the values are compared at their own scale, not at unit mass
     c = cyl._sine_of(coarse.data, True)
-    fine = CylField(LineGrid(20.0, 399), 3, cyl._half_nodes(cyl._transfer(c, 200)), half=True)
-    np.testing.assert_allclose(fine.data[1::2], coarse.data, rtol=0, atol=1e-13)
+    fine = cyl._Even(LineGrid(20.0, 399), 3, c=cyl._transfer(c, 200))
+    np.testing.assert_allclose(norm * fine.data[1::2], values, rtol=0, atol=1e-13)
     for a, b in zip(cyl._ledger(fine)[:2], cyl._ledger(coarse)[:2]):
         np.testing.assert_allclose(a, b, rtol=1e-13)
 
@@ -575,9 +620,9 @@ def test_two_level_descent_matches_the_single_level_one(N, p, Lambda, theta):
     start = perturbed_start(grid, N, 6, Lambda, p)
     opts = MinimizeOpts(max_iter=300)
     two = minimize_quotient(start, Lambda, p, theta, opts)
-    one = cyl._descend_single(cyl._even(start), Lambda, p, theta, opts)
-    assert two.quotient == pytest.approx(one.quotient, rel=1e-8, abs=0)
-    assert two.broken == one.broken
+    u, Q, *_ = cyl._descend_single(cyl._even(start), Lambda, p, theta, opts.max_iter)
+    assert two.quotient == pytest.approx(Q, rel=1e-8, abs=0)
+    assert two.broken == (cyl._angular_fraction(u, Lambda) > 1e-3)  # as MinimizeReport.broken
     assert two.quotient <= rayleigh(start, Lambda, p, theta)
 
 
@@ -587,21 +632,21 @@ def test_the_fine_level_starts_from_the_start_when_the_transfer_scores_above_it(
     # saddle above meets the same guard on its own)
     grid = LineGrid(18.0, 599)
     start = perturbed_start(grid, 3, 6, 3.0, 3.0)
-    one = cyl._descend_single(cyl._even(start), 3.0, 3.0, 1.0, MinimizeOpts())
+    one, Q, gnorm, iters, _ = cyl._descend_single(cyl._even(start), 3.0, 3.0, 1.0, MinimizeOpts().max_iter)
     real = cyl._descend_single
 
     def spoiled(u, *args):
-        rep = real(u, *args)
+        run = real(u, *args)
         if u.grid.n < grid.n:  # the levels hand over sine modes
-            rep.minimizer._sine[:, 2] += 3.0 * rep.minimizer._sine[:, 0]
-        return rep
+            run[0].c[:, 2] += 3.0 * run[0].c[:, 0]
+        return run
 
     monkeypatch.setattr(cyl, "_descend_single", spoiled)
     rep = minimize_quotient(start, 3.0, 3.0)
     assert rep.quotient <= rayleigh(start, 3.0, 3.0)
-    assert (rep.quotient, rep.grad_norm) == (one.quotient, one.grad_norm)
-    assert rep.iterations > one.iterations
-    assert np.array_equal(rep.minimizer.data[: len(one.minimizer.data)], one.minimizer.data)
+    assert (rep.quotient, rep.grad_norm) == (Q, gnorm)
+    assert rep.iterations > iters
+    assert np.array_equal(rep.minimizer.data[: len(one.data)], one.data)
 
 
 def test_a_grid_below_the_coarse_threshold_keeps_the_single_level_descent(monkeypatch):
@@ -612,9 +657,10 @@ def test_a_grid_below_the_coarse_threshold_keeps_the_single_level_descent(monkey
     assert len(levels) == 1
     assert (rep.quotient, rep.iterations, rep.grad_norm) == (4.386859798471069, 13, 2.3445274329101184e-06)
     monkeypatch.undo()
-    one = cyl._descend_single(cyl._even(start), 3.0, 3.0, 1.0, MinimizeOpts())
-    assert rep.to_dict() == one.to_dict()
-    assert np.array_equal(rep.minimizer.data[: len(one.minimizer.data)], one.minimizer.data)
+    one, Q, gnorm, iters, reason = cyl._descend_single(cyl._even(start), 3.0, 3.0, 1.0, MinimizeOpts().max_iter)
+    assert (rep.quotient, rep.grad_norm, rep.iterations, rep.reason) == (Q, gnorm, iters, reason)
+    assert rep.angular_fraction == cyl._angular_fraction(one, 3.0)
+    assert np.array_equal(rep.minimizer.data[: len(one.data)], one.data)
 
 
 @pytest.mark.parametrize("Lambda,theta,multistart,pinned", [
