@@ -18,6 +18,10 @@ second-variation instability detector with its threshold bisection, the
 log-radial change of variables from Euclidean space, the spectral-bound
 equivalence, and the theta < 1 sandwich verification.
 
+The sine transforms (dst) and the root finder (brentq) need no SciPy: a DST of at most
+256 rows is a product with a cached sine matrix, a longer one a NumPy real FFT (Makhoul's
+reordering for types 2 and 3, IEEE TASSP 1980), and brentq is SciPy's C Brent solver ported.
+
 All angular integrals use the probability measure, so the radial benchmark
 is the interpolation-family constant radial_interp_constant; the
 surface-measure constant follows from the explicit sphere_area bridge.
@@ -54,9 +58,7 @@ from .errors import (
 from .params import ParamPoint, a_critical, chain_exponents, lambda_sym, theta_min, to_cylinder
 from .schrodinger import LineGrid, Potential1D, lowest_eigenpair
 
-dst = lazy("scipy.fft", "dst")
 CubicSpline = lazy("scipy.interpolate", "CubicSpline")
-brentq = lazy("scipy.optimize", "brentq")
 
 __all__ = [
     "CylField",
@@ -93,9 +95,10 @@ def _angular(N: int, L_max: int):
     return quad_, quad_.basis(L_max)
 
 
-@dataclass
+@dataclass(eq=False)
 class CylField:
-    """Field on R x S^(N-1): coefficients indexed (s-node, zonal degree)."""
+    """Field on R x S^(N-1): coefficients indexed (s-node, zonal degree).  Fields compare by
+    identity: arrays have no elementwise truth value."""
 
     grid: LineGrid
     N: int
@@ -149,6 +152,70 @@ def extremal_field(grid: LineGrid, N: int, L_max: int, Lambda: float, p: float, 
 def _omega2(grid: LineGrid, half: bool = False) -> np.ndarray:
     """Squared sine frequencies (odd-index ones if half), built once per grid; callers must not modify them."""
     return (np.arange(1, grid.n + 1, 1 + half) * math.pi / (2.0 * grid.S)) ** 2
+
+
+# up to this many rows a dst is a sine-matrix product, beyond it one real FFT: with 9 columns on one BLAS
+# thread both cost about 40 us at 250 rows for types 2 and 3; type 1's FFT is twice as long
+_DENSE_ROWS = 256
+
+
+@lru_cache(maxsize=16)
+def _sine_matrix(m: int, type: int) -> np.ndarray:
+    """Read-only matrix of dst on m rows: sines of integer multiples j of pi / q, j reduced mod 2 q."""
+    k = np.arange(1, m + 1)
+    if type == 1:  # sqrt(2 / (m + 1)) sin(pi k k' / (m + 1))
+        j, q, scale = np.outer(k, 2 * k), 2 * (m + 1), math.sqrt(2.0 / (m + 1))
+    else:  # 2 sin(pi k (2 k' - 1) / (2 m))
+        j, q, scale = np.outer(k, 2 * k - 1), 2 * m, 2.0
+    S = scale * np.sin(math.pi / q * (j % (2 * q)))
+    if type == 3:  # the transpose of type 2, its last column halved
+        S = S.T.copy()
+        S[:, -1] *= 0.5
+    S.flags.writeable = False
+    return S
+
+
+@lru_cache(maxsize=32)
+def _twiddle(m: int, cols: int, type: int) -> np.ndarray:
+    """Read-only Makhoul twiddle, 2 exp(-i pi k / 2m) (type 2) or exp(i pi k / 2m), k <= m // 2, in cols columns."""
+    w = (2.0 if type == 2 else 1.0) * np.exp((0.5j if type == 3 else -0.5j) * math.pi / m * np.arange(m // 2 + 1))
+    w = np.repeat(w[:, None], cols, axis=1)
+    w.flags.writeable = False
+    return w
+
+
+def dst(x, type: int, norm: str | None = None, axis: int = 0) -> np.ndarray:
+    """scipy.fft.dst along axis 0 of a 2-d x: type 1 with norm="ortho", or type 2 or 3 unnormalized.  Up to
+    _DENSE_ROWS rows, a product with the cached sine matrix; longer, one real FFT: of x zero-padded to
+    2 (m + 1) rows for type 1, of length m in Makhoul's reordering (IEEE TASSP 1980) for types 2, 3."""
+    if axis != 0 or (type, norm) not in ((1, "ortho"), (2, None), (3, None)):
+        raise ValueError(f"unsupported DST: type={type}, norm={norm!r}, axis={axis}")
+    x = np.asarray(x, dtype=float)
+    m = len(x)
+    if m <= _DENSE_ROWS:
+        return _sine_matrix(m, type) @ x
+    y = np.empty_like(x)
+    if type == 1:  # -Im of the DFT of (0, x, 0, ..., 0)
+        z = np.zeros((2 * (m + 1), x.shape[1]))
+        z[1 : m + 1] = x
+        np.multiply(np.fft.rfft(z, axis=0)[1 : m + 1].imag, -math.sqrt(2.0 / (m + 1)), out=y)
+    elif type == 2:  # the DCT-II of (-1)^j x_j read backwards; FFT of the even rows, then the odd ones reversed
+        v, h = np.empty_like(x), (m + 1) // 2
+        v[:h] = x[0::2]
+        np.negative(x[1::2][::-1], out=v[h:])
+        W = np.fft.rfft(v, axis=0)
+        W *= _twiddle(m, x.shape[1], 2)
+        y[::-1][: len(W)] = W.real
+        np.negative(W.imag[1:], out=y[: len(W) - 1])
+    else:  # the inverse: the DCT-III of x read backwards, with its odd rows negated
+        h = m // 2 + 1
+        Z = x[::-1][:h] + 0j
+        np.negative(x[: h - 1], out=Z.imag[1:])
+        Z *= _twiddle(m, x.shape[1], 3)
+        t = np.fft.irfft(Z, m, axis=0, norm="forward")
+        y[0::2] = t[: (m + 1) // 2]
+        np.negative(t[::-1][: m // 2], out=y[1::2])
+    return y
 
 
 def _dst(arr: np.ndarray) -> np.ndarray:
@@ -698,6 +765,53 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
 
 # ---------------------------------------------------------------------------
 # root inversion: fs_threshold and eigenvalue_bound
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * 2.0**-52, maxiter: int = 100) -> float:
+    """scipy.optimize.brentq, SciPy's C ported line for line (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 4): the same steps, so the same root, f calls and errors."""
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
 
 def _grown_root(f, lo, hi, grow, tries, sign_lo, fail, **tol) -> float | None:
     """Root of f in (lo, hi): hi grows by the factor ``grow`` (at most

@@ -546,6 +546,23 @@ def test_import_and_closed_form_commands_load_no_scipy(argv):
     assert _scipy_modules_in_fresh_process(argv) == set()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3"],
+    ["verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.9"],
+    ["verify", "chain", "--N", "3", "--p", "3", "--Lambda", "1"],
+], ids=["minimize", "sandwich", "chain"])
+def test_flow_and_chain_commands_load_no_scipy(argv):
+    # their sine transforms are NumPy's real FFT or a cached sine matrix
+    assert _scipy_modules_in_fresh_process(argv) == set()
+
+
+def test_verify_fs_loads_only_the_eigensolver():
+    # its root inversion is the package's own Brent port
+    loaded = _scipy_modules_in_fresh_process(["verify", "fs", "--p", "3", "--N", "3"])
+    assert "scipy.linalg" in loaded
+    assert not loaded & {"scipy.optimize", "scipy.fft", "scipy.integrate", "scipy.interpolate"}
+
+
 def test_verify_lt_loads_only_the_eigensolver():
     loaded = _scipy_modules_in_fresh_process(["verify", "lt", "--gamma", "2.5", "--n", "2000"])
     assert "scipy.linalg" in loaded
