@@ -556,14 +556,10 @@ def test_flow_and_chain_commands_load_no_scipy(argv):
     assert _scipy_modules_in_fresh_process(argv) == set()
 
 
-def test_verify_fs_loads_only_the_eigensolver():
-    # its root inversion is the package's own Brent port
-    loaded = _scipy_modules_in_fresh_process(["verify", "fs", "--p", "3", "--N", "3"])
-    assert "scipy.linalg" in loaded
-    assert not loaded & {"scipy.optimize", "scipy.fft", "scipy.integrate", "scipy.interpolate"}
-
-
-def test_verify_lt_loads_only_the_eigensolver():
-    loaded = _scipy_modules_in_fresh_process(["verify", "lt", "--gamma", "2.5", "--n", "2000"])
-    assert "scipy.linalg" in loaded
-    assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.interpolate", "scipy.fft"}
+@pytest.mark.parametrize("argv", [
+    ["verify", "fs", "--p", "3", "--N", "3"],
+    ["verify", "lt", "--gamma", "2.5", "--n", "2000"],
+], ids=["fs", "lt"])
+def test_eigensolver_commands_load_no_scipy(argv):
+    # the ground states are the package's own cyclic-reduction kernel; fs's root inversion its Brent port
+    assert _scipy_modules_in_fresh_process(argv) == set()

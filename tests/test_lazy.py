@@ -1,5 +1,6 @@
 """SciPy entry points bound at import time and imported on their first call,
-and the NumPy sine transforms and Brent root finder that replace SciPy's."""
+and the NumPy sine transforms, Brent root finder and ground-state eigensolver
+that replace SciPy's."""
 
 import importlib
 import math
@@ -11,10 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cknsharp import ParamPoint, cylinder, schrodinger
-from cknsharp.schrodinger import LineGrid
+from cknsharp import NumericsError, ParamPoint, cylinder, schrodinger
+from cknsharp.schrodinger import LineGrid, Potential1D
 
 
 def _pushforward():
@@ -26,9 +30,6 @@ BINDINGS = [
     # module, attribute, SciPy module, one fixed input, a public call that goes through the binding
     pytest.param(cylinder, "CubicSpline", "scipy.interpolate", ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0]), {},
                  _pushforward, id="cylinder.CubicSpline"),
-    pytest.param(schrodinger, "eigh_tridiagonal", "scipy.linalg", (np.full(4, 2.0), np.full(3, -1.0)), {},
-                 lambda: schrodinger.lowest_eigenpair(schrodinger.lt_equality_potential(LineGrid(10.0, 200), 1.5)),
-                 id="schrodinger.eigh_tridiagonal"),
 ]
 
 
@@ -70,13 +71,15 @@ def counted(monkeypatch, module, attr):
     return calls
 
 
-@pytest.mark.parametrize("attr, caller", [
-    ("dst", lambda: cylinder.rayleigh(cylinder.extremal_field(LineGrid(10.0, 64), 3, 2, 1.0, 3.0), 1.0, 3.0)),
-    ("brentq", lambda: cylinder.fs_threshold(3.0, 3)),
-], ids=["dst", "brentq"])
-def test_a_swapped_kernel_is_the_one_called(monkeypatch, attr, caller):
+@pytest.mark.parametrize("module, attr, caller", [
+    (cylinder, "dst", lambda: cylinder.rayleigh(cylinder.extremal_field(LineGrid(10.0, 64), 3, 2, 1.0, 3.0), 1.0, 3.0)),
+    (cylinder, "brentq", lambda: cylinder.fs_threshold(3.0, 3)),
+    (schrodinger, "eigh_tridiagonal",
+     lambda: schrodinger.lowest_eigenpair(schrodinger.lt_equality_potential(LineGrid(10.0, 200), 1.5))),
+], ids=["dst", "brentq", "eigh_tridiagonal"])
+def test_a_swapped_kernel_is_the_one_called(monkeypatch, module, attr, caller):
     # the benchmark's tracer counts these calls by swapping the module attribute
-    calls = counted(monkeypatch, cylinder, attr)
+    calls = counted(monkeypatch, module, attr)
     caller()
     assert calls
 
@@ -159,6 +162,108 @@ def test_brentq_raises_as_scipy_does():
                 solver(lambda x: (xs.append(x), f(x))[1], -4.0, 7.0, maxiter=maxiter)
             runs.append((str(exc.value), xs))
         assert runs[0] == runs[1]
+
+
+EPS = np.finfo(float).eps
+
+
+def _schrodinger_matrix(V):
+    """Diagonal, off-diagonal and infinity norm of the operator matrix of lowest_eigenpair."""
+    h = V.grid.h
+    d, e = 2.0 / h**2 - V.values, np.full(V.grid.n - 1, -1.0 / h**2)
+    return d, e, float(np.max(np.abs(d))) + 2.0 / h**2
+
+
+def _times(d, e, x):
+    """T x for the tridiagonal T with diagonal d and off-diagonal e."""
+    tx = d * x
+    tx[:-1] += e * x[1:]
+    tx[1:] += e * x[:-1]
+    return tx
+
+
+@st.composite
+def potentials(draw):
+    """Random finite non-negative samples, V = 0 (no bound state), sech^2 wells and narrow bumps."""
+    grid = LineGrid(draw(st.floats(1.0, 60.0)), draw(st.integers(16, 3000)))
+    s, kind = grid.nodes(), draw(st.sampled_from(["random", "zero", "sech2", "bumps"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return Potential1D(grid, rng.uniform(0.0, draw(st.floats(1e-3, 1e4)), grid.n))
+    if kind == "zero":
+        return Potential1D(grid, np.zeros(grid.n))
+    if kind == "sech2":
+        return schrodinger.sech_squared_potential(grid, draw(st.floats(1e-3, 1e3)), draw(st.floats(0.1, 10.0)),
+                                                  draw(st.floats(-grid.S, grid.S)))
+    v = np.zeros(grid.n)
+    for _ in range(draw(st.integers(1, 4))):  # a few nodes wide, up to 1e4 high
+        v += draw(st.floats(0.0, 1e4)) * np.exp(-(((s - draw(st.floats(-grid.S, grid.S))) / (3 * grid.h)) ** 2))
+    return Potential1D(grid, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(V=potentials())
+def test_eigh_tridiagonal_matches_scipy(V):
+    d, e, norm = _schrodinger_matrix(V)
+    (ref,), _ = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    w, vec = schrodinger.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    assert w.shape == (1,) and vec.shape == (V.grid.n, 1)
+    assert abs(w[0] - ref) <= 64 * EPS * norm
+    x = vec[:, 0]
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(_times(d, e, x) - w[0] * x) <= 64 * EPS * norm
+
+
+@pytest.mark.parametrize("V", [
+    schrodinger.lt_equality_potential(LineGrid(20.0, 8000), 2.5),
+    schrodinger.sech_squared_potential(LineGrid(25.0, 4000), 1e-3, 1.0),  # too shallow to bind in this box
+    Potential1D(LineGrid(20.0, 599), np.zeros(599)),
+], ids=["lt-well", "shallow", "free"])
+def test_the_pivots_count_the_eigenvalues_below_the_shift(V):
+    d, e, norm = _schrodinger_matrix(V)
+    (lam,), _ = schrodinger.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    delta = 64 * EPS * norm
+    assert schrodinger._reduce(d - (lam - delta), -e)[0] == 0
+    assert schrodinger._reduce(d - (lam + delta), -e)[0] >= 1
+    # the solve of the same elimination: (T - sigma I) x = f
+    f = np.linspace(1.0, 2.0, d.size)
+    count, x = schrodinger._reduce(d - (lam - 1.0), -e, f)
+    assert count == 0 and np.abs(_times(d - (lam - 1.0), e, x) - f).max() <= 1e-9 * np.abs(f).max()
+
+
+def test_eigh_tridiagonal_refuses_what_it_does_not_compute():
+    d, e = np.full(20, 2.0), np.full(19, -1.0)
+    for kwargs in ({}, {"select": "i", "select_range": (0, 1)}, {"select": "v", "select_range": (0.0, 1.0)}):
+        with pytest.raises(ValueError, match="unsupported eigh_tridiagonal"):
+            schrodinger.eigh_tridiagonal(d, e, **kwargs)
+
+
+def test_an_uncertified_eigenvalue_raises_numerics_error(monkeypatch):
+    reduce = schrodinger._reduce
+
+    def overcount(a, c, f=None):  # one eigenvalue more below every shift than there is: nothing is certified
+        count, x = reduce(a, c, f)
+        return count + 1, x
+
+    monkeypatch.setattr(schrodinger, "_reduce", overcount)
+    with pytest.raises(NumericsError, match="lies below the Rayleigh quotient"):
+        schrodinger.lowest_eigenpair(schrodinger.lt_equality_potential(LineGrid(20.0, 500), 2.5))
+
+
+def test_an_unconverged_iteration_raises_numerics_error(monkeypatch):
+    rayleigh = schrodinger._rayleigh
+    monkeypatch.setattr(schrodinger, "_rayleigh", lambda d, e, y: (*rayleigh(d, e, y)[:2], 1.0))
+    with pytest.raises(NumericsError, match="after 100 passes"):
+        schrodinger.lowest_eigenpair(schrodinger.lt_equality_potential(LineGrid(20.0, 500), 2.5))
+
+
+def test_a_failing_eigensolver_is_not_reported_as_bad_input(monkeypatch):
+    def missing(*args, **kwargs):
+        raise ImportError("No module named 'scipy.linalg'")
+
+    monkeypatch.setattr(schrodinger, "eigh_tridiagonal", missing)
+    with pytest.raises(ImportError):
+        schrodinger.lowest_eigenpair(schrodinger.lt_equality_potential(LineGrid(20.0, 500), 2.5))
 
 
 def test_pushforward_loads_scipy_interpolate_but_not_integrate():
