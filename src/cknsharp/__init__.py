@@ -1,8 +1,7 @@
 """Sharp constants, extremal profiles and symmetry diagnostics for weighted
 interpolation inequalities reformulated on the cylinder R x S^(N-1).
 
-Importing the package loads NumPy only; scipy.interpolate loads on the first
-call of emden_fowler_pushforward, the one function that needs SciPy.
+Importing the package loads NumPy only, and no function in it loads SciPy.
 """
 
 from .errors import DomainError, NotAchievedError, NumericsError

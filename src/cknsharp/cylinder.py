@@ -18,9 +18,10 @@ second-variation instability detector with its threshold bisection, the
 log-radial change of variables from Euclidean space, the spectral-bound
 equivalence, and the theta < 1 sandwich verification.
 
-The sine transforms (dst) and the root finder (brentq) need no SciPy: a DST of at most
-256 rows is a product with a cached sine matrix, a longer one a NumPy real FFT (Makhoul's
-reordering for types 2 and 3, IEEE TASSP 1980), and brentq is SciPy's C Brent solver ported.
+The sine transforms (dst), the root finder (brentq) and the natural cubic spline need no SciPy:
+a DST of at most 256 rows is a product with a cached sine matrix, a longer one a NumPy real FFT
+(Makhoul's reordering for types 2 and 3, IEEE TASSP 1980), brentq is SciPy's C Brent solver
+ported, and the spline takes its knot curvatures from the eigensolver's cyclic reduction.
 
 All angular integrals use the probability measure, so the radial benchmark
 is the interpolation-family constant radial_interp_constant; the
@@ -42,7 +43,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import sphere
-from ._lazy import lazy
 from .closed_forms import (
     extremal_potential,
     extremal_profile,
@@ -56,9 +56,7 @@ from .errors import (
     DomainError, NumericsError, check_Lambda, check_numeric_N, check_p, check_subcritical, check_theta_window
 )
 from .params import ParamPoint, a_critical, chain_exponents, lambda_sym, theta_min, to_cylinder
-from .schrodinger import LineGrid, Potential1D, lowest_eigenpair
-
-CubicSpline = lazy("scipy.interpolate", "CubicSpline")
+from .schrodinger import LineGrid, Potential1D, _reduce, lowest_eigenpair
 
 __all__ = [
     "CylField",
@@ -893,28 +891,55 @@ def quad(f, edges: np.ndarray) -> float:
     return float(half @ (f(x) @ weights))
 
 
+def _spline(s: np.ndarray, w: np.ndarray):
+    """The natural cubic spline through (s, w) and its derivative (de Boor, A Practical Guide to
+    Splines, ch. IV), as two functions that evaluate row k of their argument on the piece over
+    [s_k, s_(k+1)].  So each row must lie in its own knot interval, as :func:`quad`'s (len(s) - 1, 6)
+    nodes on the knots s do, and so do the logs of its nodes on their images e^s."""
+    h = np.diff(s)
+    slope = np.diff(w) / h
+    # knot curvatures: h_(i-1) M_(i-1) + 2 (h_(i-1) + h_i) M_i + h_i M_(i+1) = 6 (slope_i - slope_(i-1))
+    _, m = _reduce(2.0 * (h[:-1] + h[1:]), -h[1:-1], 6.0 * np.diff(slope))
+    m = np.concatenate(([0.0], m, [0.0]))
+    left, c0, c2 = s[:-1, None], w[:-1, None], 0.5 * m[:-1, None]
+    c1 = (slope - h * (2.0 * m[:-1] + m[1:]) / 6.0)[:, None]
+    c3 = (np.diff(m) / (6.0 * h))[:, None]
+
+    def W(t):
+        d = t - left
+        return c0 + d * (c1 + d * (c2 + d * c3))
+
+    def dW(t):
+        d = t - left
+        return c1 + d * (2.0 * c2 + 3.0 * c3 * d)
+
+    return W, dW
+
+
 def emden_fowler_pushforward(s_nodes: np.ndarray, w_values: np.ndarray, pt: ParamPoint):
     """Push a radial profile w(r), sampled on the log grid r = e^s, to the
     line: u(s) = e^((a_c - a) s) w(e^s).
 
     Returns (u_values, report); the report carries the relative mismatch of
     the weighted p-norm and gradient-norm identities.  Both sides of each
-    identity integrate the cubic-spline interpolant of the samples by
+    identity integrate the natural cubic-spline interpolant of the samples by
     :func:`quad`, independently: the s side on the knot intervals, the r side
-    with its nodes placed in r on their images [e^(s_i), e^(s_(i+1))].
+    with its nodes placed in r on their images [e^(s_i), e^(s_(i+1))].  So a
+    mismatch measures the quadrature and the exponent bookkeeping, not the spline.
     """
     s = np.asarray(s_nodes, dtype=float)
     w = np.asarray(w_values, dtype=float)
     if s.ndim != 1 or s.size < 16 or s.shape != w.shape:
         raise NumericsError("profile is undersampled or mis-shaped")
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(w))):
+        raise NumericsError("profile samples must be finite")
     if np.any(np.diff(s) <= 0):
         raise NumericsError("s grid must be strictly increasing")
     cp = to_cylinder(pt)
     sigma = a_critical(pt.N) - pt.a
     u = np.exp(sigma * s) * w
 
-    W = CubicSpline(s, w)
-    dW = W.derivative()
+    W, dW = _spline(s, w)
 
     # p-norm identity: int r^(N-1-bp) w^p dr = int u^p ds
     lhs_p = quad(lambda r: r ** (pt.N - 1 - pt.b * cp.p) * np.abs(W(np.log(r))) ** cp.p, np.exp(s))

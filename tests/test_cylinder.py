@@ -950,6 +950,17 @@ def test_emden_fowler_undersampled():
         emden_fowler_pushforward(s, np.exp(-(s**2)), pt)
 
 
+@pytest.mark.parametrize("array, value", [("w", math.nan), ("w", math.inf), ("s", math.nan)],
+                         ids=["nan-in-w", "inf-in-w", "nan-in-s"])
+def test_emden_fowler_refuses_non_finite_samples(array, value):
+    # np.diff(s) <= 0 is False on NaN, so the monotonicity check alone would let NaN through
+    s = np.linspace(-10.0, 10.0, 401)
+    samples = {"s": s, "w": np.exp(-(s**2))}
+    samples[array][200] = value
+    with pytest.raises(NumericsError, match="finite"):
+        emden_fowler_pushforward(samples["s"], samples["w"], ParamPoint(3, -0.5, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # spectral-bound equivalence
 

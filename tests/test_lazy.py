@@ -1,8 +1,9 @@
-"""SciPy entry points bound at import time and imported on their first call,
-and the NumPy sine transforms, Brent root finder and ground-state eigensolver
-that replace SciPy's."""
+"""The package's NumPy kernels against SciPy as an oracle: the sine transforms, the
+Brent root finder, the ground-state eigensolver and the natural cubic spline of the
+log-radial pushforward; that a kernel swapped from outside is the one called; and
+that nothing in the package loads SciPy."""
 
-import importlib
+import json
 import math
 import os
 import subprocess
@@ -12,51 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.interpolate
 import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cknsharp import NumericsError, ParamPoint, cylinder, schrodinger
+from cknsharp import NumericsError, cylinder, schrodinger
 from cknsharp.schrodinger import LineGrid, Potential1D
-
-
-def _pushforward():
-    s = np.linspace(-10.0, 10.0, 401)
-    cylinder.emden_fowler_pushforward(s, np.exp(-(s**2)), ParamPoint(3, -0.5, 0.0))
-
-
-BINDINGS = [
-    # module, attribute, SciPy module, one fixed input, a public call that goes through the binding
-    pytest.param(cylinder, "CubicSpline", "scipy.interpolate", ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0]), {},
-                 _pushforward, id="cylinder.CubicSpline"),
-]
-
-
-def _plain(result):
-    """Compare objects (a CubicSpline) by their attributes, values as they are."""
-    return vars(result) if hasattr(result, "__dict__") else result
-
-
-@pytest.mark.parametrize("module, attr, home, args, kwargs, caller", BINDINGS)
-def test_lazy_binding_returns_scipy_result_and_stays_swappable(monkeypatch, module, attr, home, args, kwargs,
-                                                               caller):
-    binding = getattr(module, attr)
-    scipy_fn = getattr(importlib.import_module(home), attr)
-    assert binding is not scipy_fn  # a stand-in: importing the module loads no SciPy
-    np.testing.assert_equal(_plain(binding(*args, **kwargs)), _plain(scipy_fn(*args, **kwargs)))
-    assert getattr(module, attr) is binding  # a call does not rebind the module attribute
-
-    calls = []
-
-    def counted(*a, **k):
-        calls.append(a)
-        return binding(*a, **k)
-
-    monkeypatch.setattr(module, attr, counted)
-    caller()
-    assert calls
-    assert getattr(module, attr) is counted
 
 
 def counted(monkeypatch, module, attr):
@@ -266,15 +230,30 @@ def test_a_failing_eigensolver_is_not_reported_as_bad_input(monkeypatch):
         schrodinger.lowest_eigenpair(schrodinger.lt_equality_potential(LineGrid(20.0, 500), 2.5))
 
 
-def test_pushforward_loads_scipy_interpolate_but_not_integrate():
-    # a new interpreter: in this one earlier tests have usually imported scipy.integrate
-    code = ("import sys, numpy as np\n"
-            "from cknsharp import ParamPoint, cylinder\n"
+@pytest.mark.parametrize("seed", range(5))
+def test_spline_matches_scipy_natural_spline(seed):
+    rng = np.random.default_rng(seed)
+    s = np.cumsum(rng.uniform(0.01, 0.3, 300))  # non-uniform knots
+    w = np.sin(s) + rng.standard_normal(s.size)
+    x = []
+    cylinder.quad(lambda t: x.append(t) or np.zeros_like(t), s)  # quad's (intervals, 6) nodes
+    W, dW = cylinder._spline(s, w)
+    ref = scipy.interpolate.CubicSpline(s, w, bc_type="natural")
+    tol = 1e-12 * np.abs(w).max()
+    assert np.abs(W(x[0]) - ref(x[0])).max() <= tol
+    assert np.abs(dW(x[0]) - ref(x[0], 1)).max() <= tol
+
+
+def test_no_module_of_the_package_loads_scipy():
+    # a new interpreter: in this one earlier tests have imported SciPy
+    code = ("import importlib, json, pkgutil, sys, numpy as np, cknsharp\n"
+            "for m in pkgutil.iter_modules(cknsharp.__path__):\n"
+            "    importlib.import_module('cknsharp.' + m.name)\n"
             "s = np.linspace(-10.0, 10.0, 401)\n"
-            "cylinder.emden_fowler_pushforward(s, np.exp(-(s**2)), ParamPoint(3, -0.5, 0.0))\n"
-            "print('scipy.interpolate' in sys.modules, 'scipy.integrate' in sys.modules)")
+            "cknsharp.emden_fowler_pushforward(s, np.exp(-(s**2)), cknsharp.ParamPoint(3, -0.5, 0.0))\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False"]
+    assert json.loads(proc.stdout) == []
