@@ -12,11 +12,11 @@ plain and interpolation inequalities, a limited-memory quasi-Newton
 Armijo backtracking, that runs in coefficient space (two transforms per
 iteration, none per line-search trial; one nodal power per trial, none per
 gradient, in two block buffers per thread, so flows may run in threads),
-first on a coarse sine grid of the same box and then on the requested one,
-the Euler-Lagrange residual, the five-step proof-chain slack evaluator, the
-second-variation instability detector with its threshold bisection, the
-log-radial change of variables from Euclidean space, the spectral-bound
-equivalence, and the theta < 1 sandwich verification.
+each start first on a coarse sine grid of the same box and only the best
+start then on the requested one, the Euler-Lagrange residual, the five-step
+proof-chain slack evaluator, the second-variation instability detector with
+its threshold bisection, the log-radial change of variables from Euclidean
+space, the spectral-bound equivalence, and the theta < 1 sandwich verification.
 
 The sine transforms (dst), the root finder (brentq) and the natural cubic spline need no SciPy:
 a DST of at most 256 rows is a product with a cached sine matrix, a longer one a NumPy real FFT
@@ -419,7 +419,7 @@ def _angular_fraction(u: CylField, Lambda: float) -> float:
 
 # L-BFGS memory: the number of (s, y) pairs the flow direction is built from
 _LBFGS_PAIRS = 3
-# the steepest-descent step, Armijo line search and stops of _descend (see minimize_quotient)
+# the steepest-descent step, Armijo line search and stops of _descend_single (see minimize_quotient)
 _STEP0 = 1.0
 _GROW = 1.3
 _ARMIJO = 1e-4
@@ -575,14 +575,21 @@ def _transfer(c: np.ndarray, rows: int) -> np.ndarray:
 _MIN_FINE_OVER_COARSE = 3.0
 
 
-def _descend(u0: CylField, Lambda: float, p: float, theta: float, max_iter: int):
-    """One start, from its even part, in two levels on a fine enough grid (see minimize_quotient)."""
+def _first_level(u0: CylField, Lambda: float, p: float, theta: float, max_iter: int):
+    """(u, run): the even part u of the start u0 and its coarse run, or its whole run
+    on a grid with n + 1 < 3 (n_c + 1), too coarse for two levels (see minimize_quotient)."""
     u = _even(u0)
     n, n_c = u.grid.n, _coarse_n(u.grid.S, u.grid.n)
-    if n + 1 < _MIN_FINE_OVER_COARSE * (n_c + 1):
-        return _descend_single(u, Lambda, p, theta, max_iter)
-    restricted = _Even(LineGrid(u.grid.S, n_c), u.N, c=_transfer(u.c, (n_c + 1) // 2))
-    coarse, _, _, spent, _ = _descend_single(restricted, Lambda, p, theta, max_iter)
+    one_level = n + 1 < _MIN_FINE_OVER_COARSE * (n_c + 1)
+    first = u if one_level else _Even(LineGrid(u.grid.S, n_c), u.N, c=_transfer(u.c, (n_c + 1) // 2))
+    return u, _descend_single(first, Lambda, p, theta, max_iter)
+
+
+def _second_level(u: _Even, run, Lambda: float, p: float, theta: float, max_iter: int):
+    """The fine descent after a first-level run from the even part u; a one-level run as it is."""
+    coarse, _, _, spent, _ = run
+    if coarse.grid == u.grid:
+        return run
     fine = _Even(u.grid, u.N, c=_transfer(coarse.c, len(u.data)))
     # the fine level gets what the coarse one left of the max_iter budget
     v, Q, gnorm, iters, reason = _descend_single(min(fine, u, key=lambda v: rayleigh(v, Lambda, p, theta)),
@@ -631,22 +638,28 @@ def minimize_quotient(
     one ulp of the quotient (sub_ulp), or max_iter runs out (max_iter, the
     one stop not counted as converged); these constants are fixed.  Each
     start is solved first on the coarse grid LineGrid(S, n_c), n_c + 1 the
-    even 5-smooth number nearest 10 S, then on the requested grid from the
-    zero-padded coarse minimizer, or from the start's even part if that
-    scores lower, so the result never scores above the start's even part
+    even 5-smooth number nearest 10 S, and the start with the lowest coarse
+    quotient (the first of equals) then on the requested grid from the
+    zero-padded coarse minimizer, or from its even part if that scores
+    lower, so the result never scores above the winning start's even part
     (which, translation being free, can score above an off-centre start);
-    a grid with n + 1 < 3 (n_c + 1) takes one level.  max_iter is the
-    budget of both levels, and iterations counts both.  With
-    opts.multistart the flow is restarted from seeded perturbations of the
-    start (its radial part, an added degree-1 bump if L_max >= 1, a random perturbation)
-    as a guard against the non-convexity past the instability threshold,
-    and the best run is returned; a start with no angular content is not
-    run twice.  The minimizer is a full field, the flow's half mirrored.
+    a grid with n + 1 < 3 (n_c + 1) takes one level, and the lowest quotient
+    wins.  max_iter is the budget of both levels, and iterations counts
+    both.  With opts.multistart the flow is restarted from seeded
+    perturbations of the start (its radial part, an added degree-1 bump if
+    L_max >= 1, a random perturbation) as a guard against the non-convexity
+    past the instability threshold; a start with no angular content is not
+    run twice.  Supercritical p and theta below theta_min(p, N) =
+    N(p - 2)/(2p) are refused.  The minimizer is a full field, the flow's
+    half mirrored.
     """
     _check_quotient_args(Lambda, p, theta)
+    check_subcritical(p, start.N)
+    check_theta_window(theta, theta_min(p, start.N))
     opts = opts or MinimizeOpts()
-    runs = (_descend(s, Lambda, p, theta, opts.max_iter) for s in _starts(start, opts))
-    u, Q, gnorm, iters, reason = min(runs, key=lambda run: run[1])  # the first of the lowest Q
+    firsts = (_first_level(s, Lambda, p, theta, opts.max_iter) for s in _starts(start, opts))
+    best = min(firsts, key=lambda first: first[1][1])  # the first of the lowest first-level Q
+    u, Q, gnorm, iters, reason = _second_level(*best, Lambda, p, theta, opts.max_iter)
     return MinimizeReport(
         constant=1.0 / Q,
         quotient=Q,
@@ -1005,7 +1018,8 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
 
     The inversion continues in Lambda: until a solve returns a broken
     minimizer (:attr:`MinimizeReport.broken`), each Lambda gets a cold
-    multistart from the radial extremal, the guard against missing the
+    multistart from the radial extremal (every start on the coarse grid,
+    the best one also on the fine grid), the guard against missing the
     broken branch at the first point past the instability threshold; after
     that, each Lambda gets one descent started from the broken minimizer of
     the nearest solved Lambda in |log Lambda|.  A radial result never seeds

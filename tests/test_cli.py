@@ -253,6 +253,8 @@ _REPROS = {
     ("verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--n", "2000"): (DomainError, "odd n"),
     # at N = 2 the window (a_c^2, sandwich_lambda_bound] is empty up to theta = 3(p - 2)/(2p), not only at theta_min
     ("verify", "sandwich", "--N", "2", "--p", "3", "--theta", "0.4"): (DomainError, "window (0.0, -0.0"),
+    # theta below theta_min(3, 3) = 1/2: the flow ran 359 iterations and passed
+    ("verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "1", "--theta", "0.2"): (DomainError, "theta=0.2 outside [0.5, 1]"),
 }
 
 

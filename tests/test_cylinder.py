@@ -223,6 +223,19 @@ def test_quotient_domain_rejects_non_finite_and_out_of_range(Lambda, p, theta):
         minimize_quotient(u, Lambda, p, theta)
 
 
+def test_minimize_refuses_theta_below_theta_min_before_the_solve(monkeypatch):
+    # theta_min(3, 3) = 1/2; past p = 6 at N = 3 (supercritical), theta_min > 1 and no theta is admissible
+    starts = count_calls(monkeypatch, "_first_level")
+    u = extremal_field(LineGrid(18.0, 599), 3, 4, 1.0, 3.0)
+    with pytest.raises(DomainError, match=r"theta=0.2 outside \[0.5, 1\]"):
+        minimize_quotient(u, 1.0, 3.0, 0.2)
+    with pytest.raises(DomainError, match="p=7.0 supercritical for N=3"):
+        minimize_quotient(u, 1.0, 7.0)
+    assert starts[0] == 0
+    minimize_quotient(u, 1.0, 3.0, 0.5, MinimizeOpts(max_iter=2))  # theta_min itself is admitted
+    assert starts[0] == 1
+
+
 # ---------------------------------------------------------------------------
 # gradient and flow
 
@@ -326,7 +339,7 @@ def test_flow_makes_two_transforms_per_iteration_and_none_per_trial(monkeypatch,
 
 @pytest.mark.parametrize("theta,multistart", [(1.0, False), (0.9, False), (1.0, True)])
 def test_flow_takes_one_nodal_power_per_trial_and_none_per_gradient(monkeypatch, theta, multistart):
-    counts = {"_nodal_stage": 0, "rayleigh": 0, "_descend": 0, "_descend_single": 0}
+    counts = {"_nodal_stage": 0, "rayleigh": 0, "_first_level": 0, "_second_level": 0, "_descend_single": 0}
 
     def counted(name):
         real = getattr(cyl, name)
@@ -342,12 +355,14 @@ def test_flow_takes_one_nodal_power_per_trial_and_none_per_gradient(monkeypatch,
     start = perturbed_start(LineGrid(18.0, 599), 3, 6, 3.0, 3.0)
     rep = minimize_quotient(start, 3.0, 3.0, theta, MinimizeOpts(multistart=multistart, max_iter=300))
     assert rep.iterations > 5
-    assert counts["_descend"] == (4 if multistart else 1)
-    assert counts["_descend_single"] == 2 * counts["_descend"]  # two levels per start
+    assert counts["_first_level"] == (4 if multistart else 1)
+    assert counts["_second_level"] == 1
+    # one coarse descent per start, one fine descent per call: the winning start's
+    assert counts["_descend_single"] == counts["_first_level"] + 1
     # every line-search trial, and each of the two fields the transfer
     # compares, is evaluated once; each start adds only its coarse start,
     # since the fine level begins from a compared field and keeps its pieces
-    assert counts["_nodal_stage"] == counts["rayleigh"] + counts["_descend"]
+    assert counts["_nodal_stage"] == counts["rayleigh"] + counts["_first_level"]
 
 
 def test_flow_gradient_uses_the_pieces_of_its_own_iterate(monkeypatch):
@@ -472,20 +487,20 @@ def test_flow_stops_on_a_sub_ulp_armijo_target(monkeypatch):
 
 
 def test_multistart_skips_the_duplicate_radial_start(monkeypatch):
-    descents = count_calls(monkeypatch, "_descend")
+    starts, polished = count_calls(monkeypatch, "_first_level"), count_calls(monkeypatch, "_second_level")
     start = extremal_field(LineGrid(18.0, 599), 3, 6, 3.0, 3.0)
     rep = minimize_quotient(start, 3.0, 3.0, opts=MinimizeOpts(multistart=True, max_iter=300))
-    assert descents[0] == 3
+    assert (starts[0], polished[0]) == (3, 1)
     assert rep.quotient < rayleigh(start, 3.0, 3.0)
 
 
 def test_multistart_skips_the_duplicate_bump_without_degree_one(monkeypatch):
     # at L_max = 0 there is no degree-1 bump to add: the start and the random
-    # perturbation are the only descents, and the start wins as before
-    descents = count_calls(monkeypatch, "_descend")
+    # perturbation are the only coarse descents, and the start wins as before
+    starts, polished = count_calls(monkeypatch, "_first_level"), count_calls(monkeypatch, "_second_level")
     start = extremal_field(LineGrid(20.0, 999), 3, 0, 1.0, 3.0)
     rep = minimize_quotient(start, 1.0, 3.0, opts=MinimizeOpts(multistart=True))
-    assert descents[0] == 2
+    assert (starts[0], polished[0]) == (2, 1)
     assert rep.quotient == 1.9309787692112608
 
 
@@ -679,13 +694,60 @@ def test_a_grid_below_the_coarse_threshold_keeps_the_single_level_descent(monkey
     (3.0, 1.0, True, (4.386859798466356, 14, 1.1241659073705126e-06)),
 ])
 def test_two_level_descents_are_pinned(monkeypatch, Lambda, theta, multistart, pinned):
-    # n + 1 = 900 >= 3 (n_c + 1) = 600 at S = 20: every start takes both levels
+    # n + 1 = 900 >= 3 (n_c + 1) = 600 at S = 20: every start takes the coarse
+    # level, and the winning start alone the fine one
     start = extremal_field(LineGrid(20.0, 899), 3, 6, Lambda, 3.0, theta)
     start.data[:, 1] = 0.1 * start.data[:, 0]
     levels = level_recorder(monkeypatch, lambda: 0)
     rep = minimize_quotient(start, Lambda, 3.0, theta, MinimizeOpts(multistart=multistart))
-    assert len(levels) == 2 * (4 if multistart else 1)
+    assert [u.grid.n for (u, *_), _ in levels] == [199] * (4 if multistart else 1) + [899]
     assert (rep.quotient, rep.iterations, rep.grad_norm) == pinned
+
+
+def polish_every_start(start, Lambda, p, theta, opts):
+    """The exhaustive reference: every start takes both levels, and the lowest final Q wins."""
+    runs = (cyl._second_level(*cyl._first_level(s, Lambda, p, theta, opts.max_iter), Lambda, p, theta, opts.max_iter)
+            for s in cyl._starts(start, opts))
+    return min(runs, key=lambda run: run[1])
+
+
+def _screening_cases():
+    cases = []
+    for N in (2, 3):
+        for p in (3.0, 4.2):
+            ls, lf = lambda_sym(p, N), lambda_fs(p, N)
+            cases += [(N, p, lam, 1.0) for lam in (0.6 * ls, 0.5 * (ls + lf), 1.15 * lf, 3.0 * lf)]
+    cases += [(3, 3.0, (1 + eps) * lambda_fs(3.0, 3), 1.0) for eps in (1e-2, 1e-3)]
+    return cases + [(3, 3.0, 0.9 * sandwich_lambda_bound(0.9, 3.0, 3), 0.9)]
+
+
+@pytest.mark.parametrize("N,p,Lambda,theta", _screening_cases())
+def test_screened_multistart_matches_polishing_every_start(monkeypatch, N, p, Lambda, theta):
+    # below lambda_sym, in the strip, past and far past lambda_fs, just past it
+    # (angular fraction about 1.8e-3 at 1e-3 past) and at a theta < 1 sandwich point
+    grid, opts = LineGrid(20.0, 899), MinimizeOpts(multistart=True)
+    start = extremal_field(grid, N, 6, Lambda, p, theta)  # the sandwich point starts radial, as sandwich_check does
+    if theta == 1.0:
+        start.data[:, 1] = 0.1 * start.data[:, 0]
+    u, Q, *_ = polish_every_start(start, Lambda, p, theta, opts)
+    levels = level_recorder(monkeypatch, lambda: 0)
+    rep = minimize_quotient(start, Lambda, p, theta, opts)
+    starts = 4 if theta == 1.0 else 3  # a radial start has no radial part to add
+    assert [v.grid.n for (v, *_), _ in levels] == [199] * starts + [899]  # one fine descent
+    assert rep.broken == (cyl._angular_fraction(u, Lambda) > 1e-3)  # as MinimizeReport.broken
+    assert rep.quotient == pytest.approx(Q, rel=1e-10, abs=0)
+
+
+def test_screening_keeps_one_level_grids_and_single_starts_bit_for_bit():
+    # n + 1 = 300 < 3 (n_c + 1): every first-level run is a whole descent, so
+    # the screen is the old minimum; a single start is screened against nothing
+    for grid, multistart in ((LineGrid(20.0, 299), True), (LineGrid(20.0, 899), False)):
+        start = perturbed_start(grid, 3, 6, 3.0, 3.0)
+        opts = MinimizeOpts(multistart=multistart)
+        rep = minimize_quotient(start, 3.0, 3.0, opts=opts)
+        u, Q, gnorm, iters, reason = polish_every_start(start, 3.0, 3.0, 1.0, opts)
+        assert (rep.quotient, rep.grad_norm, rep.iterations, rep.reason) == (Q, gnorm, iters, reason)
+        assert np.array_equal(rep.minimizer.data[: len(u.data)], u.data)
 
 
 @pytest.mark.parametrize("reason,constants,max_iter", [
