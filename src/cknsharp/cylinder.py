@@ -18,10 +18,10 @@ proof-chain slack evaluator, the second-variation instability detector with
 its threshold bisection, the log-radial change of variables from Euclidean
 space, the spectral-bound equivalence, and the theta < 1 sandwich verification.
 
-The sine transforms (dst), the root finder (brentq) and the natural cubic spline need no SciPy:
-a DST of at most 256 rows is a product with a cached sine matrix, a longer one a NumPy real FFT
-(Makhoul's reordering for types 2 and 3, IEEE TASSP 1980), brentq is SciPy's C Brent solver
-ported, and the spline takes its knot curvatures from the eigensolver's cyclic reduction.
+The sine transforms, the root finder (brentq) and the natural cubic spline need no SciPy.  dst(x, 1) is
+the orthonormal DST-I of each column of x, dst(x, 2) and dst(x, 3) the unnormalized DST-II and DST-III,
+each a cached sine-matrix product or a NumPy real FFT (Makhoul's reordering for types 2 and 3); brentq is
+SciPy's C Brent solver ported; the spline takes its knot curvatures from the eigensolver's cyclic reduction.
 
 All angular integrals use the probability measure, so the radial benchmark
 is the interpolation-family constant radial_interp_constant; the
@@ -53,7 +53,7 @@ from .closed_forms import (
     radial_interp_constant,
 )
 from .errors import (
-    DomainError, NumericsError, check_Lambda, check_numeric_N, check_p, check_subcritical, check_theta_window
+    DomainError, NumericsError, check_Lambda, check_N, check_numeric_N, check_p, check_subcritical, check_theta_window
 )
 from .params import ParamPoint, a_critical, chain_exponents, lambda_sym, theta_min, to_cylinder
 from .schrodinger import LineGrid, Potential1D, _reduce, lowest_eigenpair
@@ -182,13 +182,10 @@ def _twiddle(m: int, cols: int, type: int) -> np.ndarray:
     return w
 
 
-def dst(x, type: int, norm: str | None = None, axis: int = 0) -> np.ndarray:
-    """scipy.fft.dst along axis 0 of a 2-d x: type 1 with norm="ortho", or type 2 or 3 unnormalized.  Up to
-    _DENSE_ROWS rows, a product with the cached sine matrix; longer, one real FFT: of x zero-padded to
+def dst(x: np.ndarray, type: int) -> np.ndarray:
+    """Each column's orthonormal DST-I (type 1) or unnormalized DST-II or DST-III (2, 3) of a 2-d float x.  Up
+    to _DENSE_ROWS rows, a product with the cached sine matrix; longer, one real FFT: of x zero-padded to
     2 (m + 1) rows for type 1, of length m in Makhoul's reordering (IEEE TASSP 1980) for types 2, 3."""
-    if axis != 0 or (type, norm) not in ((1, "ortho"), (2, None), (3, None)):
-        raise ValueError(f"unsupported DST: type={type}, norm={norm!r}, axis={axis}")
-    x = np.asarray(x, dtype=float)
     m = len(x)
     if m <= _DENSE_ROWS:
         return _sine_matrix(m, type) @ x
@@ -216,23 +213,14 @@ def dst(x, type: int, norm: str | None = None, axis: int = 0) -> np.ndarray:
     return y
 
 
-def _dst(arr: np.ndarray) -> np.ndarray:
-    return dst(arr, type=1, norm="ortho", axis=0)
-
-
-def _angular_eigs(N: int, L_max: int) -> np.ndarray:
-    ell = np.arange(L_max + 1)
-    return ell * (ell + N - 2.0)
-
-
 def _sine_of(values: np.ndarray, half: bool) -> np.ndarray:
     """Orthonormal sine coefficients of field values: the DST-I, or the odd-index ones of a half field."""
-    return dst(values, type=3, axis=0) / math.sqrt(len(values)) if half else _dst(values)
+    return dst(values, 3) / math.sqrt(len(values)) if half else dst(values, 1)
 
 
 def _half_nodes(c: np.ndarray) -> np.ndarray:
     """A half field's values from its odd sine modes, by a DST-II: the inverse of _sine_of."""
-    return dst(c, type=2, axis=0) / (2.0 * math.sqrt(len(c)))
+    return dst(c, 2) / (2.0 * math.sqrt(len(c)))
 
 
 @lru_cache(maxsize=32)
@@ -243,14 +231,14 @@ def _weights(rows: int, half: bool):
 
 def _stiffness(u: CylField) -> np.ndarray:
     """Diagonal of the gradient energy in the sine x zonal basis."""
-    return _omega2(u.grid, u.half)[:, None] + _angular_eigs(u.N, u.L_max)[None, :]
+    return _omega2(u.grid, u.half)[:, None] + sphere.zonal_eigenvalues(u.N, u.L_max)[None, :]
 
 
 def _ledger(u: CylField):
     """(mass, senergy, c): per-degree squared L2 norm and Dirichlet energy in
     s of the sine interpolant, and its sine coefficients c: one DST-I, or
     the odd modes an _Even holds."""
-    c = u.c if u.half else _dst(u.data)
+    c = u.c if u.half else dst(u.data, 1)
     mass = u.grid.h * (_weights(len(u.data), u.half) * u.data**2).sum(axis=0)
     senergy = u.grid.h * (_omega2(u.grid, u.half) @ c**2)
     return mass, senergy, c
@@ -308,7 +296,7 @@ def _pieces(u: CylField, p: float):
     if u.half and u._pieces is not None:
         return u._pieces
     mass, senergy, c = _ledger(u)
-    E = float(senergy.sum() + (_angular_eigs(u.N, u.L_max) * mass).sum())
+    E = float(senergy.sum() + (sphere.zonal_eigenvalues(u.N, u.L_max) * mass).sum())
     M = float(mass.sum())
     pieces = (E, M, *_nodal_stage(u, p), c)
     if M == 0.0 or pieces[2] == 0.0:
@@ -410,7 +398,7 @@ class MinimizeReport(_Report):
 
 def _angular_fraction(u: CylField, Lambda: float) -> float:
     mass, senergy, _ = _ledger(u)
-    mode_energy = senergy + (_angular_eigs(u.N, u.L_max) + Lambda) * mass
+    mode_energy = senergy + (sphere.zonal_eigenvalues(u.N, u.L_max) + Lambda) * mass
     total = float(mode_energy.sum())
     if total == 0.0:
         return 0.0
@@ -685,7 +673,7 @@ def el_residual(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> flo
     """
     E, M, _, nl, c = _pieces(u, p)
     t_u = E / M
-    minus_lap = _dst(_stiffness(u) * c)
+    minus_lap = dst(_stiffness(u) * c, 1)
     r = theta * minus_lap + ((1 - theta) * t_u + Lambda) * u.data - nl
     return math.sqrt(u.grid.h * float((r**2).sum()))
 
@@ -741,7 +729,7 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
     slack_lt = float(np.min(e_line - up_line + c_pow * up_line ** (1.0 / gamma) * v**2))
 
     # angular energy of u versus the projected trace field
-    e_angular = float((_angular_eigs(u.N, u.L_max) * mass).sum())
+    e_angular = float((sphere.zonal_eigenvalues(u.N, u.L_max) * mass).sum())
     l_proj = u.L_max + 4
     vfield = sphere.field_from_nodal(v, quad_, l_proj, u.N)
     slack_schwarz = e_angular - sphere.grad_energy(vfield)
@@ -866,6 +854,7 @@ def second_variation_mode(ell: int, Lambda: float, p: float, N: int, method: str
         raise DomainError(f"need ell >= 1, got {ell}")
     check_Lambda(Lambda)
     check_p(p)
+    check_N(N)
     shift = Lambda + ell * (ell + N - 2)
     if method == "closed":
         return shift - p * p * Lambda / 4.0
@@ -957,7 +946,6 @@ def emden_fowler_pushforward(s_nodes: np.ndarray, w_values: np.ndarray, pt: Para
     # p-norm identity: int r^(N-1-bp) w^p dr = int u^p ds
     lhs_p = quad(lambda r: r ** (pt.N - 1 - pt.b * cp.p) * np.abs(W(np.log(r))) ** cp.p, np.exp(s))
     rhs_p = quad(lambda t: np.abs(np.exp(sigma * t) * W(t)) ** cp.p, s)
-    mismatch_p = abs(lhs_p - rhs_p) / abs(rhs_p)
 
     # gradient identity: int r^(N-1-2a) w'(r)^2 dr = int (u'^2 + Lambda u^2) ds
     lhs_g = quad(lambda r: r ** (pt.N - 1 - 2 * pt.a) * (dW(np.log(r)) / r) ** 2, np.exp(s))
@@ -967,6 +955,9 @@ def emden_fowler_pushforward(s_nodes: np.ndarray, w_values: np.ndarray, pt: Para
         return (e * (sigma * Wt + dW(t))) ** 2 + cp.Lambda * (e * Wt) ** 2
 
     rhs_g = quad(line_energy, s)
+    if rhs_p == 0 or rhs_g == 0:
+        raise NumericsError("profile vanishes: its p-norm or gradient norm underflows to 0")
+    mismatch_p = abs(lhs_p - rhs_p) / abs(rhs_p)
     mismatch_g = abs(lhs_g - rhs_g) / abs(rhs_g)
 
     report = {

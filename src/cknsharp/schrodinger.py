@@ -122,18 +122,15 @@ def _rayleigh(d, e, y):
     return x, rho, float(np.linalg.norm(tx - rho * x))
 
 
-def eigh_tridiagonal(d, e, select="a", select_range=None):
-    """The lowest eigenpair of the symmetric tridiagonal T (diagonal d, off-diagonal e), shaped
-    as ``scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))`` returns it.
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(lambda1, x, r): the lowest eigenvalue of the symmetric tridiagonal T (diagonal d, off-diagonal
+    e), its unit eigenvector x and the residual r = |T x - lambda1 x|, all from the last Rayleigh pass.
 
     Inertia bisection from the Gershgorin bound isolates lambda1 below a shift `above` <= lambda2.
     Inverse iteration then shifts to the Kato-Temple bound rho - r^2/(above - rho) of the Rayleigh
     quotient rho and residual r when it beats the best count-certified bound lo, else to the
     bracket's midpoint.  It stops at r <= 16 eps |T|_inf and accepts rho only if no eigenvalue
     lies below rho - 16 eps |T|_inf; otherwise NumericsError."""
-    if select != "i" or tuple(select_range or ()) != (0, 0):
-        raise ValueError(f"unsupported eigh_tridiagonal call select={select!r}, select_range={select_range!r}")
-    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
     c, radius = -e, np.abs(np.concatenate(([0.0], e, [0.0])))
     radius = radius[:-1] + radius[1:]
     tol = 16 * _EPS * float(np.max(np.abs(d) + radius))
@@ -159,7 +156,7 @@ def eigh_tridiagonal(d, e, select="a", select_range=None):
         raise NumericsError(f"eigh_tridiagonal: residual {res:.3g} > {tol:.3g} after 100 passes")
     if lo < rho - tol and _reduce(d - (rho - tol), c)[0]:
         raise NumericsError(f"eigh_tridiagonal: an eigenvalue lies below the Rayleigh quotient {rho!r} - {tol:.3g}")
-    return np.array([rho]), x[:, None]
+    return rho, x, res
 
 
 def sech_squared_potential(grid: LineGrid, V0: float, B: float, center: float = 0.0) -> Potential1D:
@@ -180,9 +177,7 @@ def lowest_eigenpair(V: Potential1D) -> EigenResult:
     h = grid.h
     diag = 2.0 / h**2 - V.values
     off = np.full(grid.n - 1, -1.0 / h**2)
-    w, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    lam = float(w[0])
-    x, _, residual_norm = _rayleigh(diag, off, vec[:, 0])  # |x| = 1: the h-weighted residual of x / sqrt(h)
+    lam, x, residual_norm = eigh_tridiagonal(diag, off)  # |x| = 1: the h-weighted residual of x / sqrt(h)
     psi = x / math.sqrt(h) if x[np.argmax(np.abs(x))] > 0 else -x / math.sqrt(h)  # a ground state has no node
     if lam >= 0:
         return EigenResult(0.0, psi, residual_norm, True)

@@ -22,6 +22,7 @@ __all__ = [
     "Q_CAP",
     "SphereQuadrature",
     "ZonalField",
+    "zonal_eigenvalues",
     "sphere_quadrature",
     "basis_matrix",
     "nodal_values",
@@ -96,8 +97,13 @@ class ZonalField:
         return self.coeffs.size - 1
 
     def eigenvalues(self) -> np.ndarray:
-        ell = np.arange(self.coeffs.size)
-        return ell * (ell + self.N - 2)
+        return zonal_eigenvalues(self.N, self.L_max)
+
+
+def zonal_eigenvalues(N: int, L_max: int) -> np.ndarray:
+    """Laplace-Beltrami eigenvalues ell(ell + N - 2) of the zonal degrees ell = 0..L_max, as floats."""
+    ell = np.arange(L_max + 1)
+    return ell * (ell + N - 2.0)
 
 
 def _legendre_table(L_max: int, x) -> np.ndarray:

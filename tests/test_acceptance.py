@@ -45,7 +45,7 @@ from cknsharp import (
     sphere_area,
 )
 from cknsharp.closed_forms import _lt_constant_product_form, _lt_constant_ratio_form
-from cknsharp.cylinder import _angular, _dst, _stiffness, _value_and_grad, sandwich_lambda_bound
+from cknsharp.cylinder import _angular, _stiffness, _value_and_grad, dst, sandwich_lambda_bound
 from cknsharp.schrodinger import Potential1D
 from cknsharp.sphere import default_quadrature
 
@@ -289,7 +289,7 @@ def test_criterion_13_gradient_correctness():
             rayleigh(CylField(grid, 3, u.data + eps * d), 1.0, 3.0)
             - rayleigh(CylField(grid, 3, u.data - eps * d), 1.0, 3.0)
         ) / (2 * eps)
-        analytic = grid.h * float((g * _dst(d)).sum())  # g is in sine coefficients
+        analytic = grid.h * float((g * dst(d, 1)).sum())  # g is in sine coefficients
         rel = abs(fd - analytic) / max(abs(fd), 1e-12)
         worst = max(worst, rel)
         assert rel < 1e-6

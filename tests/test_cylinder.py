@@ -46,9 +46,9 @@ from cknsharp import (
 from cknsharp.cylinder import (
     DEFAULT_GRID,
     _angular,
-    _dst,
     _stiffness,
     _value_and_grad,
+    dst,
     sandwich_lambda_bound,
 )
 
@@ -254,7 +254,7 @@ def test_gradient_matches_finite_differences(theta):
             rayleigh(CylField(grid, 3, u.data + eps * d), 1.0, 3.0, theta)
             - rayleigh(CylField(grid, 3, u.data - eps * d), 1.0, 3.0, theta)
         ) / (2 * eps)
-        analytic = grid.h * float((g * _dst(d)).sum())  # g is in sine coefficients
+        analytic = grid.h * float((g * dst(d, 1)).sum())  # g is in sine coefficients
         assert abs(fd - analytic) <= 1e-6 * max(abs(fd), 1e-3)
         # the flow's _Even, which holds its odd sine modes, yields the gradient
         # of its mirrored full field at those modes
@@ -627,7 +627,7 @@ def test_half_transforms_are_the_odd_modes_of_the_mirrored_field(rows, L_max, se
     # s = 0 last: its DST-III modes are the odd-index DST-I coefficients of
     # the mirrored field (the even-index ones vanish), and the DST-II maps back
     half = np.random.default_rng(seed).standard_normal((rows, L_max + 1))
-    c = _dst(np.concatenate([half, half[-2::-1]]))
+    c = dst(np.concatenate([half, half[-2::-1]]), 1)
     scale = float(np.abs(c).max())
     assert float(np.abs(cyl._sine_of(half, True) - c[::2]).max()) <= 1e-13 * scale
     assert float(np.abs(c[1::2]).max()) <= 1e-13 * scale
@@ -946,6 +946,17 @@ def test_fs_threshold_rejects_supercritical():
         fs_threshold(6.5, 3)
 
 
+@pytest.mark.parametrize("N", [1, 0, math.nan])
+def test_second_variation_and_fs_threshold_refuse_dimensions_without_a_sphere(N):
+    # ell(ell + N - 2) is the zonal spectrum of S^(N-1) only for N >= 2; at N = 1 the closed form
+    # 4(N - 1)/(p^2 - 4) of the threshold is 0, which the grid root would miss
+    for method in ("grid", "closed"):
+        with pytest.raises(DomainError, match="N >= 2"):
+            second_variation_mode(1, 1.0, 3.0, N, method)
+    with pytest.raises(DomainError, match="N >= 2"):
+        fs_threshold(3.0, N)
+
+
 # ---------------------------------------------------------------------------
 # log-radial bridge
 
@@ -1021,6 +1032,14 @@ def test_emden_fowler_refuses_non_finite_samples(array, value):
     samples[array][200] = value
     with pytest.raises(NumericsError, match="finite"):
         emden_fowler_pushforward(samples["s"], samples["w"], ParamPoint(3, -0.5, 0.0))
+
+
+@pytest.mark.parametrize("w", [0.0, 1e-200], ids=["zero", "underflowing"])
+def test_emden_fowler_refuses_a_vanishing_profile(w):
+    # 1e-200 is finite, but the p-th power and the square of its pushforward underflow to 0
+    s = np.linspace(-10.0, 10.0, 401)
+    with pytest.raises(NumericsError, match="vanishes"):
+        emden_fowler_pushforward(s, np.full(s.size, w), ParamPoint(3, -0.5, 0.0))
 
 
 # ---------------------------------------------------------------------------
