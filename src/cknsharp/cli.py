@@ -313,14 +313,9 @@ def _verify_sandwich(args):
     lam = args.Lambda
     if lam is None:
         lam = 0.9 * cyl.sandwich_lambda_bound(args.theta, args.p, args.N)
-        if abs(args.theta - params.theta_min(args.p, args.N)) < 1e-12:
-            raise DomainError("--Lambda is required at theta = theta_min: the admissible window is empty")
     rep = cyl.sandwich_check(args.theta, lam, args.p, args.N,
                              opts=cyl.MinimizeOpts(multistart=True, seed=args.seed))
-    payload = rep.to_dict()
-    if rep.limit_case:
-        payload["q"] = None  # the sphere exponent degenerates (q = inf) at theta_min
-    return payload, rep.within and rep.converged
+    return rep.to_dict(), rep.within and rep.converged
 
 
 _VERIFIERS = {

@@ -11,9 +11,9 @@ plain and interpolation inequalities, a limited-memory quasi-Newton
 (L-BFGS, three pairs) flow seeded with the diagonal preconditioner, with
 Armijo backtracking, that runs in coefficient space (two transforms per
 iteration, none per line-search trial; one nodal power per trial, none per
-gradient, in two block buffers per thread, so flows may run in threads),
-each start first on a coarse sine grid of the same box and only the best
-start then on the requested one, the Euler-Lagrange residual, the five-step
+gradient; no shared state, so flows may run in threads), each start first
+on a coarse sine grid of the same box and only the best start then on the
+requested one, the Euler-Lagrange residual, the five-step
 proof-chain slack evaluator, the second-variation instability detector with
 its threshold bisection, the log-radial change of variables from Euclidean
 space, the spectral-bound equivalence, and the theta < 1 sandwich verification.
@@ -35,7 +35,6 @@ of angular symmetry.  With n odd, such a field is its s <= 0 half or its odd sin
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from functools import lru_cache
 from dataclasses import dataclass, field, fields
@@ -251,32 +250,23 @@ def _check_quotient_args(Lambda: float, p: float, theta: float) -> None:
         raise DomainError(f"need 0 < theta <= 1, got {theta}")
 
 
-# the nodal stage runs over blocks of s-rows of about this many values
-# (256 KiB) in two buffers per thread, allocated once and reused: no
-# temporaries, no fresh page faults, and no buffer shared by two threads
+# the nodal stage runs over blocks of s-rows of about this many values (256 KiB)
 _BLOCK_VALUES = 32768
-_local = threading.local()
 
 
 def _nodal_stage(u: CylField, p: float):
-    """(P, nl) from the nodal values U = data @ B^T, over blocks of s-rows in
-    the calling thread's buffers: nl = aU @ (w B) the zonal coefficients of
-    aU = |U|^(p-2) U = |U|^(p-1) sign U, and P = h sum(data * nl) the
-    integral of |U|^p = aU U under the probability measure, by the exact
-    identity sum_j w_j aU_ij U_ij = sum_l data_il nl_il (rows weighted by _weights).  Only nl is fresh."""
+    """(P, nl) from the nodal values U = data @ B^T, over blocks of s-rows:
+    nl = aU @ (w B) the zonal coefficients of aU = |U|^(p-2) U = |U|^(p-1) sign U,
+    and P = h sum(data * nl) the integral of |U|^p = aU U under the probability
+    measure, by the exact identity sum_j w_j aU_ij U_ij = sum_l data_il nl_il
+    (rows weighted by _weights)."""
     quad_, B = _angular(u.N, u.L_max)
-    m = B.shape[0]
-    rows = max(1, _BLOCK_VALUES // m)
-    blocks = getattr(_local, "blocks", None)
-    if blocks is None or blocks[0].size < m:  # one s-row may hold more nodes than a block
-        blocks = _local.blocks = [np.empty(max(_BLOCK_VALUES, m)) for _ in range(2)]
+    rows = max(1, _BLOCK_VALUES // B.shape[0])
     wB = quad_.weights[:, None] * B
     nl = np.empty_like(u.data)
     for i in range(0, len(u.data), rows):
-        U = blocks[0][: min(rows, len(u.data) - i) * m].reshape(-1, m)
-        aU = blocks[1][: U.size].reshape(U.shape)
-        np.matmul(u.data[i : i + rows], B.T, out=U)
-        np.abs(U, out=aU)
+        U = u.data[i : i + rows] @ B.T
+        aU = np.abs(U)
         aU **= p - 2
         aU *= U
         np.matmul(aU, wB, out=nl[i : i + rows])
@@ -850,8 +840,8 @@ def second_variation_mode(ell: int, Lambda: float, p: float, N: int, method: str
     (method="closed"): Lambda + ell(ell + N - 2) - p^2 Lambda / 4.
     method="grid" solves the well numerically on LineGrid(25, 4000).
     """
-    if ell < 1:
-        raise DomainError(f"need ell >= 1, got {ell}")
+    if not (ell >= 1 and float(ell).is_integer()):  # written so that NaN fails the comparison
+        raise DomainError(f"need an integer zonal degree ell >= 1, got ell={ell}")
     check_Lambda(Lambda)
     check_p(p)
     check_N(N)
@@ -1063,7 +1053,6 @@ class SandwichReport(_Report):
     d_value: float
     holder_theta_slack: float
     within: bool
-    limit_case: bool
     converged: bool
     reason: str
 
@@ -1088,31 +1077,24 @@ def sandwich_check(
     K_lower * gap_factor^(((2 theta - 1) p + 2)/(2p)), and K_numeric comes
     from the multistart 2-d minimizer; the report is within when
     K_numeric lies in [K_lower, K_upper] up to 5e-3 relative.  Lambda must satisfy
-    a_c^2 < Lambda <= sandwich_lambda_bound, except at theta = theta_min
-    exactly, where the window is empty (the bound degenerates to 0 for
-    N = 3): there the upper check is waived, the run proceeds and the
-    report is flagged limit_case.  An empty window at any other theta (at
-    N = 2, every theta up to 3(p - 2)/(2p)) is refused.  Also reports the chain quantities:
+    a_c^2 < Lambda <= sandwich_lambda_bound; an empty window is refused before
+    any solve (at theta = theta_min, where the bound is 0 for N = 3, and at
+    N = 2 for every theta up to 3(p - 2)/(2p)).  Also reports the chain quantities:
     gamma_theta, q, the chain constant D on the renormalized minimizer
     (Lambda <= D <= gap * Lambda on solutions) and the slack of the
     theta-Hoelder step.
     """
-    tmin = theta_min(p, N)
-    check_theta_window(theta, tmin)
-    limit_case = abs(theta - tmin) < 1e-12
+    check_theta_window(theta, theta_min(p, N))
     ac2, bound = a_critical(N) ** 2, sandwich_lambda_bound(theta, p, N)
-    if not (limit_case or bound > ac2):
+    if not bound > ac2:
         raise DomainError(f"the admissible window ({ac2}, {bound}] of Lambda is empty at theta={theta}")
     if not Lambda > ac2:  # written so that NaN fails the comparison
         raise DomainError(f"need Lambda > a_c^2 = {ac2}, got {Lambda}")
-    if not limit_case and Lambda > bound * (1 + 1e-12):
+    if Lambda > bound * (1 + 1e-12):
         raise DomainError(f"Lambda={Lambda} violates the admissible window ({ac2}, {bound}]")
 
-    gamma_t = ((2 * theta - 1) * p + 2) / (2 * (p - 2))
-    if not gamma_t >= 1.0 - 1e-12:
-        raise DomainError(f"gamma = {gamma_t} < 1: chain fails at (p={p}, theta={theta})")
-    # gamma = 1 at the limit case: the sphere exponent degenerates
-    q_exp = (gamma_t + 1) / (gamma_t - 1) if gamma_t > 1.0 + 1e-12 else math.inf
+    # a non-empty window has (2 theta - 3) p + 6 > 0, so gamma_theta > 1 and q is finite (or, at roundoff, a refusal)
+    gamma_t, q_exp = chain_exponents(p, theta)
     k_lower = radial_interp_constant(theta, Lambda, p)
     gap = gap_factor(p, theta)
     k_upper = k_lower * gap ** (((2 * theta - 1) * p + 2) / (2 * p))
@@ -1149,7 +1131,6 @@ def sandwich_check(
         d_value=d_value,
         holder_theta_slack=holder_rhs - theta_power,
         within=within,
-        limit_case=limit_case,
         converged=rep.converged,
         reason=rep.reason,
     )

@@ -247,8 +247,9 @@ _REPROS = {
     ("verify", "poincare", "--q", "3", "--samples", "2", "--l-max", "0"): (DomainError, "--l-max 0"),
     ("verify", "lambdacond", "--Lambda", "1", "--p", "3", "--output", "/nonexistent/x.json"):
         (DomainError, "--output /nonexistent/x.json"),
-    # at theta_min the window is empty, so there is no default Lambda to take
-    ("verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.5"): (DomainError, "--Lambda is required"),
+    # at theta_min(3, 3) = 1/2 the window is empty: refused with or without a Lambda, before the flow
+    ("verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.5"): (DomainError, "is empty at theta=0.5"),
+    ("verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.5", "--Lambda", "1"): (DomainError, "is empty at theta=0.5"),
     # the flow's fields are even in s: a grid without a node at s = 0 is refused
     ("verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--n", "2000"): (DomainError, "odd n"),
     # at N = 2 the window (a_c^2, sandwich_lambda_bound] is empty up to theta = 3(p - 2)/(2p), not only at theta_min
@@ -394,17 +395,12 @@ def test_non_finite_constants_csv_row_exits_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: non-finite value of gap_factor in the output\n")
 
 
-def test_sandwich_limit_case_prints_null_exponent(capsys, monkeypatch):
-    # at theta_min the sphere exponent q is infinite; stdout stays strict JSON
-    report = cli.cyl.SandwichReport(
-        theta=0.5, Lambda=1.0, p=3.0, N=3, k_lower=0.5, k_numeric=0.6, k_upper=0.7, gap=1.2,
-        gamma_theta=1.0, q=math.inf, d_value=0.7, holder_theta_slack=0.1, within=True, limit_case=True,
-        converged=True, reason="q_rel_tol",
-    )
-    monkeypatch.setattr(cli.cyl, "sandwich_check", lambda *args, **kwargs: report)
-    code, out, _ = run_cli(capsys, "verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.5", "--Lambda", "1")
-    assert code == 0
-    assert json.loads(out, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))["q"] is None
+@pytest.mark.parametrize("Lambda", [(), ("--Lambda", "1")])
+def test_sandwich_at_theta_min_exits_2_before_the_flow(capsys, monkeypatch, Lambda):
+    # theta_min(3, 3) = 1/2: the window is empty, with the default Lambda as with a given one
+    monkeypatch.setattr(cli.cyl, "minimize_quotient", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    code, out, err = run_cli(capsys, "verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.5", *Lambda)
+    assert (code, out, err) == (2, "", "error: the admissible window (0.25, 0.0] of Lambda is empty at theta=0.5\n")
 
 
 # flag -> values for the fuzz below: non-finite and extreme tokens for every

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cknsharp.cylinder as cyl
@@ -20,6 +20,7 @@ from cknsharp import (
     NumericsError,
     ParamPoint,
     a_critical,
+    chain_exponents,
     defect_functional,
     eigenvalue_bound,
     el_residual,
@@ -51,6 +52,7 @@ from cknsharp.cylinder import (
     dst,
     sandwich_lambda_bound,
 )
+from cknsharp.errors import check_interp
 
 GRID = LineGrid(20.0, 1999)
 
@@ -946,6 +948,18 @@ def test_fs_threshold_rejects_supercritical():
         fs_threshold(6.5, 3)
 
 
+@pytest.mark.parametrize("ell", [1.5, math.inf, math.nan, 0, -1])
+def test_second_variation_refuses_a_degree_that_is_not_a_positive_integer(ell):
+    for method in ("grid", "closed"):
+        with pytest.raises(DomainError, match=f"ell={ell}"):
+            second_variation_mode(ell, 1.0, 3.0, 3, method)
+
+
+@pytest.mark.parametrize("ell", [1, 2, np.int64(3)])
+def test_second_variation_accepts_integer_degrees(ell):
+    assert second_variation_mode(ell, 1.0, 3.0, 3, "closed") == 1.0 + ell * (ell + 1) - 2.25
+
+
 @pytest.mark.parametrize("N", [1, 0, math.nan])
 def test_second_variation_and_fs_threshold_refuse_dimensions_without_a_sphere(N):
     # ell(ell + N - 2) is the zonal spectrum of S^(N-1) only for N >= 2; at N = 1 the closed form
@@ -1255,11 +1269,55 @@ def test_sandwich_refuses_an_empty_window_before_the_solve(monkeypatch):
     assert solves[0] == 0
 
 
-def test_sandwich_limit_case_flag():
-    # at theta = theta_min(3, 3) = 1/2 the admissible window is empty
-    # ((2 theta - 3) p + 6 = 0); the check still runs and flags the report
-    assert sandwich_lambda_bound(0.5, 3.0, 3) == pytest.approx(0.0, abs=1e-14)
-    rep = sandwich_check(0.5, 1.0, 3.0, 3, grid=LineGrid(18.0, 899), L_max=6)
-    assert rep.limit_case
-    assert rep.q == math.inf
-    assert rep.gamma_theta == pytest.approx(1.0, abs=1e-14)
+def test_sandwich_refuses_theta_min_before_the_solve(monkeypatch):
+    # at theta = theta_min(p, 3) the window is empty ((2 theta - 3) p + 6 = 0, so gamma_theta = 1
+    # and q = inf): refused like every empty window, with or without a Lambda
+    monkeypatch.setattr(cyl, "minimize_quotient", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    for p in (3.0, 4.0):
+        theta = theta_min(p, 3)
+        assert sandwich_lambda_bound(theta, p, 3) == pytest.approx(0.0, abs=1e-14)
+        for Lambda in (1.0, 0.9 * sandwich_lambda_bound(theta, p, 3)):
+            with pytest.raises(DomainError, match=f"window .* is empty at theta={theta}$"):
+                sandwich_check(theta, Lambda, p, 3)
+
+
+class _Solved(Exception):
+    """Raised in place of the solve's start field: sandwich_check got past every refusal."""
+
+
+def _no_solve(*args, **kwargs):
+    raise _Solved
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.sampled_from([2, 3]), p=st.floats(2.0, 6.0, exclude_min=True, exclude_max=True), t=st.floats(0.0, 1.0))
+@example(N=3, p=3.0, t=0.0)
+@example(N=3, p=4.0, t=0.0)
+@example(N=2, p=3.0, t=0.0)
+@example(N=3, p=2.0000000000000004, t=4.5141614079018464e-24)
+def test_sandwich_window_is_the_only_theta_gate(N, p, t):
+    # theta in [theta_min, 1], theta_min itself included: sandwich_check refuses before the
+    # solve exactly when check_interp fails or the window (a_c^2, bound] is empty
+    theta = min(1.0, theta_min(p, N) + t * (1.0 - theta_min(p, N)))
+    try:
+        check_interp(theta, p)
+    except DomainError:
+        bound, empty = 1.0, True
+    else:
+        bound = sandwich_lambda_bound(theta, p, N)
+        empty = not bound > a_critical(N) ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyl, "extremal_field", _no_solve)
+        with pytest.raises((DomainError, _Solved)) as info:
+            sandwich_check(theta, bound, p, N)
+    refused = info.errisinstance(DomainError)
+    if refused and not empty:
+        # a non-empty window and gamma_theta > 1 are one sign, of (2 theta - 3) p + 6, rounded two
+        # ways; within roundoff of the window's edge (N = 2 near theta = 3(p - 2)/(2p), or p
+        # within ulps of 2) the window rounds to non-empty and chain_exponents refuses
+        with pytest.raises(DomainError, match="chain exponents undefined"):
+            chain_exponents(p, theta)
+    else:
+        assert refused == empty
+    if not refused:
+        assert math.isfinite(chain_exponents(p, theta)[1])
