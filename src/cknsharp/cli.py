@@ -102,11 +102,11 @@ def _constants_rows(args):
     row("a", pt.a)
     row("b", pt.b)
     row("a_critical", params.a_critical(N))
-    row("b_fs", params.b_fs(pt.a, N))
-    row("b_sym", params.b_sym(pt.a, N))
-    row("lambda_fs", params.lambda_fs(p, N))
+    row("b_fs", params.b_fs(pt.a, N), th=1.0)
+    row("b_sym", params.b_sym(pt.a, N), th=1.0)
+    row("lambda_fs", params.lambda_fs(p, N), th=1.0)
     if p < 6:
-        row("lambda_sym", params.lambda_sym(p, N))
+        row("lambda_sym", params.lambda_sym(p, N), th=1.0)
     row("theta_min", params.theta_min(p, N))
     try:
         gamma, q = params.chain_exponents(p, theta)
@@ -126,14 +126,14 @@ def _constants_rows(args):
     row("J2", mom.J2)
     row("sphere_area", cf.sphere_area(N))
     if p < 6:
-        row("radial_constant", cf.radial_constant(lam, p, N))
+        row("radial_constant", cf.radial_constant(lam, p, N), th=1.0)
         # independent variational route: (|S^(N-1)| int u_star^p ds)^(-(p-2)/p) with u_star = A sech(B s)^(2/(p-2));
         # the amplitude is carried exactly, A^(-(p-2)) = 2/(p Lambda), since A^p leaves the float range near p = 2
         B, a = cf.profile_constants(lam, p, 1.0).B, 2 * p / (p - 2)
         integral = quad(lambda s: np.cosh(B * s) ** -a, 1.0 / (B * math.sqrt(a)))
         row("radial_constant_variational",
             cf.sphere_area(N) ** (-(p - 2) / p) * (2 / (p * lam)) * integral ** (-(p - 2) / p), "oracle", 1.0)
-        row("radial_constant_alt", cf.radial_constant_alt(lam, p, N), "paper_typo_flag")
+        row("radial_constant_alt", cf.radial_constant_alt(lam, p, N), "paper_typo_flag", 1.0)
         row("k_interp_coefficient", cf.radial_interp_coefficient(theta, p))
         row("k_interp_constant", cf.radial_interp_constant(theta, lam, p))
         row("gap_factor", cf.gap_factor(p, theta))

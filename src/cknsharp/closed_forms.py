@@ -133,7 +133,7 @@ def profile_constants(Lambda: float, p: float, theta: float = 1.0) -> ProfileCon
 
     The profile u(s) = A cosh(B s)^(-2/(p-2)) solves
     -theta u'' + eta u = u^(p-1) with A = (p eta / 2)^(1/(p-2)) and
-    B = (p-2)/2 sqrt(eta/theta).
+    B = (p-2)/2 sqrt(eta/theta); an A past the float range is a DomainError.
     """
     check_Lambda(Lambda)
     check_p(p)
@@ -141,7 +141,10 @@ def profile_constants(Lambda: float, p: float, theta: float = 1.0) -> ProfileCon
     if not (0 < theta < math.inf and denom > 0):
         raise DomainError(f"need theta > 0 and (2 theta - 1) p + 2 > 0, got theta={theta}, p={p}: no profile")
     eta = (p + 2) * theta * Lambda / denom
-    A = (p * eta / 2.0) ** (1.0 / (p - 2))
+    try:
+        A = (p * eta / 2.0) ** (1.0 / (p - 2))
+    except OverflowError:
+        raise DomainError(f"amplitude (p eta/2)^(1/(p-2)) overflows at Lambda={Lambda}, p={p}, theta={theta}") from None
     B = 0.5 * (p - 2) * math.sqrt(eta / theta)
     t_star = (p - 2) / (p + 2) * eta / theta
     return ProfileConstants(eta=eta, A=A, B=B, t_star=t_star)

@@ -15,7 +15,7 @@ gradient; no shared state, so flows may run in threads), each start first
 on a coarse sine grid of the same box and only the best start then on the
 requested one, the Euler-Lagrange residual, the five-step
 proof-chain slack evaluator, the second-variation instability detector with
-its threshold bisection, the log-radial change of variables from Euclidean
+its threshold root (brentq), the log-radial change of variables from Euclidean
 space, the spectral-bound equivalence, and the theta < 1 sandwich verification.
 
 The sine transforms, the root finder (brentq) and the natural cubic spline need no SciPy.  dst(x, 1) is

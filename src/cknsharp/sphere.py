@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import DomainError, check_numeric_N
 
@@ -106,39 +106,15 @@ def zonal_eigenvalues(N: int, L_max: int) -> np.ndarray:
     return ell * (ell + N - 2.0)
 
 
-def _legendre_table(L_max: int, x) -> np.ndarray:
-    """Legendre polynomials P_0..P_L_max at x, shape x.shape + (L_max + 1,).
-
-    SciPy's recurrence for integer degree: from P_1 = x and d = x - 1,
-    d <- ((2k+1)/(k+1)) (x-1) P_k + (k/(k+1)) d and P_(k+1) = P_k + d, in the
-    same operation order, so every value is bit-identical to
-    ``scipy.special.eval_legendre`` except for |x| < 1e-5, where SciPy sums
-    the power series instead (the two differ there by at most 1.4e-16; the
-    default quadratures have an even node count and no such node).
-    """
-    x = np.asarray(x, dtype=float)
-    P = np.empty(x.shape + (L_max + 1,))
-    P[..., 0] = 1.0
-    if L_max >= 1:
-        P[..., 1] = x
-        xm1 = x - 1.0
-        d = xm1
-        for k in range(1, L_max):
-            d = ((2 * k + 1) / (k + 1)) * xm1 * P[..., k] + (k / (k + 1)) * d
-            P[..., k + 1] = P[..., k] + d
-    return P
-
-
 def basis_matrix(quad: SphereQuadrature, L_max: int) -> np.ndarray:
     """Orthonormal basis sampled at the quadrature nodes, shape (m, L_max+1)."""
     if L_max < 0:
         raise DomainError(f"need L_max >= 0, got {L_max}")
+    ell = np.arange(L_max + 1)
     if quad.N == 3:
-        return _legendre_table(L_max, quad.nodes) * np.sqrt(2 * np.arange(L_max + 1) + 1.0)
-    B = np.empty((quad.nodes.size, L_max + 1))
+        return legvander(quad.nodes, L_max) * np.sqrt(2 * ell + 1.0)
+    B = math.sqrt(2.0) * np.cos(np.outer(quad.nodes, ell))
     B[:, 0] = 1.0
-    for ell in range(1, L_max + 1):
-        B[:, ell] = math.sqrt(2.0) * np.cos(ell * quad.nodes)
     return B
 
 
@@ -169,6 +145,15 @@ def _check_q(q: float, N: int) -> None:
         raise DomainError(f"need 1 < q <= {Q_CAP} (the numerical cap), got q={q}")
 
 
+def _power_means(v: ZonalField, q: float, quad: SphereQuadrature | None) -> tuple[float, float]:
+    """((int |v|^(q+1))^(2/(q+1)), int v^2) on quad, the default one if None."""
+    if quad is None:
+        quad = default_quadrature(v.N, v.L_max)
+    vals = np.abs(nodal_values(v, quad))
+    int_q1 = float(np.sum(quad.weights * vals ** (q + 1)))
+    return int_q1 ** (2.0 / (q + 1)), float(np.sum(v.coeffs**2))
+
+
 def poincare_deficit(v: ZonalField, q: float, quad: SphereQuadrature | None = None) -> float:
     """Deficit of the sharp subcritical sphere inequality at exponent q.
 
@@ -178,12 +163,8 @@ def poincare_deficit(v: ZonalField, q: float, quad: SphereQuadrature | None = No
     Nodal values pass through |.| before the fractional power.
     """
     _check_q(q, v.N)
-    if quad is None:
-        quad = default_quadrature(v.N, v.L_max)
-    vals = np.abs(nodal_values(v, quad))
-    int_q1 = float(np.sum(quad.weights * vals ** (q + 1)))
-    int_2 = float(np.sum(v.coeffs**2))
-    return (q - 1) / (v.N - 1) * grad_energy(v) - int_q1 ** (2.0 / (q + 1)) + int_2
+    power_mean, int_2 = _power_means(v, q, quad)
+    return (q - 1) / (v.N - 1) * grad_energy(v) - power_mean + int_2
 
 
 def holder_probability_deficit(v: ZonalField, q: float, quad: SphereQuadrature | None = None) -> float:
@@ -191,9 +172,5 @@ def holder_probability_deficit(v: ZonalField, q: float, quad: SphereQuadrature |
     power-mean inequality; zero iff |v| is constant."""
     if not 1 < q < math.inf:
         raise DomainError(f"need finite q > 1, got q={q}")
-    if quad is None:
-        quad = default_quadrature(v.N, v.L_max)
-    vals = np.abs(nodal_values(v, quad))
-    int_q1 = float(np.sum(quad.weights * vals ** (q + 1)))
-    int_2 = float(np.sum(v.coeffs**2))
-    return int_q1 ** (2.0 / (q + 1)) - int_2
+    power_mean, int_2 = _power_means(v, q, quad)
+    return power_mean - int_2

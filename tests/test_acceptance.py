@@ -118,7 +118,7 @@ def test_criterion_04_instability_threshold_recovery():
             assert abs(measured - closed_zero) <= 1e-3
     spot = second_variation_mode(1, 3.0, 3.0, 3, "grid")
     assert abs(spot - (-1.75)) <= 1e-3
-    report(4, "bisection threshold within 0.5% of 4(N-1)/(p^2-4) and 1e-3 of the closed form; spot -1.75 +- 1e-3")
+    report(4, "brentq threshold within 0.5% of 4(N-1)/(p^2-4) and 1e-3 of the closed form; spot -1.75 +- 1e-3")
 
 
 def test_criterion_05_symmetric_regime_minimization():

@@ -49,6 +49,19 @@ def test_constants_cylinder_flags_and_json(capsys):
     assert names["b"]["value"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_constants_rows_of_theta_1_say_theta_1_below_theta_1(capsys):
+    argv = ("constants", "--N", "3", "--p", "3", "--Lambda", "1", "--format", "json")
+    rows = {}
+    for theta in ("1", "0.9"):
+        code, out, _ = run_cli(capsys, *argv, "--theta", theta)
+        assert code == 0
+        rows[theta] = {row["name"]: row for row in json.loads(out)["rows"]}
+    for name in ("b_fs", "b_sym", "lambda_fs", "lambda_sym", "radial_constant", "radial_constant_alt"):
+        assert rows["0.9"][name] == rows["1"][name], name
+    for name in ("gamma", "eta", "k_interp_constant"):
+        assert rows["0.9"][name]["theta"] == 0.9, name
+
+
 def test_constants_gamma_only(capsys):
     code, out, _ = run_cli(capsys, "constants", "--gamma", "2.5")
     assert code == 0
@@ -239,8 +252,8 @@ _REPROS = {
     ("constants", "--p", "nan", "--Lambda", "1"): (DomainError, "p=nan"),
     ("region-map", "--a-min", "nan", "--na", "3", "--nb", "3"): (DomainError, "[nan, "),
     ("region-map", "--b-max", "inf", "--format", "json"): (DomainError, ", inf]"),
-    ("constants", "--p", "2.001", "--Lambda", "10"): (ArithmeticError, "--Lambda 10"),
-    ("verify", "fs", "--p", "2.0000001"): (ArithmeticError, "--p 2.0000001"),
+    ("constants", "--p", "2.001", "--Lambda", "10"): (DomainError, "Lambda=10.0, p=2.001"),
+    ("verify", "fs", "--p", "2.0000001"): (DomainError, "p=2.0000001"),
     ("verify", "lt", "--gamma", "2", "--S", "1e-300", "--n", "64"): (ArithmeticError, "--S 1e-300"),
     ("verify", "chain", "--p", "3", "--Lambda", "1", "--S", "1e300", "--n", "64", "--fuzz", "1"): (DomainError, "S=1e+300"),
     ("verify", "chain", "--p", "3", "--Lambda", "1", "--n", "64", "--fuzz", "1", "--l-max", "-1"): (DomainError, "--l-max -1"),
@@ -256,6 +269,8 @@ _REPROS = {
     ("verify", "sandwich", "--N", "2", "--p", "3", "--theta", "0.4"): (DomainError, "window (0.0, -0.0"),
     # theta below theta_min(3, 3) = 1/2: the flow ran 359 iterations and passed
     ("verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "1", "--theta", "0.2"): (DomainError, "theta=0.2 outside [0.5, 1]"),
+    # the extremal amplitude (p Lambda/2)^(1/(p-2)) leaves the float range: refused, naming the point
+    ("verify", "sandwich", "--N", "2", "--p", "2.00390625", "--theta", "1"): (DomainError, "p=2.00390625"),
 }
 
 
@@ -312,7 +327,7 @@ def test_variational_route_matches_the_radial_constant(p, capsys):
         argv = ["constants", "--N", "3", "--p", repr(p), "--Lambda", repr(Lambda)]
         try:
             cf.profile_constants(Lambda, p)
-        except OverflowError:
+        except DomainError:
             # near p = 2 the amplitude (p Lambda/2)^(1/(p-2)) itself leaves the float range
             code, out, err = run_cli(capsys, *argv)
             assert (code, out, len(err.splitlines())) == (2, "", 1), Lambda

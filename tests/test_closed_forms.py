@@ -111,6 +111,14 @@ def test_profile_constants_spot_values():
         profile_constants(1.0, 4.0, 0.2)  # (2 theta - 1) p + 2 < 0
 
 
+def test_profile_constants_refuses_an_overflowing_amplitude():
+    # at p = 2 + 2^-8 the amplitude is (p Lambda/2)^256: about 4e616 at Lambda = 255.75, 1.65 at Lambda = 1
+    p = 2.00390625
+    with pytest.raises(DomainError, match=r"Lambda=255\.75, p=2\.00390625, theta=1\.0"):
+        profile_constants(255.75, p)
+    assert profile_constants(1.0, p).A == (p / 2.0) ** (1.0 / (p - 2))
+
+
 def _ode_residual(Lambda, p, theta, amplitude=None):
     """Max residual of -theta u'' + eta u - u^(p-1) by Richardson differences."""
     pc = profile_constants(Lambda, p, theta)

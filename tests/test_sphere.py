@@ -14,7 +14,6 @@ from cknsharp import (
     sphere_quadrature,
 )
 from cknsharp.sphere import (
-    _legendre_table,
     basis_matrix,
     default_quadrature,
     field_from_nodal,
@@ -22,13 +21,14 @@ from cknsharp.sphere import (
 )
 
 
-def test_eval_legendre_is_scipy_bit_for_bit_on_the_default_quadratures():
+def test_basis_matrix_matches_scipy_legendre_on_the_default_quadratures():
     from scipy.special import eval_legendre as scipy_eval_legendre
 
     for L_max in range(17):
-        x = default_quadrature(3, L_max).nodes
-        for ell in range(L_max + 1):
-            np.testing.assert_array_equal(_legendre_table(ell, x)[..., ell], scipy_eval_legendre(ell, x))
+        quad = default_quadrature(3, L_max)
+        ell = np.arange(L_max + 1)
+        ref = np.sqrt(2 * ell + 1.0) * scipy_eval_legendre(ell, quad.nodes[:, None])
+        np.testing.assert_allclose(basis_matrix(quad, L_max), ref, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("N", [2, 3])
