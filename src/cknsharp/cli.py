@@ -406,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     v_mi.add_argument("--p", type=float, required=True)
     v_mi.add_argument("--Lambda", type=float, required=True)
     v_mi.add_argument("--theta", type=float)
-    v_mi.add_argument("--S", type=float, default=20.0)
-    v_mi.add_argument("--n", type=int, default=1999)
-    v_mi.add_argument("--l-max", type=int, default=8)
+    v_mi.add_argument("--S", type=float, default=cyl.DEFAULT_GRID.S)
+    v_mi.add_argument("--n", type=int, default=cyl.DEFAULT_GRID.n)
+    v_mi.add_argument("--l-max", type=int, default=cyl.DEFAULT_L_MAX)
 
     v_sa = vsub.add_parser("sandwich", help="two-sided bound for theta < 1")
     v_sa.add_argument("--N", type=int, default=3)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError, check_gamma, check_interp, check_Lambda, check_N, check_p
-from .params import ParamPoint
+from .params import ParamPoint, chain_exponents
 
 __all__ = [
     "log_gamma",
@@ -315,7 +315,7 @@ def lt_identity_defect(Lambda: float, p: float) -> float:
     """
     check_p(p, 6)
     check_Lambda(Lambda)
-    gamma = (p + 2) / (2 * (p - 2))
+    gamma = chain_exponents(p)[0]
     a = 2 * gamma + 1
     val = quad(lambda t: np.cosh(t) ** -a, a**-0.5)
     log_lam = math.log(Lambda)

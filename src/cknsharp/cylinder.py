@@ -17,11 +17,7 @@ requested one, the Euler-Lagrange residual, the five-step
 proof-chain slack evaluator, the second-variation instability detector with
 its threshold root (brentq), the log-radial change of variables from Euclidean
 space, the spectral-bound equivalence, and the theta < 1 sandwich verification.
-
-The sine transforms, the root finder (brentq) and the natural cubic spline need no SciPy.  dst(x, 1) is
-the orthonormal DST-I of each column of x, dst(x, 2) and dst(x, 3) the unnormalized DST-II and DST-III,
-each a cached sine-matrix product or a NumPy real FFT (Makhoul's reordering for types 2 and 3); brentq is
-SciPy's C Brent solver ported; the spline takes its knot curvatures from the eigensolver's cyclic reduction.
+Its NumPy kernels (dst, brentq, quad and _spline) live in :mod:`cknsharp._kernels`.
 
 All angular integrals use the probability measure, so the radial benchmark
 is the interpolation-family constant radial_interp_constant; the
@@ -42,6 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import sphere
+from ._kernels import _spline, brentq, dst, quad
 from .closed_forms import (
     extremal_potential,
     extremal_profile,
@@ -55,7 +52,7 @@ from .errors import (
     DomainError, NumericsError, check_Lambda, check_N, check_numeric_N, check_p, check_subcritical, check_theta_window
 )
 from .params import ParamPoint, a_critical, chain_exponents, lambda_sym, theta_min, to_cylinder
-from .schrodinger import LineGrid, Potential1D, _reduce, lowest_eigenpair
+from .schrodinger import LineGrid, Potential1D, lowest_eigenpair
 
 __all__ = [
     "CylField",
@@ -149,67 +146,6 @@ def extremal_field(grid: LineGrid, N: int, L_max: int, Lambda: float, p: float, 
 def _omega2(grid: LineGrid, half: bool = False) -> np.ndarray:
     """Squared sine frequencies (odd-index ones if half), built once per grid; callers must not modify them."""
     return (np.arange(1, grid.n + 1, 1 + half) * math.pi / (2.0 * grid.S)) ** 2
-
-
-# up to this many rows a dst is a sine-matrix product, beyond it one real FFT: with 9 columns on one BLAS
-# thread both cost about 40 us at 250 rows for types 2 and 3; type 1's FFT is twice as long
-_DENSE_ROWS = 256
-
-
-@lru_cache(maxsize=16)
-def _sine_matrix(m: int, type: int) -> np.ndarray:
-    """Read-only matrix of dst on m rows: sines of integer multiples j of pi / q, j reduced mod 2 q."""
-    k = np.arange(1, m + 1)
-    if type == 1:  # sqrt(2 / (m + 1)) sin(pi k k' / (m + 1))
-        j, q, scale = np.outer(k, 2 * k), 2 * (m + 1), math.sqrt(2.0 / (m + 1))
-    else:  # 2 sin(pi k (2 k' - 1) / (2 m))
-        j, q, scale = np.outer(k, 2 * k - 1), 2 * m, 2.0
-    S = scale * np.sin(math.pi / q * (j % (2 * q)))
-    if type == 3:  # the transpose of type 2, its last column halved
-        S = S.T.copy()
-        S[:, -1] *= 0.5
-    S.flags.writeable = False
-    return S
-
-
-@lru_cache(maxsize=32)
-def _twiddle(m: int, cols: int, type: int) -> np.ndarray:
-    """Read-only Makhoul twiddle, 2 exp(-i pi k / 2m) (type 2) or exp(i pi k / 2m), k <= m // 2, in cols columns."""
-    w = (2.0 if type == 2 else 1.0) * np.exp((0.5j if type == 3 else -0.5j) * math.pi / m * np.arange(m // 2 + 1))
-    w = np.repeat(w[:, None], cols, axis=1)
-    w.flags.writeable = False
-    return w
-
-
-def dst(x: np.ndarray, type: int) -> np.ndarray:
-    """Each column's orthonormal DST-I (type 1) or unnormalized DST-II or DST-III (2, 3) of a 2-d float x.  Up
-    to _DENSE_ROWS rows, a product with the cached sine matrix; longer, one real FFT: of x zero-padded to
-    2 (m + 1) rows for type 1, of length m in Makhoul's reordering (IEEE TASSP 1980) for types 2, 3."""
-    m = len(x)
-    if m <= _DENSE_ROWS:
-        return _sine_matrix(m, type) @ x
-    y = np.empty_like(x)
-    if type == 1:  # -Im of the DFT of (0, x, 0, ..., 0)
-        z = np.zeros((2 * (m + 1), x.shape[1]))
-        z[1 : m + 1] = x
-        np.multiply(np.fft.rfft(z, axis=0)[1 : m + 1].imag, -math.sqrt(2.0 / (m + 1)), out=y)
-    elif type == 2:  # the DCT-II of (-1)^j x_j read backwards; FFT of the even rows, then the odd ones reversed
-        v, h = np.empty_like(x), (m + 1) // 2
-        v[:h] = x[0::2]
-        np.negative(x[1::2][::-1], out=v[h:])
-        W = np.fft.rfft(v, axis=0)
-        W *= _twiddle(m, x.shape[1], 2)
-        y[::-1][: len(W)] = W.real
-        np.negative(W.imag[1:], out=y[: len(W) - 1])
-    else:  # the inverse: the DCT-III of x read backwards, with its odd rows negated
-        h = m // 2 + 1
-        Z = x[::-1][:h] + 0j
-        np.negative(x[: h - 1], out=Z.imag[1:])
-        Z *= _twiddle(m, x.shape[1], 3)
-        t = np.fft.irfft(Z, m, axis=0, norm="forward")
-        y[0::2] = t[: (m + 1) // 2]
-        np.negative(t[::-1][: m // 2], out=y[1::2])
-    return y
 
 
 def _sine_of(values: np.ndarray, half: bool) -> np.ndarray:
@@ -389,10 +325,7 @@ class MinimizeReport(_Report):
 def _angular_fraction(u: CylField, Lambda: float) -> float:
     mass, senergy, _ = _ledger(u)
     mode_energy = senergy + (sphere.zonal_eigenvalues(u.N, u.L_max) + Lambda) * mass
-    total = float(mode_energy.sum())
-    if total == 0.0:
-        return 0.0
-    return float(mode_energy[1:].sum()) / total
+    return float(mode_energy[1:].sum()) / float(mode_energy.sum())
 
 
 # L-BFGS memory: the number of (s, y) pairs the flow direction is built from
@@ -755,53 +688,6 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
 # ---------------------------------------------------------------------------
 # root inversion: fs_threshold and eigenvalue_bound
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * 2.0**-52, maxiter: int = 100) -> float:
-    """scipy.optimize.brentq, SciPy's C ported line for line (Brent, Algorithms for Minimization
-    without Derivatives, 1973, ch. 4): the same steps, so the same root, f calls and errors."""
-
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
 def _grown_root(f, lo, hi, grow, tries, sign_lo, fail, **tol) -> float | None:
     """Root of f in (lo, hi): hi grows by the factor ``grow`` (at most
     ``tries`` times) until f(hi) has the sign opposite to ``sign_lo``, then
@@ -845,7 +731,7 @@ def second_variation_mode(ell: int, Lambda: float, p: float, N: int, method: str
     check_Lambda(Lambda)
     check_p(p)
     check_N(N)
-    shift = Lambda + ell * (ell + N - 2)
+    shift = Lambda + float(sphere.zonal_eigenvalues(N, int(ell))[-1])
     if method == "closed":
         return shift - p * p * Lambda / 4.0
     if method != "grid":
@@ -872,41 +758,6 @@ def fs_threshold(p: float, N: int) -> float:
 
 # ---------------------------------------------------------------------------
 # log-radial change of variables
-
-def quad(f, edges: np.ndarray) -> float:
-    """Integral of f over [edges[0], edges[-1]] by the composite 6-point
-    Gauss-Legendre rule on the intervals between consecutive edges (exact for
-    degree 11 on each); f is called once, on the (len(edges) - 1, 6) nodes."""
-    nodes, weights = np.polynomial.legendre.leggauss(6)  # 0.1 ms; at import it would start LAPACK in every process
-    half = 0.5 * np.diff(edges)
-    x = (edges[:-1] + half)[:, None] + half[:, None] * nodes
-    return float(half @ (f(x) @ weights))
-
-
-def _spline(s: np.ndarray, w: np.ndarray):
-    """The natural cubic spline through (s, w) and its derivative (de Boor, A Practical Guide to
-    Splines, ch. IV), as two functions that evaluate row k of their argument on the piece over
-    [s_k, s_(k+1)].  So each row must lie in its own knot interval, as :func:`quad`'s (len(s) - 1, 6)
-    nodes on the knots s do, and so do the logs of its nodes on their images e^s."""
-    h = np.diff(s)
-    slope = np.diff(w) / h
-    # knot curvatures: h_(i-1) M_(i-1) + 2 (h_(i-1) + h_i) M_i + h_i M_(i+1) = 6 (slope_i - slope_(i-1))
-    _, m = _reduce(2.0 * (h[:-1] + h[1:]), -h[1:-1], 6.0 * np.diff(slope))
-    m = np.concatenate(([0.0], m, [0.0]))
-    left, c0, c2 = s[:-1, None], w[:-1, None], 0.5 * m[:-1, None]
-    c1 = (slope - h * (2.0 * m[:-1] + m[1:]) / 6.0)[:, None]
-    c3 = (np.diff(m) / (6.0 * h))[:, None]
-
-    def W(t):
-        d = t - left
-        return c0 + d * (c1 + d * (c2 + d * c3))
-
-    def dW(t):
-        d = t - left
-        return c1 + d * (2.0 * c2 + 3.0 * c3 * d)
-
-    return W, dW
-
 
 def emden_fowler_pushforward(s_nodes: np.ndarray, w_values: np.ndarray, pt: ParamPoint):
     """Push a radial profile w(r), sampled on the log grid r = e^s, to the
@@ -976,7 +827,7 @@ def symmetric_mu_threshold(gamma: float, p: float, N: int) -> float:
     lambda_sym(p, N) divided by the linear-law slope
     radial_interp_coefficient(1, p)^(2p/(p+2)).
     """
-    expected = (p + 2) / (2 * (p - 2))
+    expected = chain_exponents(p)[0]
     if not abs(gamma - expected) <= 1e-9:
         raise DomainError(f"gamma={gamma} inconsistent with (p+2)/(2(p-2))={expected}")
     return lambda_sym(p, N) / _linear_law_slope(p)

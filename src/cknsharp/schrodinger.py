@@ -2,13 +2,10 @@
 one-bound-state spectral-estimate ratio.
 
 The operator is discretized by second-order central differences with
-Dirichlet conditions at +-S; odd-even cyclic reduction (Buzbee-Golub-Nielson,
-SIAM J. Numer. Anal. 1970) solves it shifted in log2(n) NumPy steps, and its
-pivots count the eigenvalues below the shift, for bisection, inverse and
-Rayleigh-quotient iteration (Parlett, The Symmetric Eigenvalue Problem, ch. 4)
-and the final certificate.  Truncation is adequate once V(+-S) and the expected
-eigenfunction tail are negligible, which holds for all the exponentially
-decaying wells used here.
+Dirichlet conditions at +-S and solved by eigh_tridiagonal, the NumPy
+eigensolver of :mod:`cknsharp._kernels`.  Truncation is adequate once V(+-S)
+and the expected eigenfunction tail are negligible, which holds for all the
+exponentially decaying wells used here.
 """
 
 from __future__ import annotations
@@ -18,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import eigh_tridiagonal
 from .closed_forms import lt_constant
-from .errors import DomainError, NumericsError, check_gamma, check_grid
+from .errors import DomainError, check_gamma, check_grid
 
 __all__ = [
     "LineGrid",
@@ -80,83 +78,6 @@ class EigenResult:
     eigenfunction: np.ndarray
     residual_norm: float
     no_bound_state: bool
-
-
-_EPS = float(np.finfo(float).eps)
-
-
-@np.errstate(divide="ignore", invalid="ignore")  # a zero pivot counts as negative; its solve is retried
-def _reduce(a, c, f=None):
-    """Odd-even cyclic reduction of the tridiagonal matrix with diagonal a and off-diagonal -c:
-    each level eliminates the even-indexed unknowns, whose pivots are their own diagonal entries.
-    Returns the number of pivots not > 0, which is the number of negative eigenvalues, and the
-    solution of the system with right-hand side f (None without f)."""
-    n, positive, levels = a.size, 0, []
-    while a.size > 1:
-        piv, cl, cr = a[0::2], c[0::2], c[1::2]
-        positive += np.count_nonzero(piv > 0)
-        ql, qr = cl / piv[: cl.size], cr / piv[1 : cr.size + 1]
-        a1 = a[1::2] - cl * ql
-        a1[: qr.size] -= cr * qr
-        if f is not None:
-            levels.append((piv, cl, cr, f[0::2]))
-            f, fe = f[1::2] + ql * f[0 : 2 * ql.size : 2], f[2::2]
-            f[: qr.size] += qr * fe
-        a, c = a1, qr[: a1.size - 1] * c[2::2]
-    x = None if f is None else f / a
-    for piv, cl, cr, fe in reversed(levels):  # each eliminated unknown from its kept neighbours
-        full, t = np.empty(piv.size + x.size), fe.copy()
-        t[: x.size] += cl * x
-        t[1:] += cr * x[: t.size - 1]
-        full[0::2], full[1::2], x = t / piv, x, full
-    return n - positive - np.count_nonzero(a > 0), x
-
-
-def _rayleigh(d, e, y):
-    """x = y/|y|, its Rayleigh quotient rho for T (diagonal d, off-diagonal e) and |T x - rho x|."""
-    x = y / np.linalg.norm(y)
-    tx = d * x
-    tx[:-1] += e * x[1:]
-    tx[1:] += e * x[:-1]
-    rho = float(x @ tx)
-    return x, rho, float(np.linalg.norm(tx - rho * x))
-
-
-def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """(lambda1, x, r): the lowest eigenvalue of the symmetric tridiagonal T (diagonal d, off-diagonal
-    e), its unit eigenvector x and the residual r = |T x - lambda1 x|, all from the last Rayleigh pass.
-
-    Inertia bisection from the Gershgorin bound isolates lambda1 below a shift `above` <= lambda2.
-    Inverse iteration then shifts to the Kato-Temple bound rho - r^2/(above - rho) of the Rayleigh
-    quotient rho and residual r when it beats the best count-certified bound lo, else to the
-    bracket's midpoint.  It stops at r <= 16 eps |T|_inf and accepts rho only if no eigenvalue
-    lies below rho - 16 eps |T|_inf; otherwise NumericsError."""
-    c, radius = -e, np.abs(np.concatenate(([0.0], e, [0.0])))
-    radius = radius[:-1] + radius[1:]
-    tol = 16 * _EPS * float(np.max(np.abs(d) + radius))
-    lo, above = float(np.min(d - radius)), -math.inf
-    x, rho, res = _rayleigh(d, e, np.sin(np.arange(1, d.size + 1) * (math.pi / (d.size + 1))))
-    up = sigma = rho
-    for _ in range(100):  # bisection from the Gershgorin bracket (width <= 2|T|) down to tol takes at most 49
-        if res <= tol:
-            break
-        if above == -math.inf and up - lo > tol:  # isolate lambda1 by counts alone
-            k, _ = _reduce(d - sigma, c)
-        else:
-            k, y = _reduce(d - sigma, c, x)
-            if not np.isfinite(y).all():  # a zero pivot: move the shift off it
-                sigma -= tol
-                continue
-            x, rho, res = _rayleigh(d, e, y)
-        lo, up = (sigma, up) if k == 0 else (lo, min(up, sigma))
-        above = max(above, sigma) if k == 1 else above
-        temple = rho - res * res / (above - rho) if rho < above else lo
-        sigma = temple if temple > lo else 0.5 * (lo + min(up, rho))
-    else:
-        raise NumericsError(f"eigh_tridiagonal: residual {res:.3g} > {tol:.3g} after 100 passes")
-    if lo < rho - tol and _reduce(d - (rho - tol), c)[0]:
-        raise NumericsError(f"eigh_tridiagonal: an eigenvalue lies below the Rayleigh quotient {rho!r} - {tol:.3g}")
-    return rho, x, res
 
 
 def sech_squared_potential(grid: LineGrid, V0: float, B: float, center: float = 0.0) -> Potential1D:

@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -220,6 +221,28 @@ def test_verify_minimize_breaking(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["symmetry_broken"] is True
+
+
+# theta = 1 and Lambda <= lambda_sym, the proven-symmetric region; (3, 3, 1.5) is Lambda = lambda_sym
+@pytest.mark.parametrize("N, p, Lambda", [("3", "3", "1"), ("3", "3", "1.5"), ("2", "3", "0.5"), ("3", "4", "0.4")])
+def test_verify_minimize_passes_the_symmetric_gate(capsys, N, p, Lambda):
+    code, out, _ = run_cli(capsys, "verify", "minimize", "--N", N, "--p", p, "--Lambda", Lambda)
+    payload = json.loads(out)
+    assert (code, payload["symmetry_broken"], payload["pass"]) == (0, False, True)
+
+
+def test_verify_minimize_fails_an_angular_minimizer_in_the_symmetric_region(capsys, monkeypatch):
+    # the same converged flow, its angular fraction alone changed: the gate must refuse it
+    real = cli.cyl.minimize_quotient
+    monkeypatch.setattr(cli.cyl, "minimize_quotient",
+                        lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), angular_fraction=0.1))
+    code, out, _ = run_cli(capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "1")
+    assert (code, json.loads(out)["pass"]) == (1, False)
+
+
+def test_verify_minimize_grid_defaults_are_the_library_defaults():
+    args = cli.build_parser().parse_args(["verify", "minimize", "--p", "3", "--Lambda", "1"])
+    assert (args.S, args.n, args.l_max) == (cli.cyl.DEFAULT_GRID.S, cli.cyl.DEFAULT_GRID.n, cli.cyl.DEFAULT_L_MAX)
 
 
 @pytest.mark.parametrize("flag,value", [("--Lambda", "nan"), ("--Lambda", "inf"), ("--p", "nan"), ("--theta", "nan")])

@@ -1060,6 +1060,12 @@ def test_emden_fowler_refuses_a_vanishing_profile(w):
 # spectral-bound equivalence
 
 
+def test_symmetric_mu_threshold_refuses_p_2_as_bad_input():
+    # gamma = (p + 2)/(2(p - 2)) has no value at p = 2: a DomainError naming p, not a ZeroDivisionError
+    with pytest.raises(DomainError, match=r"p=2\.0"):
+        symmetric_mu_threshold(2.5, 2.0, 3)
+
+
 def test_eigenvalue_bound_linear_law():
     slope = radial_interp_coefficient(1.0, 3.0) ** (2 * 3.0 / (3.0 + 2))
     for mu in (0.5, 1.0, 2.0):

@@ -19,7 +19,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cknsharp import NumericsError, cylinder, schrodinger
+from cknsharp import NumericsError, ParamPoint, _kernels, cylinder, schrodinger
 from cknsharp.schrodinger import LineGrid, Potential1D
 
 
@@ -40,7 +40,9 @@ def counted(monkeypatch, module, attr):
     (cylinder, "brentq", lambda: cylinder.fs_threshold(3.0, 3)),
     (schrodinger, "eigh_tridiagonal",
      lambda: schrodinger.lowest_eigenpair(schrodinger.lt_equality_potential(LineGrid(10.0, 200), 1.5))),
-], ids=["dst", "brentq", "eigh_tridiagonal"])
+    (cylinder, "quad", lambda s=np.linspace(-10.0, 10.0, 401):
+     cylinder.emden_fowler_pushforward(s, np.exp(-(s**2)), ParamPoint(3, -0.5, 0.0))),
+], ids=["dst", "brentq", "eigh_tridiagonal", "quad"])
 def test_a_swapped_kernel_is_the_one_called(monkeypatch, module, attr, caller):
     # the benchmark's tracer counts these calls by swapping the module attribute
     calls = counted(monkeypatch, module, attr)
@@ -52,7 +54,7 @@ def test_a_swapped_kernel_is_the_one_called(monkeypatch, module, attr, caller):
 @pytest.mark.parametrize("rows", [16, 17, 100, 255, 256, 257, 258, 450, 599, 600, 1000, 2001])
 @pytest.mark.parametrize("dst_type, norm", [(1, "ortho"), (2, None), (3, None)])
 def test_dst_matches_scipy(rows, dst_type, norm):
-    assert (rows <= cylinder._DENSE_ROWS) == (rows <= 256)
+    assert (rows <= _kernels._DENSE_ROWS) == (rows <= 256)
     rng = np.random.default_rng(rows)
     for cols in (1, 2, 9):
         x = rng.standard_normal((rows, cols))
@@ -64,7 +66,7 @@ def test_dst_matches_scipy(rows, dst_type, norm):
 
 def test_the_dense_sine_matrix_is_read_only():
     with pytest.raises(ValueError):
-        cylinder._sine_matrix(20, 2)[0, 0] = 1.0
+        _kernels._sine_matrix(20, 2)[0, 0] = 1.0
 
 
 PORTED_BRENTQ = cylinder.brentq
@@ -180,29 +182,29 @@ def test_the_pivots_count_the_eigenvalues_below_the_shift(V):
     d, e, norm = _schrodinger_matrix(V)
     lam, _, _ = schrodinger.eigh_tridiagonal(d, e)
     delta = 64 * EPS * norm
-    assert schrodinger._reduce(d - (lam - delta), -e)[0] == 0
-    assert schrodinger._reduce(d - (lam + delta), -e)[0] >= 1
+    assert _kernels._reduce(d - (lam - delta), -e)[0] == 0
+    assert _kernels._reduce(d - (lam + delta), -e)[0] >= 1
     # the solve of the same elimination: (T - sigma I) x = f
     f = np.linspace(1.0, 2.0, d.size)
-    count, x = schrodinger._reduce(d - (lam - 1.0), -e, f)
+    count, x = _kernels._reduce(d - (lam - 1.0), -e, f)
     assert count == 0 and np.abs(_times(d - (lam - 1.0), e, x) - f).max() <= 1e-9 * np.abs(f).max()
 
 
 def test_an_uncertified_eigenvalue_raises_numerics_error(monkeypatch):
-    reduce = schrodinger._reduce
+    reduce = _kernels._reduce
 
     def overcount(a, c, f=None):  # one eigenvalue more below every shift than there is: nothing is certified
         count, x = reduce(a, c, f)
         return count + 1, x
 
-    monkeypatch.setattr(schrodinger, "_reduce", overcount)
+    monkeypatch.setattr(_kernels, "_reduce", overcount)
     with pytest.raises(NumericsError, match="lies below the Rayleigh quotient"):
         schrodinger.lowest_eigenpair(schrodinger.lt_equality_potential(LineGrid(20.0, 500), 2.5))
 
 
 def test_an_unconverged_iteration_raises_numerics_error(monkeypatch):
-    rayleigh = schrodinger._rayleigh
-    monkeypatch.setattr(schrodinger, "_rayleigh", lambda d, e, y: (*rayleigh(d, e, y)[:2], 1.0))
+    rayleigh = _kernels._rayleigh
+    monkeypatch.setattr(_kernels, "_rayleigh", lambda d, e, y: (*rayleigh(d, e, y)[:2], 1.0))
     with pytest.raises(NumericsError, match="after 100 passes"):
         schrodinger.lowest_eigenpair(schrodinger.lt_equality_potential(LineGrid(20.0, 500), 2.5))
 
@@ -223,7 +225,7 @@ def test_spline_matches_scipy_natural_spline(seed):
     w = np.sin(s) + rng.standard_normal(s.size)
     x = []
     cylinder.quad(lambda t: x.append(t) or np.zeros_like(t), s)  # quad's (intervals, 6) nodes
-    W, dW = cylinder._spline(s, w)
+    W, dW = _kernels._spline(s, w)
     ref = scipy.interpolate.CubicSpline(s, w, bc_type="natural")
     tol = 1e-12 * np.abs(w).max()
     assert np.abs(W(x[0]) - ref(x[0])).max() <= tol
