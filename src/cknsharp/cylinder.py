@@ -51,7 +51,7 @@ from .closed_forms import (
 from .errors import (
     DomainError, NumericsError, check_Lambda, check_N, check_numeric_N, check_p, check_subcritical, check_theta_window
 )
-from .params import ParamPoint, a_critical, chain_exponents, lambda_sym, theta_min, to_cylinder
+from .params import CylinderPoint, ParamPoint, a_critical, chain_exponents, lambda_sym, theta_min, to_cylinder
 from .schrodinger import LineGrid, Potential1D, lowest_eigenpair
 
 __all__ = [
@@ -179,13 +179,6 @@ def _ledger(u: CylField):
     return mass, senergy, c
 
 
-def _check_quotient_args(Lambda: float, p: float, theta: float) -> None:
-    check_Lambda(Lambda)
-    check_p(p)
-    if not 0 < theta <= 1:  # written so that NaN fails the comparison
-        raise DomainError(f"need 0 < theta <= 1, got {theta}")
-
-
 # the nodal stage runs over blocks of s-rows of about this many values (256 KiB)
 _BLOCK_VALUES = 32768
 
@@ -243,9 +236,13 @@ def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
 
     theta = 1: (E + Lambda M) / ||u||_p^2 with E the full gradient energy
     and M the squared L2 norm; theta < 1: (E + Lambda M)^theta M^(1-theta)
-    / ||u||_p^2.  Probability measure on the angular factor.
+    / ||u||_p^2.  Probability measure on the angular factor.  Scores any
+    0 < theta <= 1: theta_min bounds only minimize_quotient.
     """
-    _check_quotient_args(Lambda, p, theta)
+    check_Lambda(Lambda)
+    check_p(p)
+    if not 0 < theta <= 1:  # written so that NaN fails the comparison
+        raise DomainError(f"need 0 < theta <= 1, got {theta}")
     E, M, P, *_ = _pieces(u, p)
     return _numerator(E, M, Lambda, theta) / P ** (2.0 / p)
 
@@ -560,13 +557,11 @@ def minimize_quotient(
     perturbations of the start (its radial part, an added degree-1 bump if
     L_max >= 1, a random perturbation) as a guard against the non-convexity
     past the instability threshold; a start with no angular content is not
-    run twice.  Supercritical p and theta below theta_min(p, N) =
-    N(p - 2)/(2p) are refused.  The minimizer is a full field, the flow's
-    half mirrored.
+    run twice.  (N, p, Lambda, theta) must make a CylinderPoint: supercritical
+    p and theta outside [theta_min(p, N), 1], theta_min = N(p - 2)/(2p), are
+    refused.  The minimizer is a full field, the flow's half mirrored.
     """
-    _check_quotient_args(Lambda, p, theta)
-    check_subcritical(p, start.N)
-    check_theta_window(theta, theta_min(p, start.N))
+    CylinderPoint(start.N, p, Lambda, theta)
     opts = opts or MinimizeOpts()
     firsts = (_first_level(s, Lambda, p, theta, opts.max_iter) for s in _starts(start, opts))
     best = min(firsts, key=lambda first: first[1][1])  # the first of the lowest first-level Q
@@ -588,17 +583,18 @@ def minimize_quotient(
 
 
 def el_residual(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
-    """h-weighted l2 norm of the Euler-Lagrange residual in coefficient space.
+    """Relative Euler-Lagrange residual of the quotient, ||r||_h / ||u||_h in
+    coefficient space (h-weighted l2 norms), the same at every scale of u.
 
-    Residual of -theta (d^2/ds^2 + angular Laplacian) u
-    + [(1 - theta) t[u] + Lambda] u - u^(p-1), with t[u] the gradient-to-mass
-    ratio; theta = 1 removes the t[u] term.
+    r = -theta (d^2/ds^2 + angular Laplacian) u + [(1 - theta) E/M + Lambda] u
+    - mu |u|^(p-2) u with mu = (E + Lambda M)/P, the multiplier of the
+    scale-invariant quotient, which is 1 at the Euler-Lagrange scale; theta = 1
+    removes the E/M term.
     """
-    E, M, _, nl, c = _pieces(u, p)
-    t_u = E / M
+    E, M, P, nl, c = _pieces(u, p)
     minus_lap = dst(_stiffness(u) * c, 1)
-    r = theta * minus_lap + ((1 - theta) * t_u + Lambda) * u.data - nl
-    return math.sqrt(u.grid.h * float((r**2).sum()))
+    r = theta * minus_lap + ((1 - theta) * E / M + Lambda) * u.data - (E + Lambda * M) / P * nl
+    return math.sqrt(u.grid.h * float((r**2).sum()) / M)
 
 
 def defect_functional(u: CylField, p: float) -> float:
@@ -688,13 +684,12 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
 # ---------------------------------------------------------------------------
 # root inversion: fs_threshold and eigenvalue_bound
 
-def _grown_root(f, lo, hi, grow, tries, sign_lo, fail, **tol) -> float | None:
-    """Root of f in (lo, hi): hi grows by the factor ``grow`` (at most
-    ``tries`` times) until f(hi) has the sign opposite to ``sign_lo``, then
-    brentq runs with f memoized, so no argument is solved twice.  Returns
-    None when f(lo) is zero or has the sign opposite to ``sign_lo``; raises
-    NumericsError with ``fail`` formatted with the last hi tried when the
-    sign never changes."""
+def _grown_root(f, lo, hi, grow, tries, fail, **tol) -> float | None:
+    """Root of f in (lo, hi) for f(lo) > 0: hi grows by the factor ``grow``
+    (at most ``tries`` times) until f(hi) < 0, then brentq runs with f
+    memoized, so no argument is solved twice.  Returns None when f(lo) <= 0;
+    raises NumericsError with ``fail`` formatted with the last hi tried when
+    the sign never changes."""
     solved: dict[float, float] = {}
 
     def memo(x: float) -> float:
@@ -702,10 +697,10 @@ def _grown_root(f, lo, hi, grow, tries, sign_lo, fail, **tol) -> float | None:
             solved[x] = f(x)
         return solved[x]
 
-    if sign_lo * memo(lo) <= 0:
+    if memo(lo) <= 0:
         return None
     for _ in range(tries):
-        if sign_lo * memo(hi) < 0:
+        if memo(hi) < 0:
             return float(brentq(memo, lo, hi, **tol))
         hi *= grow
     raise NumericsError(fail.format(max(solved)))
@@ -731,7 +726,7 @@ def second_variation_mode(ell: int, Lambda: float, p: float, N: int, method: str
     check_Lambda(Lambda)
     check_p(p)
     check_N(N)
-    shift = Lambda + float(sphere.zonal_eigenvalues(N, int(ell))[-1])
+    shift = Lambda + sphere.zonal_eigenvalue(N, float(ell))
     if method == "closed":
         return shift - p * p * Lambda / 4.0
     if method != "grid":
@@ -747,13 +742,9 @@ def fs_threshold(p: float, N: int) -> float:
     second-variation eigenvalue.  Matches 4(N-1)/(p^2-4)."""
     check_p(p, 6)
     check_subcritical(p, N)
-
-    lo = 1e-3
-    root = _grown_root(lambda lam: second_variation_mode(1, lam, p, N, "grid"), lo, 1.0, 2.0, 60, 1,
+    # never None: at Lambda = 1e-3 the mode is > N - 1 - (p - 1)p Lambda/2 > N - 1.015, as no binding exceeds max V
+    return _grown_root(lambda lam: second_variation_mode(1, lam, p, N, "grid"), 1e-3, 1.0, 2.0, 60,
                        "no sign change up to Lambda={}", xtol=1e-6)
-    if root is None:
-        raise NumericsError(f"no positive bracket end at Lambda={lo}")
-    return root
 
 
 # ---------------------------------------------------------------------------
@@ -819,17 +810,12 @@ def _linear_law_slope(p: float) -> float:
     return radial_interp_coefficient(1.0, p) ** (2 * p / (p + 2))
 
 
-def symmetric_mu_threshold(gamma: float, p: float, N: int) -> float:
+def symmetric_mu_threshold(p: float, N: int) -> float:
     """Largest potential size mu for which the optimizing potential of the
-    cylinder spectral bound is certified s-only.
-
-    Requires gamma consistent with (p+2)/(2(p-2)).  The value is
-    lambda_sym(p, N) divided by the linear-law slope
-    radial_interp_coefficient(1, p)^(2p/(p+2)).
+    cylinder spectral bound is certified s-only, at the bound's power
+    gamma = (p+2)/(2(p-2)) (2 < p < 6).  The value is lambda_sym(p, N)
+    divided by the linear-law slope radial_interp_coefficient(1, p)^(2p/(p+2)).
     """
-    expected = chain_exponents(p)[0]
-    if not abs(gamma - expected) <= 1e-9:
-        raise DomainError(f"gamma={gamma} inconsistent with (p+2)/(2(p-2))={expected}")
     return lambda_sym(p, N) / _linear_law_slope(p)
 
 
@@ -877,9 +863,9 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
             rep = minimize_quotient(extremal_field(g, N, L_max, lam, p), lam, p, 1.0, cold)
         if rep.broken:
             broken.append((lam, rep.minimizer))
-        return rep.quotient - target  # quotient = 1/K, increasing in Lambda
+        return target - rep.quotient  # quotient = 1/K, increasing in Lambda
 
-    root = _grown_root(f, lam_lin, lam_lin * 1.6, 1.6, 40, -1,
+    root = _grown_root(f, lam_lin, lam_lin * 1.6, 1.6, 40,
                        "no bracket for the inversion up to Lambda={}", rtol=1e-3, xtol=1e-12)
     return lam_lin if root is None else root
 

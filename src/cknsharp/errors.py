@@ -62,8 +62,8 @@ def check_interp(theta: float, p: float) -> None:
 
 
 def check_theta_window(theta: float, tmin: float) -> None:
-    """theta_min <= theta <= 1 with 1e-12 slack, given tmin = theta_min(p, N)."""
-    if not tmin - 1e-12 <= theta <= 1.0:
+    """0 < theta and theta_min <= theta <= 1, with 1e-12 slack below tmin = theta_min(p, N)."""
+    if not (0 < theta and tmin - 1e-12 <= theta <= 1.0):
         raise DomainError(f"theta={theta} outside [{tmin}, 1]")
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "Q_CAP",
     "SphereQuadrature",
     "ZonalField",
+    "zonal_eigenvalue",
     "zonal_eigenvalues",
     "sphere_quadrature",
     "basis_matrix",
@@ -100,10 +101,14 @@ class ZonalField:
         return zonal_eigenvalues(self.N, self.L_max)
 
 
-def zonal_eigenvalues(N: int, L_max: int) -> np.ndarray:
-    """Laplace-Beltrami eigenvalues ell(ell + N - 2) of the zonal degrees ell = 0..L_max, as floats."""
-    ell = np.arange(L_max + 1)
+def zonal_eigenvalue(N: int, ell):
+    """Laplace-Beltrami eigenvalue ell(ell + N - 2) of the zonal degree ell, a float or an array of degrees."""
     return ell * (ell + N - 2.0)
+
+
+def zonal_eigenvalues(N: int, L_max: int) -> np.ndarray:
+    """zonal_eigenvalue of each degree ell = 0..L_max, as floats."""
+    return zonal_eigenvalue(N, np.arange(L_max + 1))
 
 
 def basis_matrix(quad: SphereQuadrature, L_max: int) -> np.ndarray:

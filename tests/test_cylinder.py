@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import re
 import threading
+import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -53,6 +55,9 @@ from cknsharp.cylinder import (
     sandwich_lambda_bound,
 )
 from cknsharp.errors import check_interp
+from cknsharp.params import CylinderPoint
+from cknsharp.schrodinger import Potential1D, lt_ratio
+from cknsharp.sphere import ZonalField, basis_matrix, sphere_quadrature
 
 GRID = LineGrid(20.0, 1999)
 
@@ -777,7 +782,7 @@ def test_even_n_is_refused_before_any_solve(monkeypatch):
     calls = [
         lambda: minimize_quotient(perturbed_start(grid, 3, 6, 3.0, 3.0), 3.0, 3.0),
         lambda: sandwich_check(0.9, 0.9 * sandwich_lambda_bound(0.9, 3.0, 3), 3.0, 3, grid=grid, L_max=6),
-        lambda: eigenvalue_bound(2.0 * symmetric_mu_threshold(2.5, 3.0, 3), 3.0, 3, grid=LineGrid(18.0, 700)),
+        lambda: eigenvalue_bound(2.0 * symmetric_mu_threshold(3.0, 3), 3.0, 3, grid=LineGrid(18.0, 700)),
     ]
     for call in calls:
         with pytest.raises(DomainError, match="odd n"):
@@ -792,24 +797,31 @@ def test_even_n_is_refused_before_any_solve(monkeypatch):
 def test_el_residual_at_extremal():
     grid = LineGrid(30.0, 3000)
     u = extremal_field(grid, 3, 8, 1.0, 3.0)
-    quad_, B = _angular(3, 8)
-    U = u.nodal()
-    nonlin = ((np.abs(U) ** 2) * quad_.weights[None, :]) @ B
-    scale = math.sqrt(grid.h * float((nonlin**2).sum()))
-    assert el_residual(u, 1.0, 3.0) < 1e-8 * scale
+    assert el_residual(u, 1.0, 3.0) < 1e-8
 
 
 def test_el_residual_theta_profile():
     grid = LineGrid(30.0, 3000)
     theta = 0.9
     u = extremal_field(grid, 3, 8, 1.0, 3.0, theta)
-    assert el_residual(u, 1.0, 3.0, theta) < 1e-8
+    assert el_residual(u, 1.0, 3.0, theta) < 4e-9
 
 
 def test_el_residual_random_field_positive():
     rng = np.random.default_rng(1)
     u = fuzz_field(GRID, 3, 6, rng)
     assert el_residual(u, 1.0, 3.0) > 1e-3
+
+
+def test_el_residual_is_scale_free_and_small_on_flow_minimizers():
+    # the multiplier (E + Lambda M)/P rescales the nonlinearity, so u* and its multiples read the same bits,
+    # and the mass-normalized minimizers read their stationarity, not their distance from the EL scale
+    u = extremal_field(GRID, 3, 8, 1.0, 3.0)
+    values = {el_residual(CylField(GRID, 3, scale * u.data), 1.0, 3.0) for scale in (1.0, 0.5, 2.0)}
+    assert len(values) == 1 and values.pop() < 1e-5
+    for lam in (1.0, 1.44, 3.0):  # symmetric, 0.9 lambda_fs, broken
+        rep = minimize_quotient(perturbed_start(GRID, 3, 8, lam, 3.0), lam, 3.0)
+        assert el_residual(rep.minimizer, lam, 3.0) < 1e-5
 
 
 def test_defect_functional_identity():
@@ -960,6 +972,14 @@ def test_second_variation_accepts_integer_degrees(ell):
     assert second_variation_mode(ell, 1.0, 3.0, 3, "closed") == 1.0 + ell * (ell + 1) - 2.25
 
 
+def test_second_variation_takes_one_degree_of_the_zonal_spectrum():
+    # ell(ell + N - 2) of the one degree asked for, not a table of all ell + 1 degrees up to it
+    t0 = time.perf_counter()
+    assert second_variation_mode(10**8, 1.0, 3.0, 3, "closed") == 1.0000000099999998e16
+    assert time.perf_counter() - t0 < 0.01
+    assert second_variation_mode(1e300, 1.0, 3.0, 3, "closed") == math.inf  # and no RuntimeWarning
+
+
 @pytest.mark.parametrize("N", [1, 0, math.nan])
 def test_second_variation_and_fs_threshold_refuse_dimensions_without_a_sphere(N):
     # ell(ell + N - 2) is the zonal spectrum of S^(N-1) only for N >= 2; at N = 1 the closed form
@@ -1061,9 +1081,9 @@ def test_emden_fowler_refuses_a_vanishing_profile(w):
 
 
 def test_symmetric_mu_threshold_refuses_p_2_as_bad_input():
-    # gamma = (p + 2)/(2(p - 2)) has no value at p = 2: a DomainError naming p, not a ZeroDivisionError
+    # lambda_sym and gamma = (p + 2)/(2(p - 2)) have no value at p = 2: a DomainError naming p, not a ZeroDivisionError
     with pytest.raises(DomainError, match=r"p=2\.0"):
-        symmetric_mu_threshold(2.5, 2.0, 3)
+        symmetric_mu_threshold(2.0, 3)
 
 
 def test_eigenvalue_bound_linear_law():
@@ -1103,7 +1123,7 @@ def test_eigenvalue_bound_solves_each_lambda_once(monkeypatch):
         return real(start, Lambda, *args)
 
     monkeypatch.setattr(cyl, "minimize_quotient", recording)
-    mu = 2.0 * symmetric_mu_threshold(2.5, 3.0, 3)  # linear law at 2 lambda_sym, past lambda_fs
+    mu = 2.0 * symmetric_mu_threshold(3.0, 3)  # linear law at 2 lambda_sym, past lambda_fs
     assert radial_interp_coefficient(1.0, 3.0) ** 1.2 * mu > lambda_fs(3.0, 3)
     eigenvalue_bound(mu, 3.0, 3, grid=LineGrid(18.0, 699), L_max=5)
     assert len(solved) >= 3  # the bracket and at least one interior brentq step
@@ -1196,29 +1216,27 @@ def test_eigenvalue_bound_numeric_branch():
     # inversion runs; the broken minimizer lowers the quotient below the
     # radial one, so the bound lies at or above the linear law, and close to it
     slope = radial_interp_coefficient(1.0, 3.0) ** (6.0 / 5.0)
-    mu = 1.1 * symmetric_mu_threshold(2.5, 3.0, 3)
+    mu = 1.1 * symmetric_mu_threshold(3.0, 3)
     lam = eigenvalue_bound(mu, 3.0, 3, grid=LineGrid(18.0, 699), L_max=5)
     assert slope * mu <= lam <= slope * mu * (1 + 5e-3)
     assert lam > lambda_sym(3.0, 3)
 
 
 def test_symmetric_mu_threshold():
-    thr = symmetric_mu_threshold(2.5, 3.0, 3)
+    thr = symmetric_mu_threshold(3.0, 3)
     slope = radial_interp_coefficient(1.0, 3.0) ** (6.0 / 5.0)
     assert thr == pytest.approx(lambda_sym(3.0, 3) / slope, rel=1e-14)
     assert thr > 0
     # linear in the symmetric threshold: N enters only through lambda_sym
-    assert symmetric_mu_threshold(2.5, 3.0, 2) / thr == pytest.approx(
+    assert symmetric_mu_threshold(3.0, 2) / thr == pytest.approx(
         lambda_sym(3.0, 2) / lambda_sym(3.0, 3), rel=1e-14
     )
-    with pytest.raises(DomainError):
-        symmetric_mu_threshold(2.0, 3.0, 3)
 
 
 def test_paired_optimizer_symmetric_below_threshold():
     # below the mu threshold the optimizing field is s-only
     slope = radial_interp_coefficient(1.0, 3.0) ** (6.0 / 5.0)
-    mu = 0.8 * symmetric_mu_threshold(2.5, 3.0, 3)
+    mu = 0.8 * symmetric_mu_threshold(3.0, 3)
     lam = slope * mu
     rep = minimize_quotient(perturbed_start(GRID, 3, 6, lam, 3.0), lam, 3.0)
     assert rep.angular_fraction < 1e-6
@@ -1327,3 +1345,37 @@ def test_sandwich_window_is_the_only_theta_gate(N, p, t):
         assert refused == empty
     if not refused:
         assert math.isfinite(chain_exponents(p, theta)[1])
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+_SMALL = LineGrid(10.0, 99)
+_S_NODES = np.linspace(-5.0, 5.0, 32)
+_P_NEAR_2 = 2.0 + 1e-12  # theta_min = 7.5e-13, below the window's 1e-12 slack
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (lambda: minimize_quotient(CylField(_SMALL, 3, np.zeros((99, 3))), 1.0, 3.0), DomainError, "zero field"),
+    (lambda: second_variation_mode(1, 1.0, 3.0, 3, "spectral"), DomainError, "unknown method"),
+    *[(lambda mu=mu: eigenvalue_bound(mu, 3.0, 3), DomainError, "need finite mu > 0")
+      for mu in (0.0, -1.0, math.inf, math.nan)],
+    (lambda: emden_fowler_pushforward(np.sort(np.append(_S_NODES, _S_NODES[4])), np.zeros(33),
+                                      ParamPoint(3, -0.5, 0.0)), NumericsError, "strictly increasing"),
+    (lambda: Potential1D(_SMALL, np.zeros(98)), DomainError, "expected 99 samples"),
+    (lambda: sphere_quadrature(2, 1), DomainError, "need m >= 2 nodes"),
+    (lambda: sphere_quadrature(3, 0), DomainError, "need m >= 1 nodes"),
+    (lambda: ZonalField(3, []), DomainError, "non-empty"),
+    (lambda: basis_matrix(sphere_quadrature(3, 4), -1), DomainError, "need L_max >= 0"),
+    (lambda: euclidean_radial_extremal(-1.0, ParamPoint(3, -0.5, 0.0)), DomainError, "x_norm must be >= 0"),
+    (lambda: lt_ratio(Potential1D(_SMALL, np.zeros(99)), 2.5,
+                      lowest_eigenpair(sech_squared_potential(_SMALL, 6.0, 1.0))), DomainError, "identically zero"),
+    (lambda: CylinderPoint(3, _P_NEAR_2, 1.0, 0.0), DomainError, "theta=0.0 outside"),
+    (lambda: minimize_quotient(extremal_field(_SMALL, 3, 2, 1.0, 3.0), 1.0, _P_NEAR_2, 0.0),
+     DomainError, "theta=0.0 outside"),
+], ids=["zero-start", "sv-method", "mu-0", "mu-neg", "mu-inf", "mu-nan", "repeated-s", "potential-samples",
+        "circle-m", "sphere-m", "empty-zonal", "basis-L", "negative-radius", "zero-well", "theta-0-point",
+        "theta-0-flow"])
+def test_each_refusal_raises_its_error(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)):
+        call()

@@ -91,6 +91,7 @@ def _both_brentq(f, a, b, **tol):
     (lambda x: math.exp(x) - 5.0, -1.0, 4.0, {"xtol": 5e-324}),
     (lambda x: math.tanh(5.0 * (x - 0.3)), -4.0, 7.0, {}),
     (lambda x: x, -1.0, 1.0, {}),  # the root at a bracket midpoint
+    (lambda x: x, 0.0, 1.0, {}),  # the root at a bracket end
 ])
 def test_brentq_matches_scipy_on_analytic_functions(f, a, b, tol):
     _both_brentq(f, a, b, **tol)
@@ -98,7 +99,7 @@ def test_brentq_matches_scipy_on_analytic_functions(f, a, b, tol):
 
 @pytest.mark.parametrize("caller", [
     lambda: cylinder.fs_threshold(3.0, 3),
-    lambda: cylinder.eigenvalue_bound(2.0 * cylinder.symmetric_mu_threshold(2.5, 3.0, 3), 3.0, 3,
+    lambda: cylinder.eigenvalue_bound(2.0 * cylinder.symmetric_mu_threshold(3.0, 3), 3.0, 3,
                                       grid=LineGrid(18.0, 699), L_max=5),
 ], ids=["fs_threshold", "eigenvalue_bound"])
 def test_brentq_matches_scipy_on_the_package_objectives(monkeypatch, caller):
