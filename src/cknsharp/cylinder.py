@@ -231,6 +231,14 @@ def _numerator(E: float, M: float, Lambda: float, theta: float) -> float:
     return (E + Lambda * M) if theta == 1.0 else (E + Lambda * M) ** theta * M ** (1 - theta)
 
 
+def _check_scored(Lambda: float, p: float, theta: float) -> None:
+    """Finite Lambda > 0, finite p > 2 and 0 < theta <= 1: the point any field is scored at."""
+    check_Lambda(Lambda)
+    check_p(p)
+    if not 0 < theta <= 1:  # written so that NaN fails the comparison
+        raise DomainError(f"need 0 < theta <= 1, got {theta}")
+
+
 def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
     """Scale-invariant quotient whose infimum is the inverse best constant.
 
@@ -239,10 +247,7 @@ def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
     / ||u||_p^2.  Probability measure on the angular factor.  Scores any
     0 < theta <= 1: theta_min bounds only minimize_quotient.
     """
-    check_Lambda(Lambda)
-    check_p(p)
-    if not 0 < theta <= 1:  # written so that NaN fails the comparison
-        raise DomainError(f"need 0 < theta <= 1, got {theta}")
+    _check_scored(Lambda, p, theta)
     E, M, P, *_ = _pieces(u, p)
     return _numerator(E, M, Lambda, theta) / P ** (2.0 / p)
 
@@ -589,8 +594,9 @@ def el_residual(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> flo
     r = -theta (d^2/ds^2 + angular Laplacian) u + [(1 - theta) E/M + Lambda] u
     - mu |u|^(p-2) u with mu = (E + Lambda M)/P, the multiplier of the
     scale-invariant quotient, which is 1 at the Euler-Lagrange scale; theta = 1
-    removes the E/M term.
+    removes the E/M term.  (Lambda, p, theta) are checked as by rayleigh.
     """
+    _check_scored(Lambda, p, theta)
     E, M, P, nl, c = _pieces(u, p)
     minus_lap = dst(_stiffness(u) * c, 1)
     r = theta * minus_lap + ((1 - theta) * E / M + Lambda) * u.data - (E + Lambda * M) / P * nl
@@ -600,6 +606,7 @@ def el_residual(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> flo
 def defect_functional(u: CylField, p: float) -> float:
     """Gradient energy minus the p-th power integral: equals -Lambda * M
     on solutions of the Euler-Lagrange equation at parameter Lambda."""
+    check_p(p)
     E, _, P, *_ = _pieces(u, p)
     return E - P
 
@@ -682,31 +689,6 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
 
 
 # ---------------------------------------------------------------------------
-# root inversion: fs_threshold and eigenvalue_bound
-
-def _grown_root(f, lo, hi, grow, tries, fail, **tol) -> float | None:
-    """Root of f in (lo, hi) for f(lo) > 0: hi grows by the factor ``grow``
-    (at most ``tries`` times) until f(hi) < 0, then brentq runs with f
-    memoized, so no argument is solved twice.  Returns None when f(lo) <= 0;
-    raises NumericsError with ``fail`` formatted with the last hi tried when
-    the sign never changes."""
-    solved: dict[float, float] = {}
-
-    def memo(x: float) -> float:
-        if x not in solved:
-            solved[x] = f(x)
-        return solved[x]
-
-    if memo(lo) <= 0:
-        return None
-    for _ in range(tries):
-        if memo(hi) < 0:
-            return float(brentq(memo, lo, hi, **tol))
-        hi *= grow
-    raise NumericsError(fail.format(max(solved)))
-
-
-# ---------------------------------------------------------------------------
 # second variation, instability threshold
 
 _SV_GRID = LineGrid(25.0, 4000)
@@ -721,7 +703,11 @@ def second_variation_mode(ell: int, Lambda: float, p: float, N: int, method: str
     (method="closed"): Lambda + ell(ell + N - 2) - p^2 Lambda / 4.
     method="grid" solves the well numerically on LineGrid(25, 4000).
     """
-    if not (ell >= 1 and float(ell).is_integer()):  # written so that NaN fails the comparison
+    try:  # NaN and inf are not integers
+        integral = float(ell).is_integer() and ell >= 1
+    except OverflowError:  # an int past the float range, which may have too many digits to print
+        integral, ell = False, f"~{'-' * (ell < 0)}10^{math.log10(abs(ell)):.6g}"
+    if not integral:
         raise DomainError(f"need an integer zonal degree ell >= 1, got ell={ell}")
     check_Lambda(Lambda)
     check_p(p)
@@ -739,12 +725,17 @@ def second_variation_mode(ell: int, Lambda: float, p: float, N: int, method: str
 
 def fs_threshold(p: float, N: int) -> float:
     """Instability threshold in Lambda: root (to 1e-6) of the degree-1
-    second-variation eigenvalue.  Matches 4(N-1)/(p^2-4)."""
+    second-variation eigenvalue.  Matches 4(N-1)/(p^2-4).  brentq runs on the
+    bracket [1e-3, 2^k], k the first of 0..59 whose mode is negative."""
     check_p(p, 6)
     check_subcritical(p, N)
-    # never None: at Lambda = 1e-3 the mode is > N - 1 - (p - 1)p Lambda/2 > N - 1.015, as no binding exceeds max V
-    return _grown_root(lambda lam: second_variation_mode(1, lam, p, N, "grid"), 1e-3, 1.0, 2.0, 60,
-                       "no sign change up to Lambda={}", xtol=1e-6)
+    # memoized, so brentq re-reads the bracket ends without solving again
+    mode = lru_cache(maxsize=None)(lambda lam: second_variation_mode(1, lam, p, N, "grid"))
+    # at Lambda = 1e-3 the mode is > N - 1 - (p - 1)p Lambda/2 > N - 1.015, as no binding exceeds max V
+    for k in range(60):
+        if mode(2.0**k) < 0:
+            return float(brentq(mode, 1e-3, 2.0**k, xtol=1e-6))
+    raise NumericsError(f"no sign change up to Lambda={2.0**59}")
 
 
 # ---------------------------------------------------------------------------
@@ -829,10 +820,14 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
 
     In the certified-symmetric regime the bound is the linear law
     slope * mu with slope = radial_interp_coefficient(1, p)^(2p/(p+2)); past
-    it, the relation mu^((p+2)/(2p)) = 1/K(Lambda) is inverted numerically
-    with the 2-d minimizer supplying K (at most 1500 iterations per descent,
-    both levels together, default grid LineGrid(20, 1199)) to 1e-3 relative
-    in Lambda.
+    it, the relation mu^((p+2)/(2p)) = Q(Lambda) = 1/K(Lambda) is inverted by
+    Newton steps from the linear law: the 2-d minimizer supplies Q (at most
+    1500 iterations per descent, both levels together, default grid
+    LineGrid(20, 1199)) and its slope M/P^(2/p) at the minimizer (Danskin).
+    Q, an infimum of functions affine in Lambda, is concave and increasing, so
+    the iterates rise to the root with no bracket.  The linear law is returned
+    if Q there reaches the target; else the iteration stops at a step below
+    1e-4 Lambda, and 40 solves without one raise NumericsError.
 
     The inversion continues in Lambda: until a solve returns a broken
     minimizer (:attr:`MinimizeReport.broken`), each Lambda gets a cold
@@ -854,8 +849,8 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
     warm = MinimizeOpts(max_iter=1500)
     target = mu ** ((p + 2) / (2 * p))
     broken: list[tuple[float, CylField]] = []  # (Lambda, minimizer) of each broken solve
-
-    def f(lam: float) -> float:
+    lam = lam_lin
+    for _ in range(40):
         if broken:
             _, near = min(broken, key=lambda b: abs(math.log(b[0] / lam)))
             rep = minimize_quotient(near, lam, p, 1.0, warm)
@@ -863,11 +858,15 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
             rep = minimize_quotient(extremal_field(g, N, L_max, lam, p), lam, p, 1.0, cold)
         if rep.broken:
             broken.append((lam, rep.minimizer))
-        return target - rep.quotient  # quotient = 1/K, increasing in Lambda
-
-    root = _grown_root(f, lam_lin, lam_lin * 1.6, 1.6, 40,
-                       "no bracket for the inversion up to Lambda={}", rtol=1e-3, xtol=1e-12)
-    return lam_lin if root is None else root
+        gap = target - rep.quotient  # quotient = 1/K, concave and increasing in Lambda
+        if lam == lam_lin and gap <= 0:
+            return lam_lin
+        _, M, P, *_ = _pieces(rep.minimizer, p)
+        step = gap * P ** (2.0 / p) / M  # the slope of the quotient is M/P^(2/p) at the minimizer
+        lam += step
+        if abs(step) <= 1e-4 * lam:
+            return lam
+    raise NumericsError(f"no convergence of the inversion in 40 solves, at Lambda={lam}")
 
 
 # ---------------------------------------------------------------------------

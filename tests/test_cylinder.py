@@ -1126,7 +1126,7 @@ def test_eigenvalue_bound_solves_each_lambda_once(monkeypatch):
     mu = 2.0 * symmetric_mu_threshold(3.0, 3)  # linear law at 2 lambda_sym, past lambda_fs
     assert radial_interp_coefficient(1.0, 3.0) ** 1.2 * mu > lambda_fs(3.0, 3)
     eigenvalue_bound(mu, 3.0, 3, grid=LineGrid(18.0, 699), L_max=5)
-    assert len(solved) >= 3  # the bracket and at least one interior brentq step
+    assert len(solved) >= 3  # the linear law and at least two Newton iterates
     assert len(solved) == len(set(solved))
 
 
@@ -1149,11 +1149,10 @@ def _bound_calls(monkeypatch, lam_lin, p, N):
 
 
 # points past lambda_fs (1.6 at p = N = 3, 1.78 at p = 2.5, N = 2), and one in
-# the strip lambda_sym = 1.5 < Lambda < lambda_fs at p = N = 3.  Whether the
-# strip point brackets hangs on a roundoff-level sign (the radial quotient
-# equals the target at the linear law), so it may make no warm call at all;
-# when it does bracket, its end 1.6 Lambda is broken, so warm descents run
-# below lambda_fs
+# the strip lambda_sym = 1.5 < Lambda < lambda_fs at p = N = 3.  At the strip
+# point the radial quotient equals the target at the linear law up to
+# roundoff, so the inversion stops there, at a gap <= 0 or a roundoff-size
+# Newton step, after one cold solve and no warm call
 _PAST_POINTS = [pytest.param(3.0, 3.0, 3, id="past"), pytest.param(3.0, 2.5, 2, id="past-p2.5-N2")]
 _CONTINUATION_POINTS = [*_PAST_POINTS, pytest.param(1.54, 3.0, 3, id="strip")]
 
@@ -1187,6 +1186,51 @@ def test_eigenvalue_bound_warm_quotients_match_cold(monkeypatch, lam_lin, p, N):
         cold = minimize_quotient(extremal_field(grid, N, 5, lam, p), lam, p, 1.0,
                                  MinimizeOpts(multistart=True, max_iter=1500))
         assert rep.quotient == pytest.approx(cold.quotient, rel=1e-8), lam
+
+
+@pytest.mark.parametrize("lam_lin, p, N", _PAST_POINTS)
+def test_eigenvalue_bound_matches_a_brent_inversion(lam_lin, p, N):
+    # the oracle inverts the same relation with cold multistart quotients, by
+    # scipy's brentq to rtol 1e-10 on the bracket [lam_lin, 1.6 lam_lin]
+    optimize = pytest.importorskip("scipy.optimize")
+    grid = LineGrid(18.0, 699)
+    mu = lam_lin / radial_interp_coefficient(1.0, p) ** (2 * p / (p + 2))
+    target = mu ** ((p + 2) / (2 * p))
+    opts = MinimizeOpts(multistart=True, max_iter=1500)
+
+    def gap(lam):
+        return target - minimize_quotient(extremal_field(grid, N, 5, lam, p), lam, p, 1.0, opts).quotient
+
+    root = optimize.brentq(gap, lam_lin, 1.6 * lam_lin, rtol=1e-10)
+    assert eigenvalue_bound(mu, p, N, grid=grid, L_max=5) == pytest.approx(root, rel=1e-7)
+
+
+@pytest.mark.parametrize("lam_lin, p, N", _PAST_POINTS)
+def test_eigenvalue_bound_newton_iterates_rise(monkeypatch, lam_lin, p, N):
+    # the quotient is concave in Lambda, so from the left of the root each
+    # Newton step stays on its left: every step, the last unsolved one
+    # included, is positive, and no step overshoots into a sign change
+    calls = _bound_calls(monkeypatch, lam_lin, p, N)
+    slope = radial_interp_coefficient(1.0, p) ** (2 * p / (p + 2))
+    bound = eigenvalue_bound(lam_lin / slope, p, N, grid=LineGrid(18.0, 699), L_max=5)
+    lams = [c[0] for c in calls]
+    assert lams[0] == pytest.approx(lam_lin, rel=1e-15) and len(lams) <= 4
+    assert all(step > 0 for step in np.diff([*lams, bound]))
+
+
+@pytest.mark.parametrize("Lambda", [1.2, 2.0, 3.0])
+def test_quotient_slope_in_lambda_is_mass_over_power_norm(Lambda):
+    # Danskin: the infimum Q(Lambda) of (E + Lambda M)/P^(2/p) has slope
+    # M/P^(2/p) at its minimizer, radial at 1.2 and broken at 2 and 3
+    grid, opts = LineGrid(18.0, 699), MinimizeOpts(multistart=True, max_iter=1500)
+
+    def solve(lam):
+        return minimize_quotient(extremal_field(grid, 3, 5, lam, 3.0), lam, 3.0, 1.0, opts)
+
+    _, M, P, *_ = cyl._pieces(solve(Lambda).minimizer, 3.0)
+    delta = 1e-4 * Lambda
+    central = (solve(Lambda + delta).quotient - solve(Lambda - delta).quotient) / (2 * delta)
+    assert M / P ** (2.0 / 3.0) == pytest.approx(central, rel=5e-6)
 
 
 def _five_smooth(m: int) -> bool:
@@ -1355,9 +1399,16 @@ _S_NODES = np.linspace(-5.0, 5.0, 32)
 _P_NEAR_2 = 2.0 + 1e-12  # theta_min = 7.5e-13, below the window's 1e-12 slack
 
 
+def _scored():
+    """A field the scoring functions accept at (Lambda, p) = (1, 3)."""
+    return extremal_field(LineGrid(20.0, 399), 3, 4, 1.0, 3.0)
+
+
 @pytest.mark.parametrize("call, exc, fragment", [
     (lambda: minimize_quotient(CylField(_SMALL, 3, np.zeros((99, 3))), 1.0, 3.0), DomainError, "zero field"),
     (lambda: second_variation_mode(1, 1.0, 3.0, 3, "spectral"), DomainError, "unknown method"),
+    *[(lambda ell=ell: second_variation_mode(ell, 1.0, 3.0, 3, "closed"), DomainError, "zonal degree ell >= 1")
+      for ell in (10**400, 10**5000, -10**5000)],
     *[(lambda mu=mu: eigenvalue_bound(mu, 3.0, 3), DomainError, "need finite mu > 0")
       for mu in (0.0, -1.0, math.inf, math.nan)],
     (lambda: emden_fowler_pushforward(np.sort(np.append(_S_NODES, _S_NODES[4])), np.zeros(33),
@@ -1373,9 +1424,15 @@ _P_NEAR_2 = 2.0 + 1e-12  # theta_min = 7.5e-13, below the window's 1e-12 slack
     (lambda: CylinderPoint(3, _P_NEAR_2, 1.0, 0.0), DomainError, "theta=0.0 outside"),
     (lambda: minimize_quotient(extremal_field(_SMALL, 3, 2, 1.0, 3.0), 1.0, _P_NEAR_2, 0.0),
      DomainError, "theta=0.0 outside"),
-], ids=["zero-start", "sv-method", "mu-0", "mu-neg", "mu-inf", "mu-nan", "repeated-s", "potential-samples",
-        "circle-m", "sphere-m", "empty-zonal", "basis-L", "negative-radius", "zero-well", "theta-0-point",
-        "theta-0-flow"])
+    *[(lambda args=args: el_residual(_scored(), *args), DomainError, fragment) for args, fragment in (
+        ((-1.0, 3.0), "need finite Lambda > 0"), ((math.nan, 3.0), "need finite Lambda > 0"),
+        ((1.0, 1.5), "need finite p > 2"), ((1.0, 3.0, 2.0), "need 0 < theta <= 1"),
+        ((1.0, 3.0, -0.5), "need 0 < theta <= 1"))],
+    *[(lambda p=p: defect_functional(_scored(), p), DomainError, "need finite p > 2") for p in (1.5, math.nan)],
+], ids=["zero-start", "sv-method", "ell-1e400", "ell-1e5000", "ell-minus-1e5000", "mu-0", "mu-neg", "mu-inf",
+        "mu-nan", "repeated-s", "potential-samples", "circle-m", "sphere-m", "empty-zonal", "basis-L",
+        "negative-radius", "zero-well", "theta-0-point", "theta-0-flow", "el-Lambda-neg", "el-Lambda-nan", "el-p",
+        "el-theta-2", "el-theta-neg", "defect-p", "defect-p-nan"])
 def test_each_refusal_raises_its_error(call, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)):
         call()
