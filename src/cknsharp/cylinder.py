@@ -40,7 +40,6 @@ import numpy as np
 from . import sphere
 from ._kernels import _spline, brentq, dst, quad
 from .closed_forms import (
-    extremal_potential,
     extremal_profile,
     gap_factor,
     lt_constant,
@@ -52,7 +51,7 @@ from .errors import (
     DomainError, NumericsError, check_Lambda, check_N, check_numeric_N, check_p, check_subcritical, check_theta_window
 )
 from .params import CylinderPoint, ParamPoint, a_critical, chain_exponents, lambda_sym, theta_min, to_cylinder
-from .schrodinger import LineGrid, Potential1D, lowest_eigenpair
+from .schrodinger import LineGrid, lowest_eigenpair, sech_squared_potential
 
 __all__ = [
     "CylField",
@@ -634,8 +633,9 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
     to v, the sharp sphere inequality for v, and the probability-measure
     power-mean step.  All five slacks are non-negative up to discretization
     and vanish simultaneously exactly at the s-only extremal profile, where
-    D = Lambda.
+    D = Lambda; a Lambda that is not finite and positive is refused.
     """
+    check_Lambda(Lambda)
     gamma, q_exp = chain_exponents(p, 1.0)
     grid = u.grid
     quad_, B = _angular(u.N, u.L_max)
@@ -698,10 +698,10 @@ def second_variation_mode(ell: int, Lambda: float, p: float, N: int, method: str
     """Lowest eigenvalue of the linearization around the radial extremal,
     restricted to zonal degree ell.
 
-    The operator is -d^2/ds^2 + Lambda + ell(ell + N - 2) - (p-1) u_star^(p-2);
-    the sech^2 well makes a closed form available
-    (method="closed"): Lambda + ell(ell + N - 2) - p^2 Lambda / 4.
-    method="grid" solves the well numerically on LineGrid(25, 4000).
+    The operator is -d^2/ds^2 + Lambda + ell(ell + N - 2) - (p-1) u_star^(p-2), whose well is
+    V0/cosh(B s)^2 with V0 = (p-1) p Lambda/2 and B = (p-2) sqrt(Lambda)/2, so a closed form is
+    available (method="closed"): Lambda + ell(ell + N - 2) - p^2 Lambda / 4.  method="grid" solves
+    sech_squared_potential(V0, B), which needs no amplitude of u_star, on LineGrid(25, 4000).
     """
     try:  # NaN and inf are not integers
         integral = float(ell).is_integer() and ell >= 1
@@ -717,10 +717,8 @@ def second_variation_mode(ell: int, Lambda: float, p: float, N: int, method: str
         return shift - p * p * Lambda / 4.0
     if method != "grid":
         raise DomainError(f"unknown method {method!r}")
-    pc = profile_constants(Lambda, p, 1.0)
-    well = Potential1D(_SV_GRID, (p - 1) * extremal_potential(_SV_GRID.nodes(), pc, p))
-    res = lowest_eigenpair(well)
-    return shift - res.lambda1
+    well = sech_squared_potential(_SV_GRID, (p - 1) * p * Lambda / 2, (p - 2) * math.sqrt(Lambda) / 2)
+    return shift - lowest_eigenpair(well).lambda1
 
 
 def fs_threshold(p: float, N: int) -> float:
@@ -805,8 +803,10 @@ def symmetric_mu_threshold(p: float, N: int) -> float:
     """Largest potential size mu for which the optimizing potential of the
     cylinder spectral bound is certified s-only, at the bound's power
     gamma = (p+2)/(2(p-2)) (2 < p < 6).  The value is lambda_sym(p, N)
-    divided by the linear-law slope radial_interp_coefficient(1, p)^(2p/(p+2)).
+    divided by the linear-law slope radial_interp_coefficient(1, p)^(2p/(p+2));
+    a p supercritical for N is refused.
     """
+    check_subcritical(p, N)
     return lambda_sym(p, N) / _linear_law_slope(p)
 
 
@@ -834,12 +834,13 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
     multistart from the radial extremal (every start on the coarse grid,
     the best one also on the fine grid), the guard against missing the
     broken branch at the first point past the instability threshold; after
-    that, each Lambda gets one descent started from the broken minimizer of
-    the nearest solved Lambda in |log Lambda|.  A radial result never seeds
-    a descent, and the minimizers are dropped when the call returns.
+    that, each Lambda gets one descent started from the latest broken
+    minimizer, the nearest one since the iterates rise.  A radial result never
+    seeds a descent, and the minimizer is dropped when the call returns.
     """
     if not 0 < mu < math.inf:
         raise DomainError(f"need finite mu > 0, got {mu}")
+    check_subcritical(p, N)
     lam_lin = _linear_law_slope(p) * mu
     if lam_lin <= lambda_sym(p, N) + 1e-12:
         return lam_lin
@@ -848,16 +849,15 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
     cold = MinimizeOpts(multistart=True, max_iter=1500)
     warm = MinimizeOpts(max_iter=1500)
     target = mu ** ((p + 2) / (2 * p))
-    broken: list[tuple[float, CylField]] = []  # (Lambda, minimizer) of each broken solve
+    broken = None  # the minimizer of the latest broken solve
     lam = lam_lin
     for _ in range(40):
-        if broken:
-            _, near = min(broken, key=lambda b: abs(math.log(b[0] / lam)))
-            rep = minimize_quotient(near, lam, p, 1.0, warm)
+        if broken is not None:
+            rep = minimize_quotient(broken, lam, p, 1.0, warm)
         else:
             rep = minimize_quotient(extremal_field(g, N, L_max, lam, p), lam, p, 1.0, cold)
         if rep.broken:
-            broken.append((lam, rep.minimizer))
+            broken = rep.minimizer
         gap = target - rep.quotient  # quotient = 1/K, concave and increasing in Lambda
         if lam == lam_lin and gap <= 0:
             return lam_lin

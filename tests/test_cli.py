@@ -214,6 +214,13 @@ def test_verify_fs(capsys):
     assert payload["measured"] == pytest.approx(1.6, rel=5e-3)
 
 
+def test_verify_fs_near_p_2(capsys):
+    # the second-variation well needs no extremal amplitude, which overflows here
+    code, out, _ = run_cli(capsys, "verify", "fs", "--p", "2.0000001")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_verify_minimize_breaking(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--n", "999",
@@ -276,7 +283,7 @@ _REPROS = {
     ("region-map", "--a-min", "nan", "--na", "3", "--nb", "3"): (DomainError, "[nan, "),
     ("region-map", "--b-max", "inf", "--format", "json"): (DomainError, ", inf]"),
     ("constants", "--p", "2.001", "--Lambda", "10"): (DomainError, "Lambda=10.0, p=2.001"),
-    ("verify", "fs", "--p", "2.0000001"): (DomainError, "p=2.0000001"),
+    ("verify", "fs", "--p", "6"): (DomainError, "p=6.0"),
     ("verify", "lt", "--gamma", "2", "--S", "1e-300", "--n", "64"): (ArithmeticError, "--S 1e-300"),
     ("verify", "chain", "--p", "3", "--Lambda", "1", "--S", "1e300", "--n", "64", "--fuzz", "1"): (DomainError, "S=1e+300"),
     ("verify", "chain", "--p", "3", "--Lambda", "1", "--n", "64", "--fuzz", "1", "--l-max", "-1"): (DomainError, "--l-max -1"),

@@ -926,6 +926,14 @@ def test_second_variation_grid_matches_closed():
         assert grid_val == pytest.approx(closed_val, abs=1e-3)
 
 
+def test_second_variation_grid_needs_no_amplitude():
+    # near p = 2 the amplitude (p Lambda/2)^(1/(p-2)) of u_star leaves the float range; the
+    # well's depth (p-1) p Lambda/2 does not, and the grid mode stays on the closed form
+    p, lam = 2.01, 1500.0
+    closed = second_variation_mode(1, lam, p, 3, "closed")
+    assert abs(second_variation_mode(1, lam, p, 3, "grid") - closed) <= 1e-6 * p * p * lam / 4
+
+
 def test_second_variation_positive_up_to_lambda_sym():
     for p in (2.5, 3.0, 4.0):
         for frac in (0.25, 0.6, 1.0):
@@ -939,6 +947,12 @@ def test_fs_threshold_quick(p, N):
     measured = fs_threshold(p, N)
     assert measured == pytest.approx(expected, rel=5e-3)
     assert abs(measured - expected) <= 1e-3
+
+
+@pytest.mark.parametrize("p,N", [(2.004, 3), (2.001, 2)])
+def test_fs_threshold_near_p_2(p, N):
+    # the bracket reaches Lambda ~ 500 to 1000, where the extremal amplitude overflows
+    assert fs_threshold(p, N) == pytest.approx(lambda_fs(p, N), rel=1e-5)
 
 
 def test_fs_threshold_solves_each_lambda_once(monkeypatch):
@@ -1218,6 +1232,19 @@ def test_eigenvalue_bound_newton_iterates_rise(monkeypatch, lam_lin, p, N):
     assert all(step > 0 for step in np.diff([*lams, bound]))
 
 
+@pytest.mark.parametrize("lam_lin, p, N", _PAST_POINTS)
+def test_eigenvalue_bound_warm_starts_from_the_latest_broken_minimizer(monkeypatch, lam_lin, p, N):
+    # the iterates rise, so the latest broken Lambda is also the nearest one
+    latest, warm = None, 0
+    for lam, multistart, start, rep in _bound_calls(monkeypatch, lam_lin, p, N):
+        if not multistart:
+            assert latest is not None and start is latest.minimizer, lam
+            warm += 1
+        if rep.broken:
+            latest = rep
+    assert warm
+
+
 @pytest.mark.parametrize("Lambda", [1.2, 2.0, 3.0])
 def test_quotient_slope_in_lambda_is_mass_over_power_norm(Lambda):
     # Danskin: the infimum Q(Lambda) of (E + Lambda M)/P^(2/p) has slope
@@ -1429,10 +1456,15 @@ def _scored():
         ((1.0, 1.5), "need finite p > 2"), ((1.0, 3.0, 2.0), "need 0 < theta <= 1"),
         ((1.0, 3.0, -0.5), "need 0 < theta <= 1"))],
     *[(lambda p=p: defect_functional(_scored(), p), DomainError, "need finite p > 2") for p in (1.5, math.nan)],
+    (lambda: eigenvalue_bound(0.1, 5.0, 4), DomainError, "p=5.0 supercritical for N=4"),
+    (lambda: symmetric_mu_threshold(3.0, 7), DomainError, "p=3.0 supercritical for N=7"),
+    *[(lambda lam=lam: proof_chain(_scored(), lam, 3.0), DomainError, "need finite Lambda > 0")
+      for lam in (math.nan, -1.0, math.inf)],
 ], ids=["zero-start", "sv-method", "ell-1e400", "ell-1e5000", "ell-minus-1e5000", "mu-0", "mu-neg", "mu-inf",
         "mu-nan", "repeated-s", "potential-samples", "circle-m", "sphere-m", "empty-zonal", "basis-L",
         "negative-radius", "zero-well", "theta-0-point", "theta-0-flow", "el-Lambda-neg", "el-Lambda-nan", "el-p",
-        "el-theta-2", "el-theta-neg", "defect-p", "defect-p-nan"])
+        "el-theta-2", "el-theta-neg", "defect-p", "defect-p-nan", "bound-supercritical", "mu-threshold-supercritical",
+        "chain-Lambda-nan", "chain-Lambda-neg", "chain-Lambda-inf"])
 def test_each_refusal_raises_its_error(call, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)):
         call()
