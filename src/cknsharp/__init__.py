@@ -25,7 +25,6 @@ from .closed_forms import (
     Moments,
     ProfileConstants,
     euclidean_radial_extremal,
-    extremal_potential,
     extremal_profile,
     f_cosh_integral,
     gap_factor,
@@ -73,7 +72,6 @@ from .cylinder import (
     fs_threshold,
     minimize_quotient,
     proof_chain,
-    radial_field,
     rayleigh,
     sandwich_check,
     second_variation_mode,

@@ -44,18 +44,18 @@ def _sine_matrix(m: int, type: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _twiddle(m: int, cols: int, type: int) -> np.ndarray:
-    """Read-only Makhoul twiddle, 2 exp(-i pi k / 2m) (type 2) or exp(i pi k / 2m), k <= m // 2, in cols columns."""
-    w = (2.0 if type == 2 else 1.0) * np.exp((0.5j if type == 3 else -0.5j) * math.pi / m * np.arange(m // 2 + 1))
-    w = np.repeat(w[:, None], cols, axis=1)
+def _twiddle(m: int, type: int) -> np.ndarray:
+    """Read-only Makhoul twiddle 2 exp(-i pi k/2m) (type 2) or exp(i pi k/2m), k <= m//2: a column dst broadcasts."""
+    k = np.arange(m // 2 + 1)[:, None]
+    w = (2.0 if type == 2 else 1.0) * np.exp((0.5j if type == 3 else -0.5j) * math.pi / m * k)
     w.flags.writeable = False
     return w
 
 
 def dst(x: np.ndarray, type: int) -> np.ndarray:
     """Each column's orthonormal DST-I (type 1) or unnormalized DST-II or DST-III (2, 3) of a 2-d float x.  Up
-    to _DENSE_ROWS rows, a product with the cached sine matrix; longer, one real FFT: of x zero-padded to
-    2 (m + 1) rows for type 1, of length m in Makhoul's reordering (IEEE TASSP 1980) for types 2, 3."""
+    to _DENSE_ROWS rows, a product with the cached sine matrix; longer, one real FFT: of x zero-padded to 2 (m + 1)
+    rows for type 1, of length m in Makhoul's reordering (IEEE TASSP 1980), twiddle column broadcast, for types 2, 3."""
     m = len(x)
     if m <= _DENSE_ROWS:
         return _sine_matrix(m, type) @ x
@@ -69,14 +69,14 @@ def dst(x: np.ndarray, type: int) -> np.ndarray:
         v[:h] = x[0::2]
         np.negative(x[1::2][::-1], out=v[h:])
         W = np.fft.rfft(v, axis=0)
-        W *= _twiddle(m, x.shape[1], 2)
+        W *= _twiddle(m, 2)
         y[::-1][: len(W)] = W.real
         np.negative(W.imag[1:], out=y[: len(W) - 1])
     else:  # the inverse: the DCT-III of x read backwards, with its odd rows negated
         h = m // 2 + 1
         Z = x[::-1][:h] + 0j
         np.negative(x[: h - 1], out=Z.imag[1:])
-        Z *= _twiddle(m, x.shape[1], 3)
+        Z *= _twiddle(m, 3)
         t = np.fft.irfft(Z, m, axis=0, norm="forward")
         y[0::2] = t[: (m + 1) // 2]
         np.negative(t[::-1][: m // 2], out=y[1::2])

@@ -31,7 +31,6 @@ __all__ = [
     "ProfileConstants",
     "profile_constants",
     "extremal_profile",
-    "extremal_potential",
     "lt_ground_state",
     "lt_constant",
     "radial_constant",
@@ -85,10 +84,11 @@ def sphere_area(N: int) -> float:
 
 
 def f_cosh_integral(q: float) -> float:
-    """Line integral of cosh(s)^(-q): sqrt(pi) Gamma(q/2) / Gamma((q+1)/2)."""
+    """Line integral of cosh(s)^(-q): sqrt(pi) Gamma(q/2) / Gamma((q+1)/2), the Gamma quotient taken by
+    :func:`_log_gamma_half_step`, so it keeps its relative accuracy for large q (the moments near p = 2)."""
     if not q > 0:
         raise DomainError(f"integral of cosh^-q diverges for q <= 0, got q={q}")
-    return math.exp(0.5 * math.log(math.pi) + log_gamma(q / 2) - log_gamma((q + 1) / 2))
+    return math.exp(0.5 * math.log(math.pi) - _log_gamma_half_step(q / 2))
 
 
 @dataclass(frozen=True)
@@ -157,13 +157,6 @@ def extremal_profile(s, pc: ProfileConstants, p: float):
         return pc.A * np.cosh(pc.B * s) ** (-2.0 / (p - 2))
 
 
-def extremal_potential(s, pc: ProfileConstants, p: float):
-    """Evaluate the optimizing well A^(p-2) / cosh(B s)^2; vectorized in s."""
-    s = np.asarray(s, dtype=float)
-    with np.errstate(over="ignore"):  # cosh = inf past |B s| ~ 710, where the well is 0
-        return pc.A ** (p - 2) / np.cosh(pc.B * s) ** 2
-
-
 def lt_ground_state(s, gamma: float):
     """Unit-normalized ground state of the optimizing well at width 1.
 
@@ -186,7 +179,7 @@ def _stirling_remainder(z: float) -> float:
 
 
 def _log_gamma_half_step(x: float) -> float:
-    """log Gamma(x + 1/2) - log Gamma(x) for x > 0, without cancellation.
+    """log Gamma(x + 1/2) - log Gamma(x) for x > 0, without cancellation: the one place it is formed.
 
     Below x = 20 the two log-Gamma values are subtracted; from x = 20 on
     they are of size x log x, so the difference is taken term by term in
@@ -260,8 +253,8 @@ def radial_constant_alt(Lambda: float, p: float, N: int) -> float:
 def radial_interp_coefficient(theta: float, p: float) -> float:
     """Lambda-independent prefactor of the radial constant, theta family.
 
-    This is the best constant of the probability-measure quotient at
-    Lambda = 1 among s-only profiles.
+    This is the best constant of the probability-measure quotient at Lambda = 1
+    among s-only profiles; its Gamma quotient comes from :func:`_log_gamma_half_step`.
     """
     check_interp(theta, p)
     A = (2 * theta - 1) * p + 2
@@ -269,7 +262,7 @@ def radial_interp_coefficient(theta: float, p: float) -> float:
         ((p - 2) ** 2 / A) ** ((p - 2) / (2 * p))
         * (A / (2 * p * theta)) ** theta
         * (4.0 / (p + 2)) ** ((6 - p) / (2 * p))
-        * math.exp((p - 2) / p * (log_gamma(2 / (p - 2) + 0.5) - 0.5 * math.log(math.pi) - log_gamma(2 / (p - 2))))
+        * math.exp((p - 2) / p * (_log_gamma_half_step(2 / (p - 2)) - 0.5 * math.log(math.pi)))
     )
 
 

@@ -62,7 +62,6 @@ __all__ = [
     "DEFAULT_GRID",
     "DEFAULT_L_MAX",
     "extremal_field",
-    "radial_field",
     "rayleigh",
     "minimize_quotient",
     "el_residual",
@@ -125,17 +124,11 @@ class CylField:
         return CylField(self.grid, self.N, self.data.copy())
 
 
-def radial_field(grid: LineGrid, N: int, L_max: int, profile) -> CylField:
-    """Field depending on s only: degree 0 holds the callable ``profile`` at the grid nodes."""
-    data = np.zeros((grid.n, L_max + 1))
-    data[:, 0] = profile(grid.nodes())
-    return CylField(grid, N, data)
-
-
 def extremal_field(grid: LineGrid, N: int, L_max: int, Lambda: float, p: float, theta: float = 1.0) -> CylField:
-    """The s-only extremal profile embedded as a cylinder field."""
-    pc = profile_constants(Lambda, p, theta)
-    return radial_field(grid, N, L_max, lambda s: extremal_profile(s, pc, p))
+    """The s-only extremal profile embedded as a cylinder field: degree 0 holds it at the grid nodes."""
+    data = np.zeros((grid.n, L_max + 1))
+    data[:, 0] = extremal_profile(grid.nodes(), profile_constants(Lambda, p, theta), p)
+    return CylField(grid, N, data)
 
 
 # ---------------------------------------------------------------------------

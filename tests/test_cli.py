@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cknsharp import DomainError, cli
+from cknsharp import DomainError, NumericsError, cli
 from cknsharp import closed_forms as cf
 from cknsharp.cli import main
 
@@ -301,6 +301,8 @@ _REPROS = {
     ("verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "1", "--theta", "0.2"): (DomainError, "theta=0.2 outside [0.5, 1]"),
     # the extremal amplitude (p Lambda/2)^(1/(p-2)) leaves the float range: refused, naming the point
     ("verify", "sandwich", "--N", "2", "--p", "2.00390625", "--theta", "1"): (DomainError, "p=2.00390625"),
+    # only 2 of the 9 near-constant deficits lie above roundoff: no slope is fitted
+    ("verify", "poincare", "--N", "2", "--q", "1.00000001", "--samples", "2"): (NumericsError, "q=1.00000001"),
 }
 
 
@@ -524,6 +526,15 @@ def test_verify_poincare(capsys):
     payload = json.loads(out)
     assert payload["min_deficit"] >= -1e-10
     assert payload["near_constant_slope"] >= 2.9
+
+
+def test_verify_poincare_near_q_1(capsys):
+    # the deficit at eps = 1e-3 is exactly 0 here: roundoff, which the slope fit must leave out
+    code, out, _ = run_cli(capsys, "verify", "poincare", "--N", "2", "--q", "1.0001")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload["near_constant_slope"] == pytest.approx(4.0, abs=0.01)
 
 
 def test_verify_chain(capsys):

@@ -16,7 +16,6 @@ from cknsharp import (
     ParamPoint,
     chain_exponents,
     euclidean_radial_extremal,
-    extremal_potential,
     extremal_profile,
     f_cosh_integral,
     gap_factor,
@@ -32,6 +31,7 @@ from cknsharp import (
     radial_constant_alt,
     radial_interp_coefficient,
     radial_interp_constant,
+    sech_squared_potential,
     sphere_area,
 )
 from cknsharp.closed_forms import _lt_constant_product_form, _lt_constant_ratio_form
@@ -69,6 +69,12 @@ def test_f_cosh_integral_against_quadrature(q):
     assert f_cosh_integral(q) == pytest.approx(val, rel=1e-9)
 
 
+@pytest.mark.parametrize("q", [1e3, 1e4, 4e5, 4e6, 4e7])
+def test_f_cosh_integral_recurrence_at_large_q(q):
+    # integration by parts: F(q + 2) = q/(q + 1) F(q); two log-Gammas of size q log q must not be subtracted
+    assert f_cosh_integral(q + 2) / f_cosh_integral(q) == pytest.approx(q / (q + 1), rel=1e-14)
+
+
 def test_moments_spot_values():
     m3 = moments(3.0)
     assert m3.I2 == pytest.approx(4.0 / 3.0, rel=1e-14)
@@ -85,6 +91,10 @@ def test_moments_identities_and_quadrature():
         m = moments(p)
         assert m.Ip == pytest.approx(4 * m.I2 / (p + 2), rel=1e-12)
         assert m.J2 == pytest.approx(4 * m.I2 / ((p + 2) * (p - 2)), rel=1e-12)
+    # near p = 2 the cosh powers are large; the Gamma quotient must not cancel there
+    for p in (2.000001, 2.00001, 2.0001, 2.001):
+        m = moments(p)
+        assert m.Ip == pytest.approx(4 * m.I2 / (p + 2), rel=1e-14), p
     # direct quadrature of the cosh powers and of the derivative energy
     for p in (2.5, 3.0, 4.0):
         m = moments(p)
@@ -176,19 +186,23 @@ def test_extremal_profile_integrals():
 
 
 def test_extremal_potential_shape():
+    # the extremal's well A^(p-2) / cosh(B s)^2 is the sech^2 well of depth A^(p-2) and width 1/B
     pc = profile_constants(1.0, 3.0, 1.0)
-    s = np.linspace(-5, 5, 11)
-    np.testing.assert_allclose(extremal_potential(s, pc, 3.0), 1.5 / np.cosh(0.5 * s) ** 2, rtol=1e-14)
+    grid = LineGrid(5.0, 19)  # nodes -4.5, -4, ..., 4.5
+    s = grid.nodes()
+    V = sech_squared_potential(grid, pc.A ** (3.0 - 2), pc.B).values
+    np.testing.assert_allclose(V, 1.5 / np.cosh(0.5 * s) ** 2, rtol=1e-14)
 
 
 def test_extremal_profile_and_potential_vanish_quietly_past_cosh_overflow():
-    pc = profile_constants(1e4, 3.0, 1.0)  # B = 50, so B s reaches 1000 at s = 20
-    s = np.linspace(-20.0, 20.0, 2001)
+    pc = profile_constants(1e4, 3.0, 1.0)  # B = 50, so B s reaches 999 at the last node s = 19.98
+    grid = LineGrid(20.0, 1999)
+    s = grid.nodes()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u = extremal_profile(s, pc, 3.0)
-        V = extremal_potential(s, pc, 3.0)
-    assert pc.B * s[-1] == pytest.approx(1000.0)
+        V = sech_squared_potential(grid, pc.A ** (3.0 - 2), pc.B).values
+    assert pc.B * s[-1] == pytest.approx(999.0)
     assert u[0] == u[-1] == V[0] == V[-1] == 0.0
     assert u.max() == pc.A and np.all(np.isfinite(V))
 
