@@ -9,7 +9,7 @@ coefficients; the gradient energy and its preconditioner are diagonal in
 that sine x zonal basis.  On top of that sit the Rayleigh quotients of the
 plain and interpolation inequalities, a limited-memory quasi-Newton
 (L-BFGS, three pairs) flow seeded with the diagonal preconditioner, with
-Armijo backtracking, that runs in coefficient space (two transforms per
+Armijo backtracking from step 1, that runs in coefficient space (two transforms per
 iteration, none per line-search trial; one nodal power per trial, none per
 gradient; no shared state, so flows may run in threads), each start first
 on a coarse sine grid of the same box and only the best start then on the
@@ -161,36 +161,35 @@ def _stiffness(u: CylField) -> np.ndarray:
     return _omega2(u.grid, u.half)[:, None] + sphere.zonal_eigenvalues(u.N, u.L_max)[None, :]
 
 
-def _ledger(u: CylField):
-    """(mass, senergy, c): per-degree squared L2 norm and Dirichlet energy in
-    s of the sine interpolant, and its sine coefficients c: one DST-I, or
-    the odd modes an _Even holds."""
-    c = u.c if u.half else dst(u.data, 1)
+def _mass(u: CylField) -> np.ndarray:
+    """Per-degree squared L2 norm of u, before any transform: zero or non-finite mass raises DomainError."""
     mass = u.grid.h * (_weights(len(u.data), u.half) * u.data**2).sum(axis=0)
+    if not 0 < mass.sum() < math.inf:  # written so that NaN fails the comparison
+        raise DomainError(f"zero field or non-finite samples on the grid (S={u.grid.S}, n={u.grid.n})")
+    return mass
+
+
+def _ledger(u: CylField):
+    """(mass, senergy, c): per-degree squared L2 norm (see _mass) and Dirichlet
+    energy in s of the sine interpolant, and its sine coefficients c: one
+    DST-I, or the odd modes an _Even holds."""
+    mass = _mass(u)
+    c = u.c if u.half else dst(u.data, 1)
     senergy = u.grid.h * (_omega2(u.grid, u.half) @ c**2)
     return mass, senergy, c
 
 
-# the nodal stage runs over blocks of s-rows of about this many values (256 KiB)
-_BLOCK_VALUES = 32768
-
-
 def _nodal_stage(u: CylField, p: float):
-    """(P, nl) from the nodal values U = data @ B^T, over blocks of s-rows:
-    nl = aU @ (w B) the zonal coefficients of aU = |U|^(p-2) U = |U|^(p-1) sign U,
-    and P = h sum(data * nl) the integral of |U|^p = aU U under the probability
-    measure, by the exact identity sum_j w_j aU_ij U_ij = sum_l data_il nl_il
-    (rows weighted by _weights)."""
+    """(P, nl) from the nodal values U = data @ B^T: nl = aU @ (w B) the zonal
+    coefficients of aU = |U|^(p-2) U = |U|^(p-1) sign U, and P = h sum(data * nl)
+    the integral of |U|^p = aU U under the probability measure, by the exact
+    identity sum_j w_j aU_ij U_ij = sum_l data_il nl_il (rows weighted by _weights)."""
     quad_, B = _angular(u.N, u.L_max)
-    rows = max(1, _BLOCK_VALUES // B.shape[0])
-    wB = quad_.weights[:, None] * B
-    nl = np.empty_like(u.data)
-    for i in range(0, len(u.data), rows):
-        U = u.data[i : i + rows] @ B.T
-        aU = np.abs(U)
-        aU **= p - 2
-        aU *= U
-        np.matmul(aU, wB, out=nl[i : i + rows])
+    U = u.data @ B.T
+    aU = np.abs(U)
+    aU **= p - 2
+    aU *= U
+    nl = aU @ (quad_.weights[:, None] * B)
     return u.grid.h * float(np.vdot(_weights(len(u.data), u.half) * u.data, nl)), nl
 
 
@@ -198,7 +197,7 @@ def _pieces(u: CylField, p: float):
     """(E, M, P, nl, c) with E the full gradient energy, M the squared L2
     norm, P the integral of |u|^p, all under the probability measure; nl the
     zonal coefficients of |u|^(p-2) u (see _nodal_stage) and c the sine
-    coefficients.  A zero field (M = 0 or P = 0) raises DomainError.
+    coefficients.  A field with M or P zero or not finite raises DomainError.
 
     An _Even keeps its pieces (one flow, one p): the line search scores
     normalized trials, so the gradient at the accepted one reuses them and
@@ -210,8 +209,8 @@ def _pieces(u: CylField, p: float):
     E = float(senergy.sum() + (sphere.zonal_eigenvalues(u.N, u.L_max) * mass).sum())
     M = float(mass.sum())
     pieces = (E, M, *_nodal_stage(u, p), c)
-    if M == 0.0 or pieces[2] == 0.0:
-        raise DomainError("zero field")
+    if not 0 < pieces[2] < math.inf:  # M is checked by _mass
+        raise DomainError(f"need a finite, positive integral of |u|^p, got {pieces[2]}")
     if u.half:
         u._pieces = pieces
     return pieces
@@ -282,9 +281,9 @@ class _Report:
 @dataclass
 class MinimizeOpts:
     """Settings of the normalized flow: multistart adds the restarts of
-    :func:`minimize_quotient`, seed drives its random start, and max_iter
-    caps the iterations of each descent, both of its levels together.  The
-    coarse grid, line-search and stop constants are fixed in this module."""
+    :func:`minimize_quotient`, seed drives its random start (a single start
+    draws none), and max_iter caps the iterations of a solve, both levels
+    together.  The grid, line-search and stop constants are fixed here."""
 
     multistart: bool = False
     seed: int = 7
@@ -324,9 +323,7 @@ def _angular_fraction(u: CylField, Lambda: float) -> float:
 
 # L-BFGS memory: the number of (s, y) pairs the flow direction is built from
 _LBFGS_PAIRS = 3
-# the steepest-descent step, Armijo line search and stops of _descend_single (see minimize_quotient)
-_STEP0 = 1.0
-_GROW = 1.3
+# the Armijo line search and stops of _descend_single (see minimize_quotient)
 _ARMIJO = 1e-4
 _SHRINK = 0.5
 _MAX_BACKTRACKS = 40
@@ -399,7 +396,6 @@ def _descend_single(u: _Even, Lambda: float, p: float, theta: float, max_iter: i
     Q, g, gnorm = gradient(u)
     # the last pairs (s, y, 1/s.y) with s = c_new - c, y = g_new - g
     pairs = deque(maxlen=_LBFGS_PAIRS)
-    t = _STEP0
     iters = 0
     reason = None  # the stop that ends the descent; None while max_iter lasts
     while iters < max_iter:
@@ -415,11 +411,7 @@ def _descend_single(u: _Even, Lambda: float, p: float, theta: float, max_iter: i
         if not pairs:
             dc = sym * g
             slope = gnorm * gnorm  # positive: dc is a descent direction
-            # the steepest-descent step grows from the last accepted one;
-            # an L-BFGS step starts from its natural length 1
-            t = min(t * _GROW, 1e3)
-        else:
-            t = 1.0
+        t = 1.0  # the natural step of either direction
         d = _half_nodes(dc)
         for _ in range(_MAX_BACKTRACKS):
             target = Q - _ARMIJO * t * slope
@@ -474,32 +466,11 @@ def _transfer(c: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-# two levels only when (n + 1) / (n_c + 1) is at least this: timed at S = 20
-# (BENCH_twolevel.json), some eigenvalue_bound inversions run slower with two
-# levels up to a ratio of 2.9, and all of them and all cold descents faster from 3
+# two levels only when (n + 1) / (n_c + 1) is at least this.  At S = 20 (32 points, each a single
+# start, a multistart and an eigenvalue_bound) one level wins at n = 249, two levels from n = 299 on:
+# 0.60-0.70 s against 0.68-0.77 s, and at n = 499 0.66-0.75 s against 1.01-1.08 s.  The bound stays,
+# since lowering it to the crossover near 1.4 would move the outputs of grids with 299 <= n < 599
 _MIN_FINE_OVER_COARSE = 3.0
-
-
-def _first_level(u0: CylField, Lambda: float, p: float, theta: float, max_iter: int):
-    """(u, run): the even part u of the start u0 and its coarse run, or its whole run
-    on a grid with n + 1 < 3 (n_c + 1), too coarse for two levels (see minimize_quotient)."""
-    u = _even(u0)
-    n, n_c = u.grid.n, _coarse_n(u.grid.S, u.grid.n)
-    one_level = n + 1 < _MIN_FINE_OVER_COARSE * (n_c + 1)
-    first = u if one_level else _Even(LineGrid(u.grid.S, n_c), u.N, c=_transfer(u.c, (n_c + 1) // 2))
-    return u, _descend_single(first, Lambda, p, theta, max_iter)
-
-
-def _second_level(u: _Even, run, Lambda: float, p: float, theta: float, max_iter: int):
-    """The fine descent after a first-level run from the even part u; a one-level run as it is."""
-    coarse, _, _, spent, _ = run
-    if coarse.grid == u.grid:
-        return run
-    fine = _Even(u.grid, u.N, c=_transfer(coarse.c, len(u.data)))
-    # the fine level gets what the coarse one left of the max_iter budget
-    v, Q, gnorm, iters, reason = _descend_single(min(fine, u, key=lambda v: rayleigh(v, Lambda, p, theta)),
-                                                 Lambda, p, theta, max_iter - spent)
-    return v, Q, gnorm, iters + spent, reason
 
 
 def _starts(start: CylField, opts: MinimizeOpts):
@@ -530,52 +501,64 @@ def minimize_quotient(
     quotient, seeded with the gradient-energy preconditioner, with Armijo
     backtracking.
 
-    The grid needs odd n (even n raises DomainError): each start enters the
-    flow as its even part in s (see the module docstring).  An L-BFGS step
-    tries length 1 first; the first step, and the first after the pair
-    history is cleared (a non-positive curvature pair or a non-descent
-    direction), follows the preconditioned gradient with a step that starts
-    at 1 and grows 1.3-fold per such step.  A descent stops, and its
+    The grid needs odd n (even n raises DomainError), and a start of zero or
+    non-finite mass is refused: each start enters the flow as its even part
+    in s (see the module docstring).  Every line search starts at step 1,
+    the natural length of an L-BFGS step and of the preconditioned-gradient
+    step taken first and after the pair history is cleared (a non-positive
+    curvature pair or a non-descent direction).  A descent stops, and its
     report's reason says why, when the preconditioned gradient norm falls
     below 1e-8 (grad_tol), the relative decrease of the quotient below
     1e-10 (q_rel_tol), the Armijo line search (fraction 1e-4, halving, at
     most 40 trials) fails (line_search_stall) or asks for a decrease below
     one ulp of the quotient (sub_ulp), or max_iter runs out (max_iter, the
-    one stop not counted as converged); these constants are fixed.  Each
-    start is solved first on the coarse grid LineGrid(S, n_c), n_c + 1 the
-    even 5-smooth number nearest 10 S, and the start with the lowest coarse
-    quotient (the first of equals) then on the requested grid from the
-    zero-padded coarse minimizer, or from its even part if that scores
-    lower, so the result never scores above the winning start's even part
-    (which, translation being free, can score above an off-centre start);
-    a grid with n + 1 < 3 (n_c + 1) takes one level, and the lowest quotient
-    wins.  max_iter is the budget of both levels, and iterations counts
-    both.  With opts.multistart the flow is restarted from seeded
-    perturbations of the start (its radial part, an added degree-1 bump if
-    L_max >= 1, a random perturbation) as a guard against the non-convexity
-    past the instability threshold; a start with no angular content is not
-    run twice.  (N, p, Lambda, theta) must make a CylinderPoint: supercritical
-    p and theta outside [theta_min(p, N), 1], theta_min = N(p - 2)/(2p), are
+    one stop not counted as converged).  Every start is screened on the
+    coarse grid LineGrid(S, n_c), n_c + 1 the even 5-smooth number nearest
+    10 S, and the lowest (the first of equals) is polished on the requested
+    grid from the zero-padded coarse minimizer, or from its own even part if
+    that scores lower (translation being free, it can score above an
+    off-centre start); a grid with n + 1 < 3 (n_c + 1) takes one level.
+    max_iter is the budget of both levels, and iterations counts both.  With
+    opts.multistart the start's radial part (unless it is the start), a
+    degree-1 bump if L_max >= 1 and a seeded random perturbation are screened
+    too: a guard against the non-convexity past the instability threshold.
+    (N, p, Lambda, theta) must make a CylinderPoint: supercritical p and
+    theta outside [theta_min(p, N), 1], theta_min = N(p - 2)/(2p), are
     refused.  The minimizer is a full field, the flow's half mirrored.
     """
     CylinderPoint(start.N, p, Lambda, theta)
+    _mass(start)  # a zero or non-finite start is refused before any transform
     opts = opts or MinimizeOpts()
-    firsts = (_first_level(s, Lambda, p, theta, opts.max_iter) for s in _starts(start, opts))
-    best = min(firsts, key=lambda first: first[1][1])  # the first of the lowest first-level Q
-    u, Q, gnorm, iters, reason = _second_level(*best, Lambda, p, theta, opts.max_iter)
+    n_c = _coarse_n(start.grid.S, start.grid.n)
+    coarse = LineGrid(start.grid.S, n_c) if start.grid.n + 1 >= _MIN_FINE_OVER_COARSE * (n_c + 1) else None
+
+    def screened(s: CylField):
+        """(the even part of the start s, its run on the coarse grid, or its whole run on one level)."""
+        u = _even(s)
+        first = u if coarse is None else _Even(coarse, u.N, c=_transfer(u.c, (n_c + 1) // 2))
+        return u, _descend_single(first, Lambda, p, theta, opts.max_iter)
+
+    # the first of the lowest first-level Q
+    u, (v, Q, gnorm, iters, reason) = min(map(screened, _starts(start, opts)), key=lambda run: run[1][1])
+    if coarse is not None:
+        fine = _Even(u.grid, u.N, c=_transfer(v.c, len(u.data)))
+        # the fine level gets what the coarse one left of the max_iter budget
+        v, Q, gnorm, spent, reason = _descend_single(min(fine, u, key=lambda w: rayleigh(w, Lambda, p, theta)),
+                                                     Lambda, p, theta, opts.max_iter - iters)
+        iters += spent
     return MinimizeReport(
         constant=1.0 / Q,
         quotient=Q,
         iterations=iters,
         grad_norm=gnorm,
-        angular_fraction=_angular_fraction(u, Lambda),
+        angular_fraction=_angular_fraction(v, Lambda),
         converged=reason != "max_iter",
         reason=reason,
         Lambda=Lambda,
         p=p,
         theta=theta,
-        N=u.N,
-        minimizer=CylField(u.grid, u.N, np.concatenate([u.data, u.data[-2::-1]])),
+        N=v.N,
+        minimizer=CylField(v.grid, v.N, np.concatenate([v.data, v.data[-2::-1]])),
     )
 
 
@@ -632,15 +615,13 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
     gamma, q_exp = chain_exponents(p, 1.0)
     grid = u.grid
     quad_, B = _angular(u.N, u.L_max)
+    mass, _, c = _ledger(u)  # refuses a zero or non-finite field before the nodal values
     U = np.abs(u.nodal())
 
     up_line = grid.h * (U**p).sum(axis=0)  # per-angle integral of u^p
     v = np.sqrt(grid.h * (U**2).sum(axis=0))  # L2 trace on the sphere
 
     # per-angle derivative energies from the sine-spectral form
-    mass, _, c = _ledger(u)
-    if not mass.sum() > 0:
-        raise DomainError(f"zero field: every sample on the grid (S={grid.S}, n={grid.n}) vanishes")
     per_angle_coeffs = c @ B.T
     e_line = grid.h * (_omega2(grid)[:, None] * per_angle_coeffs**2).sum(axis=0)
 
@@ -814,9 +795,9 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
     In the certified-symmetric regime the bound is the linear law
     slope * mu with slope = radial_interp_coefficient(1, p)^(2p/(p+2)); past
     it, the relation mu^((p+2)/(2p)) = Q(Lambda) = 1/K(Lambda) is inverted by
-    Newton steps from the linear law: the 2-d minimizer supplies Q (at most
-    1500 iterations per descent, both levels together, default grid
-    LineGrid(20, 1199)) and its slope M/P^(2/p) at the minimizer (Danskin).
+    Newton steps from the linear law: the 2-d minimizer supplies Q (with the
+    default MinimizeOpts, on the default grid LineGrid(20, 1199)) and its
+    slope M/P^(2/p) at the minimizer (Danskin).
     Q, an infimum of functions affine in Lambda, is concave and increasing, so
     the iterates rise to the root with no bracket.  The linear law is returned
     if Q there reaches the target; else the iteration stops at a step below
@@ -839,16 +820,14 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
         return lam_lin
 
     g = grid or _BOUND_GRID
-    cold = MinimizeOpts(multistart=True, max_iter=1500)
-    warm = MinimizeOpts(max_iter=1500)
     target = mu ** ((p + 2) / (2 * p))
     broken = None  # the minimizer of the latest broken solve
     lam = lam_lin
     for _ in range(40):
         if broken is not None:
-            rep = minimize_quotient(broken, lam, p, 1.0, warm)
+            rep = minimize_quotient(broken, lam, p, 1.0)
         else:
-            rep = minimize_quotient(extremal_field(g, N, L_max, lam, p), lam, p, 1.0, cold)
+            rep = minimize_quotient(extremal_field(g, N, L_max, lam, p), lam, p, 1.0, MinimizeOpts(multistart=True))
         if rep.broken:
             broken = rep.minimizer
         gap = target - rep.quotient  # quotient = 1/K, concave and increasing in Lambda

@@ -91,6 +91,8 @@ class ZonalField:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise DomainError("coeffs must be a non-empty 1-d array")
+        if not np.all(np.isfinite(c)):
+            raise DomainError("coeffs must be finite")
         object.__setattr__(self, "coeffs", c)
 
     @property

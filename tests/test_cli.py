@@ -247,6 +247,21 @@ def test_verify_minimize_fails_an_angular_minimizer_in_the_symmetric_region(caps
     assert (code, json.loads(out)["pass"]) == (1, False)
 
 
+def test_verify_minimize_output_does_not_depend_on_the_seed(capsys, monkeypatch):
+    # one start draws no random numbers: --seed is accepted, the flow gets no options, stdout is the same
+    options, real = [], cli.cyl.minimize_quotient
+
+    def recording(start, Lambda, p, theta, *opts, **kw_opts):
+        options.append((opts, kw_opts))
+        return real(start, Lambda, p, theta, *opts, **kw_opts)
+
+    monkeypatch.setattr(cli.cyl, "minimize_quotient", recording)
+    runs = [run_cli(capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--n", "999",
+                    "--seed", seed)[:2] for seed in ("1", "99")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert options == [((), {})] * 2
+
+
 def test_verify_minimize_grid_defaults_are_the_library_defaults():
     args = cli.build_parser().parse_args(["verify", "minimize", "--p", "3", "--Lambda", "1"])
     assert (args.S, args.n, args.l_max) == (cli.cyl.DEFAULT_GRID.S, cli.cyl.DEFAULT_GRID.n, cli.cyl.DEFAULT_L_MAX)

@@ -57,7 +57,14 @@ from cknsharp.cylinder import (
 from cknsharp.errors import check_interp
 from cknsharp.params import CylinderPoint
 from cknsharp.schrodinger import Potential1D, lt_ratio
-from cknsharp.sphere import ZonalField, basis_matrix, sphere_quadrature
+from cknsharp.sphere import (
+    ZonalField,
+    basis_matrix,
+    grad_energy,
+    holder_probability_deficit,
+    poincare_deficit,
+    sphere_quadrature,
+)
 
 GRID = LineGrid(20.0, 1999)
 
@@ -117,7 +124,7 @@ def test_fields_and_reports_compare_by_identity():
 
 def one_shot_nodal_stage(u, p):
     """The nodal stage as one whole-grid expression, with P summed over the
-    nodes: the reference for the blocked cyl._nodal_stage and its
+    nodes: the reference for cyl._nodal_stage and its
     coefficient-space P."""
     quad_, B = _angular(u.N, u.L_max)
     U = u.nodal()
@@ -134,9 +141,7 @@ def one_shot_nodal_stage(u, p):
     data=st.data(),
 )
 def test_nodal_stage_kernel_matches_one_shot(N, p, L_max, data):
-    rows = cyl._BLOCK_VALUES // len(_angular(N, L_max)[0].weights)
-    # n spans one to four blocks, with a partial last block
-    n = data.draw(st.integers(16, 4 * rows - 1).filter(lambda n: n % rows), label="n")  # LineGrid needs n >= 16
+    n = data.draw(st.integers(16, 3000), label="n")  # LineGrid needs n >= 16
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     u = CylField(LineGrid(10.0, n), N, np.random.default_rng(seed).standard_normal((n, L_max + 1)))
     P, nl = cyl._nodal_stage(u, p)
@@ -154,7 +159,6 @@ def test_kept_pieces_do_not_alias_the_block_buffers():
         return u
 
     a = scored(LineGrid(10.0, 2999), 3, 6)
-    assert len(a.data) * len(_angular(3, 6)[0].weights) > cyl._BLOCK_VALUES  # more than one block
     P, nl = a._pieces[2:4]
     nl_before = nl.copy()
     b = scored(LineGrid(12.0, 777), 2, 8)
@@ -165,7 +169,7 @@ def test_kept_pieces_do_not_alias_the_block_buffers():
 
 def test_nodal_stage_is_thread_safe():
     # NumPy releases the GIL in matmul, so threads evaluating at once must
-    # not share block buffers: every threaded result equals the serial one
+    # not share buffers: every threaded result equals the serial one
     rng = np.random.default_rng(5)
     grid = LineGrid(20.0, 3000)
     fields = [CylField(grid, 3, rng.standard_normal((grid.n, 9))) for _ in range(4)]
@@ -232,15 +236,15 @@ def test_quotient_domain_rejects_non_finite_and_out_of_range(Lambda, p, theta):
 
 def test_minimize_refuses_theta_below_theta_min_before_the_solve(monkeypatch):
     # theta_min(3, 3) = 1/2; past p = 6 at N = 3 (supercritical), theta_min > 1 and no theta is admissible
-    starts = count_calls(monkeypatch, "_first_level")
+    descents = count_calls(monkeypatch, "_descend_single")
     u = extremal_field(LineGrid(18.0, 599), 3, 4, 1.0, 3.0)
     with pytest.raises(DomainError, match=r"theta=0.2 outside \[0.5, 1\]"):
         minimize_quotient(u, 1.0, 3.0, 0.2)
     with pytest.raises(DomainError, match="p=7.0 supercritical for N=3"):
         minimize_quotient(u, 1.0, 7.0)
-    assert starts[0] == 0
+    assert descents[0] == 0
     minimize_quotient(u, 1.0, 3.0, 0.5, MinimizeOpts(max_iter=2))  # theta_min itself is admitted
-    assert starts[0] == 1
+    assert descents[0] == 2  # the coarse and the fine level
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +350,7 @@ def test_flow_makes_two_transforms_per_iteration_and_none_per_trial(monkeypatch,
 
 @pytest.mark.parametrize("theta,multistart", [(1.0, False), (0.9, False), (1.0, True)])
 def test_flow_takes_one_nodal_power_per_trial_and_none_per_gradient(monkeypatch, theta, multistart):
-    counts = {"_nodal_stage": 0, "rayleigh": 0, "_first_level": 0, "_second_level": 0, "_descend_single": 0}
+    counts = {"_nodal_stage": 0, "rayleigh": 0}
 
     def counted(name):
         real = getattr(cyl, name)
@@ -359,17 +363,17 @@ def test_flow_takes_one_nodal_power_per_trial_and_none_per_gradient(monkeypatch,
 
     for name in counts:
         counted(name)
+    levels = level_recorder(monkeypatch, lambda: 0)
     start = perturbed_start(LineGrid(18.0, 599), 3, 6, 3.0, 3.0)
     rep = minimize_quotient(start, 3.0, 3.0, theta, MinimizeOpts(multistart=multistart, max_iter=300))
     assert rep.iterations > 5
-    assert counts["_first_level"] == (4 if multistart else 1)
-    assert counts["_second_level"] == 1
+    starts = 4 if multistart else 1
     # one coarse descent per start, one fine descent per call: the winning start's
-    assert counts["_descend_single"] == counts["_first_level"] + 1
+    assert [u.grid.n for (u, *_), _ in levels] == [179] * starts + [599]
     # every line-search trial, and each of the two fields the transfer
     # compares, is evaluated once; each start adds only its coarse start,
     # since the fine level begins from a compared field and keeps its pieces
-    assert counts["_nodal_stage"] == counts["rayleigh"] + counts["_first_level"]
+    assert counts["_nodal_stage"] == counts["rayleigh"] + starts
 
 
 def test_flow_gradient_uses_the_pieces_of_its_own_iterate(monkeypatch):
@@ -494,20 +498,20 @@ def test_flow_stops_on_a_sub_ulp_armijo_target(monkeypatch):
 
 
 def test_multistart_skips_the_duplicate_radial_start(monkeypatch):
-    starts, polished = count_calls(monkeypatch, "_first_level"), count_calls(monkeypatch, "_second_level")
+    levels = level_recorder(monkeypatch, lambda: 0)
     start = extremal_field(LineGrid(18.0, 599), 3, 6, 3.0, 3.0)
     rep = minimize_quotient(start, 3.0, 3.0, opts=MinimizeOpts(multistart=True, max_iter=300))
-    assert (starts[0], polished[0]) == (3, 1)
+    assert [u.grid.n for (u, *_), _ in levels] == [179] * 3 + [599]  # three starts, one polished
     assert rep.quotient < rayleigh(start, 3.0, 3.0)
 
 
 def test_multistart_skips_the_duplicate_bump_without_degree_one(monkeypatch):
     # at L_max = 0 there is no degree-1 bump to add: the start and the random
     # perturbation are the only coarse descents, and the start wins as before
-    starts, polished = count_calls(monkeypatch, "_first_level"), count_calls(monkeypatch, "_second_level")
+    levels = level_recorder(monkeypatch, lambda: 0)
     start = extremal_field(LineGrid(20.0, 999), 3, 0, 1.0, 3.0)
     rep = minimize_quotient(start, 1.0, 3.0, opts=MinimizeOpts(multistart=True))
-    assert (starts[0], polished[0]) == (2, 1)
+    assert [u.grid.n for (u, *_), _ in levels] == [199] * 2 + [999]  # two starts, one polished
     assert rep.quotient == 1.9309787692112608
 
 
@@ -592,6 +596,39 @@ def test_two_levels_start_at_three_times_the_coarse_modes(monkeypatch, n, levels
     ran = level_recorder(monkeypatch, lambda: 0)
     minimize_quotient(perturbed_start(LineGrid(20.0, n), 3, 6, 3.0, 3.0), 3.0, 3.0, opts=MinimizeOpts(max_iter=2))
     assert [u.grid.n for (u, *_), _ in ran] == [199, n][2 - levels:]
+
+
+@pytest.mark.parametrize("n", [299, 899])
+def test_every_line_search_starts_at_step_one(monkeypatch, n):
+    # the first trial of a search is c - t dc at t = 1, for a preconditioned-gradient
+    # direction (every level's first) and an L-BFGS one alike, on one level and on two
+    iterate, directions, first_steps = [None], [], []
+    real_grad, real_half_nodes = cyl._value_and_grad, cyl._half_nodes
+
+    def recording_grad(u, *args):
+        iterate[0] = u  # the flow takes the gradient of each iterate once
+        return real_grad(u, *args)
+
+    def recording_half_nodes(c):
+        directions.append(c)  # a search maps its direction dc to nodes before its first trial
+        return real_half_nodes(c)
+
+    class Trial(cyl._Even):
+        def __init__(self, grid, N, values=None, c=None):
+            if values is not None and c is not None and directions:  # the first trial of a search
+                dc = directions[-1]
+                first_steps.append(float(np.vdot(iterate[0].c - c, dc) / np.vdot(dc, dc)))
+                directions.clear()
+            super().__init__(grid, N, values, c)
+
+    monkeypatch.setattr(cyl, "_value_and_grad", recording_grad)
+    monkeypatch.setattr(cyl, "_half_nodes", recording_half_nodes)
+    monkeypatch.setattr(cyl, "_Even", Trial)
+    levels = level_recorder(monkeypatch, lambda: 0)
+    rep = minimize_quotient(perturbed_start(LineGrid(20.0, n), 3, 6, 3.0, 3.0), 3.0, 3.0)
+    assert len(levels) == (1 if n == 299 else 2)
+    assert len(first_steps) >= rep.iterations - len(levels)  # only a stopping iteration may search nothing
+    assert first_steps == pytest.approx([1.0] * len(first_steps), rel=0, abs=1e-8)
 
 
 def test_max_iter_is_the_budget_of_both_levels(monkeypatch):
@@ -688,7 +725,7 @@ def test_a_grid_below_the_coarse_threshold_keeps_the_single_level_descent(monkey
     levels = level_recorder(monkeypatch, lambda: 0)
     rep = minimize_quotient(start, 3.0, 3.0)
     assert len(levels) == 1
-    assert (rep.quotient, rep.iterations, rep.grad_norm) == (4.38685979847107, 13, 2.3445274330867985e-06)
+    assert (rep.quotient, rep.iterations, rep.grad_norm) == (4.386859798554524, 12, 1.1114322499220765e-05)
     monkeypatch.undo()
     one, Q, gnorm, iters, reason = cyl._descend_single(cyl._even(start), 3.0, 3.0, 1.0, MinimizeOpts().max_iter)
     assert (rep.quotient, rep.grad_norm, rep.iterations, rep.reason) == (Q, gnorm, iters, reason)
@@ -697,8 +734,8 @@ def test_a_grid_below_the_coarse_threshold_keeps_the_single_level_descent(monkey
 
 
 @pytest.mark.parametrize("Lambda,theta,multistart,pinned", [
-    (1.2, 0.9, False, (2.164993450842051, 12, 1.4965970710076432e-05)),
-    (3.0, 1.0, True, (4.386859798466357, 14, 1.1241659075416946e-06)),
+    (1.2, 0.9, False, (2.1649934506058277, 12, 1.4075019535628693e-06)),
+    (3.0, 1.0, True, (4.386859798469814, 17, 2.0617964821995996e-06)),
 ])
 def test_two_level_descents_are_pinned(monkeypatch, Lambda, theta, multistart, pinned):
     # n + 1 = 900 >= 3 (n_c + 1) = 600 at S = 20: every start takes the coarse
@@ -712,10 +749,11 @@ def test_two_level_descents_are_pinned(monkeypatch, Lambda, theta, multistart, p
 
 
 def polish_every_start(start, Lambda, p, theta, opts):
-    """The exhaustive reference: every start takes both levels, and the lowest final Q wins."""
-    runs = (cyl._second_level(*cyl._first_level(s, Lambda, p, theta, opts.max_iter), Lambda, p, theta, opts.max_iter)
-            for s in cyl._starts(start, opts))
-    return min(runs, key=lambda run: run[1])
+    """The exhaustive reference: every start takes both levels, as a single-start
+    solve, and the report of the lowest final Q wins."""
+    single = MinimizeOpts(max_iter=opts.max_iter)
+    reps = (minimize_quotient(s, Lambda, p, theta, single) for s in cyl._starts(start, opts))
+    return min(reps, key=lambda rep: rep.quotient)
 
 
 def _screening_cases():
@@ -736,13 +774,13 @@ def test_screened_multistart_matches_polishing_every_start(monkeypatch, N, p, La
     start = extremal_field(grid, N, 6, Lambda, p, theta)  # the sandwich point starts radial, as sandwich_check does
     if theta == 1.0:
         start.data[:, 1] = 0.1 * start.data[:, 0]
-    u, Q, *_ = polish_every_start(start, Lambda, p, theta, opts)
+    ref = polish_every_start(start, Lambda, p, theta, opts)
     levels = level_recorder(monkeypatch, lambda: 0)
     rep = minimize_quotient(start, Lambda, p, theta, opts)
     starts = 4 if theta == 1.0 else 3  # a radial start has no radial part to add
     assert [v.grid.n for (v, *_), _ in levels] == [199] * starts + [899]  # one fine descent
-    assert rep.broken == (cyl._angular_fraction(u, Lambda) > 1e-3)  # as MinimizeReport.broken
-    assert rep.quotient == pytest.approx(Q, rel=1e-10, abs=0)
+    assert rep.broken == ref.broken
+    assert rep.quotient == pytest.approx(ref.quotient, rel=1e-10, abs=0)
 
 
 def test_screening_keeps_one_level_grids_and_single_starts_bit_for_bit():
@@ -752,9 +790,10 @@ def test_screening_keeps_one_level_grids_and_single_starts_bit_for_bit():
         start = perturbed_start(grid, 3, 6, 3.0, 3.0)
         opts = MinimizeOpts(multistart=multistart)
         rep = minimize_quotient(start, 3.0, 3.0, opts=opts)
-        u, Q, gnorm, iters, reason = polish_every_start(start, 3.0, 3.0, 1.0, opts)
-        assert (rep.quotient, rep.grad_norm, rep.iterations, rep.reason) == (Q, gnorm, iters, reason)
-        assert np.array_equal(rep.minimizer.data[: len(u.data)], u.data)
+        ref = polish_every_start(start, 3.0, 3.0, 1.0, opts)
+        assert (rep.quotient, rep.grad_norm, rep.iterations, rep.reason) == (
+            ref.quotient, ref.grad_norm, ref.iterations, ref.reason)
+        assert np.array_equal(rep.minimizer.data, ref.minimizer.data)
 
 
 @pytest.mark.parametrize("reason,constants,max_iter", [
@@ -1150,9 +1189,9 @@ def _bound_calls(monkeypatch, lam_lin, p, N):
     calls = []
     real = cyl.minimize_quotient
 
-    def recording(start, Lambda, p, theta, opts):
+    def recording(start, Lambda, p, theta, opts=None):
         rep = real(start, Lambda, p, theta, opts)
-        calls.append((Lambda, opts.multistart, start, rep))
+        calls.append((Lambda, bool(opts and opts.multistart), start, rep))
         return rep
 
     monkeypatch.setattr(cyl, "minimize_quotient", recording)
@@ -1198,7 +1237,7 @@ def test_eigenvalue_bound_warm_quotients_match_cold(monkeypatch, lam_lin, p, N):
     grid = LineGrid(18.0, 699)
     for lam, rep in warm:
         cold = minimize_quotient(extremal_field(grid, N, 5, lam, p), lam, p, 1.0,
-                                 MinimizeOpts(multistart=True, max_iter=1500))
+                                 MinimizeOpts(multistart=True))
         assert rep.quotient == pytest.approx(cold.quotient, rel=1e-8), lam
 
 
@@ -1210,7 +1249,7 @@ def test_eigenvalue_bound_matches_a_brent_inversion(lam_lin, p, N):
     grid = LineGrid(18.0, 699)
     mu = lam_lin / radial_interp_coefficient(1.0, p) ** (2 * p / (p + 2))
     target = mu ** ((p + 2) / (2 * p))
-    opts = MinimizeOpts(multistart=True, max_iter=1500)
+    opts = MinimizeOpts(multistart=True)
 
     def gap(lam):
         return target - minimize_quotient(extremal_field(grid, N, 5, lam, p), lam, p, 1.0, opts).quotient
@@ -1249,7 +1288,7 @@ def test_eigenvalue_bound_warm_starts_from_the_latest_broken_minimizer(monkeypat
 def test_quotient_slope_in_lambda_is_mass_over_power_norm(Lambda):
     # Danskin: the infimum Q(Lambda) of (E + Lambda M)/P^(2/p) has slope
     # M/P^(2/p) at its minimizer, radial at 1.2 and broken at 2 and 3
-    grid, opts = LineGrid(18.0, 699), MinimizeOpts(multistart=True, max_iter=1500)
+    grid, opts = LineGrid(18.0, 699), MinimizeOpts(multistart=True)
 
     def solve(lam):
         return minimize_quotient(extremal_field(grid, 3, 5, lam, 3.0), lam, 3.0, 1.0, opts)
@@ -1429,6 +1468,26 @@ _P_NEAR_2 = 2.0 + 1e-12  # theta_min = 7.5e-13, below the window's 1e-12 slack
 def _scored():
     """A field the scoring functions accept at (Lambda, p) = (1, 3)."""
     return extremal_field(LineGrid(20.0, 399), 3, 4, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda u: minimize_quotient(u, 3.0, 3.0),
+    lambda u: rayleigh(u, 1.0, 3.0),
+    lambda u: el_residual(u, 1.0, 3.0),
+    lambda u: defect_functional(u, 3.0),
+    lambda u: proof_chain(u, 1.0, 3.0),
+    lambda u: poincare_deficit(ZonalField(3, u.data[298:301, 0]), 2.0),
+    lambda u: holder_probability_deficit(ZonalField(3, u.data[298:301, 0]), 2.0),
+    lambda u: grad_energy(ZonalField(3, u.data[298:301, 0])),
+], ids=["minimize", "rayleigh", "el-residual", "defect", "chain", "poincare", "holder", "grad-energy"])
+def test_a_non_finite_sample_is_refused_where_the_field_is_scored(entry, bad):
+    # NaN is never evidence: a field with a non-finite sample is refused, not scored, and
+    # the refusal names non-finite samples, not a vanishing field
+    u = extremal_field(LineGrid(20.0, 599), 3, 4, 1.0, 3.0)
+    u.data[299, 0] = bad  # the sample at s = 0
+    with pytest.raises(DomainError, match="finite"):
+        entry(u)
 
 
 @pytest.mark.parametrize("call, exc, fragment", [
