@@ -19,7 +19,7 @@ from . import closed_forms as cf
 from . import cylinder as cyl
 from . import params, schrodinger, sphere
 from .closed_forms import quad
-from .errors import DomainError, NumericsError, check_gamma, check_grid
+from .errors import DomainError, NumericsError, check_gamma, check_grid, check_L_max
 
 SCHEMA = 1
 
@@ -185,13 +185,8 @@ def _verify_lt(args):
     }, passed
 
 
-def _check_l_max(l_max: int, lo: int) -> None:
-    if l_max < lo:
-        raise DomainError(f"need L_max >= {lo}, got --l-max {l_max}")
-
-
 def _verify_poincare(args):
-    _check_l_max(args.l_max, 1)
+    check_L_max(args.l_max, 1, "--l-max")
     if args.samples < 1:
         raise DomainError(f"need --samples >= 1, got {args.samples}: no sample is no evidence")
     rng = np.random.default_rng(args.seed)
@@ -243,7 +238,7 @@ def _slacks(rep: cyl.ChainReport) -> list:
 def _verify_chain(args):
     if args.fuzz < 1:
         raise DomainError(f"need --fuzz >= 1, got {args.fuzz}: no fuzz field is no evidence")
-    _check_l_max(args.l_max, 0)
+    check_L_max(args.l_max, 0, "--l-max")
     grid = schrodinger.LineGrid(args.S, args.n)
     u_star = cyl.extremal_field(grid, args.N, args.l_max, args.Lambda, args.p)
     at_star = cyl.proof_chain(u_star, args.Lambda, args.p)
@@ -287,7 +282,7 @@ def _verify_fs(args):
 
 
 def _verify_minimize(args):
-    _check_l_max(args.l_max, 1)
+    check_L_max(args.l_max, 1, "--l-max")
     theta = args.theta if args.theta is not None else 1.0
     grid = schrodinger.LineGrid(args.S, args.n)
     radial = cyl.extremal_field(grid, args.N, args.l_max, args.Lambda, args.p, theta)

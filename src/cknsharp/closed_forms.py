@@ -204,7 +204,7 @@ def _lt_constant_ratio_form(gamma: float) -> float:
 def _lt_constant_product_form(gamma: float) -> float:
     # ((2g-1)/(2g+1))^(g-1/2) * 2g/(2g+1) * Gamma(g)/(sqrt(pi) Gamma(g+1/2))
     return math.exp(
-        -(gamma - 0.5) * math.log1p(2 / (2 * gamma - 1))
+        -(gamma - 0.5) * math.log1p(1 / (gamma - 0.5))  # 2 / (2 gamma - 1), without overflowing 2 gamma
         - math.log1p(0.5 / gamma)
         - _log_gamma_half_step(gamma)
         - 0.5 * math.log(math.pi)

@@ -48,7 +48,8 @@ from .closed_forms import (
     radial_interp_constant,
 )
 from .errors import (
-    DomainError, NumericsError, check_Lambda, check_N, check_numeric_N, check_p, check_subcritical, check_theta_window
+    DomainError, NumericsError, check_L_max, check_Lambda, check_N, check_numeric_N, check_p, check_subcritical,
+    check_theta_window
 )
 from .params import CylinderPoint, ParamPoint, a_critical, chain_exponents, lambda_sym, theta_min, to_cylinder
 from .schrodinger import LineGrid, lowest_eigenpair, sech_squared_potential
@@ -126,6 +127,7 @@ class CylField:
 
 def extremal_field(grid: LineGrid, N: int, L_max: int, Lambda: float, p: float, theta: float = 1.0) -> CylField:
     """The s-only extremal profile embedded as a cylinder field: degree 0 holds it at the grid nodes."""
+    check_L_max(L_max, 0)
     data = np.zeros((grid.n, L_max + 1))
     data[:, 0] = extremal_profile(grid.nodes(), profile_constants(Lambda, p, theta), p)
     return CylField(grid, N, data)
@@ -452,11 +454,8 @@ def _descend_single(u: _Even, Lambda: float, p: float, theta: float, max_iter: i
 
 
 def _coarse_n(S: float, n: int) -> int:
-    """n_c: n_c + 1 is the even 5-smooth number nearest 10 S, so n_c is odd (m is 5-smooth iff m | 30^bits(m))."""
-    t = min(10.0 * S, n)  # past n, one level anyway; the search stays near the grid size
-    lo = next(m for m in range(max(2, math.floor(t)), 1, -1) if m % 2 == 0 and pow(30, m.bit_length(), m) == 0)
-    hi = next(m for m in range(math.ceil(t), 2 * math.ceil(t) + 1) if m % 2 == 0 and pow(30, m.bit_length(), m) == 0)
-    return max(17, min(lo, hi, key=lambda m: abs(m - t)) - 1)  # a LineGrid has at least 16 nodes
+    """n_c: n_c + 1 is the even integer nearest min(10 S, n), so n_c is odd; up to S = 51 dst is dense on it."""
+    return max(17, 2 * round(min(10.0 * S, n) / 2) - 1)  # a LineGrid has at least 16 nodes
 
 
 def _transfer(c: np.ndarray, rows: int) -> np.ndarray:
@@ -513,11 +512,11 @@ def minimize_quotient(
     most 40 trials) fails (line_search_stall) or asks for a decrease below
     one ulp of the quotient (sub_ulp), or max_iter runs out (max_iter, the
     one stop not counted as converged).  Every start is screened on the
-    coarse grid LineGrid(S, n_c), n_c + 1 the even 5-smooth number nearest
-    10 S, and the lowest (the first of equals) is polished on the requested
-    grid from the zero-padded coarse minimizer, or from its own even part if
-    that scores lower (translation being free, it can score above an
-    off-centre start); a grid with n + 1 < 3 (n_c + 1) takes one level.
+    coarse grid LineGrid(S, n_c), n_c + 1 the even integer nearest 10 S (at
+    most n + 1, at least 18), and the lowest (the first of equals) is polished
+    on the requested grid from the zero-padded coarse minimizer, or from its
+    own even part if that scores lower (translation being free, it can score
+    above an off-centre start); a grid with n + 1 < 3 (n_c + 1) takes one level.
     max_iter is the budget of both levels, and iterations counts both.  With
     opts.multistart the start's radial part (unless it is the start), a
     degree-1 bump if L_max >= 1 and a seeded random perturbation are screened
@@ -811,10 +810,13 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
     that, each Lambda gets one descent started from the latest broken
     minimizer, the nearest one since the iterates rise.  A radial result never
     seeds a descent, and the minimizer is dropped when the call returns.
+    L_max >= 1 is required: with no degree-1 mode no minimizer can break
+    symmetry, and the linear law would come back unchecked.
     """
     if not 0 < mu < math.inf:
         raise DomainError(f"need finite mu > 0, got {mu}")
     check_subcritical(p, N)
+    check_L_max(L_max, 1)
     lam_lin = _linear_law_slope(p) * mu
     if lam_lin <= lambda_sym(p, N) + 1e-12:
         return lam_lin
@@ -890,9 +892,10 @@ def sandwich_check(
     N = 2 for every theta up to 3(p - 2)/(2p)).  Also reports the chain quantities:
     gamma_theta, q, the chain constant D on the renormalized minimizer
     (Lambda <= D <= gap * Lambda on solutions) and the slack of the
-    theta-Hoelder step.
+    theta-Hoelder step.  L_max >= 1 is required, as in eigenvalue_bound.
     """
     check_theta_window(theta, theta_min(p, N))
+    check_L_max(L_max, 1)
     ac2, bound = a_critical(N) ** 2, sandwich_lambda_bound(theta, p, N)
     if not bound > ac2:
         raise DomainError(f"the admissible window ({ac2}, {bound}] of Lambda is empty at theta={theta}")

@@ -3,6 +3,8 @@ parameter domain, written so that NaN fails the comparison."""
 
 import math
 
+__all__ = ["DomainError", "NotAchievedError", "NumericsError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of a formula."""
@@ -65,6 +67,17 @@ def check_theta_window(theta: float, tmin: float) -> None:
     """0 < theta and theta_min <= theta <= 1, with 1e-12 slack below tmin = theta_min(p, N)."""
     if not (0 < theta and tmin - 1e-12 <= theta <= 1.0):
         raise DomainError(f"theta={theta} outside [{tmin}, 1]")
+
+
+# cap on the angular degree a caller asks for: the quadrature grows with L_max and the basis
+# as its square; at the cap, `verify minimize --n 599` takes 1.3 s on one Xeon core
+L_MAX_CAP = 128
+
+
+def check_L_max(L_max: int, lo: int, name: str = "L_max") -> None:
+    """Angular degree lo <= L_max <= L_MAX_CAP; name is how the caller spells it."""
+    if not lo <= L_max <= L_MAX_CAP:
+        raise DomainError(f"need L_max >= {lo} and at most {L_MAX_CAP}, got {name} {L_max}")
 
 
 def check_grid(S: float, n: int) -> None:

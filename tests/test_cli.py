@@ -318,6 +318,12 @@ _REPROS = {
     ("verify", "sandwich", "--N", "2", "--p", "2.00390625", "--theta", "1"): (DomainError, "p=2.00390625"),
     # only 2 of the 9 near-constant deficits lie above roundoff: no slope is fitted
     ("verify", "poincare", "--N", "2", "--q", "1.00000001", "--samples", "2"): (NumericsError, "q=1.00000001"),
+    # L_max past the cap: a MemoryError traceback with exit 1, or a run of minutes
+    ("verify", "poincare", "--N", "3", "--q", "3", "--l-max", "100000"): (DomainError, "--l-max 100000"),
+    ("verify", "chain", "--N", "3", "--p", "3", "--Lambda", "1", "--l-max", "100000", "--fuzz", "1"):
+        (DomainError, "--l-max 100000"),
+    ("verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--l-max", "5000", "--n", "199"):
+        (DomainError, "at most 128, got --l-max 5000"),
 }
 
 
@@ -395,14 +401,14 @@ def test_verify_minimize_refuses_p_6_before_the_flow(capsys, monkeypatch):
 def test_large_gamma_is_valid_input(capsys):
     # large gamma is valid (p -> 2): neither the dual-form cross-check of
     # lt_constant nor the powers in lt_ratio may turn it into exit 2
-    for gamma in ("1e4", "1e8", "1e15"):
+    for gamma in ("1e4", "1e8", "1e15", "1e308"):  # at 1e308 the dual forms once disagreed
         code, out, _ = run_cli(capsys, "constants", "--gamma", gamma)
         assert code == 0 and out.startswith("name,"), gamma
         # Stirling: c_lt e sqrt(pi gamma) = 1 + 1/(8 gamma) + O(gamma^-2); 12 digits are printed
         c_lt = float(out.splitlines()[1].split(",")[5])
         g = float(gamma)
-        stirling = (1 + 0.125 / g) / (math.e * math.sqrt(math.pi * g))
-        assert c_lt == pytest.approx(stirling, rel=1e-11 + 0.1 / g**2), gamma
+        stirling = (1 + 0.125 / g) / (math.e * math.sqrt(math.pi) * math.sqrt(g))
+        assert c_lt == pytest.approx(stirling, rel=1e-11 + 0.1 / g / g), gamma
     code, out, _ = run_cli(capsys, "verify", "lt", "--gamma", "100")
     assert code in (0, 1)
     assert math.isfinite(json.loads(out)["ratio"])

@@ -1,6 +1,7 @@
 """Closed forms against independent quadrature and high-precision oracles."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -258,6 +259,13 @@ def test_lt_constant_matches_stirling_past_1e8(gamma):
     # the log-Gamma values are of size gamma log gamma here; subtracting them
     # would leave 2e-9 at gamma = 1e15 instead of 6.56e-9
     assert abs(_stirling_defect(gamma)) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [9e307, 1e308, sys.float_info.max])
+def test_lt_constant_at_the_top_of_the_float_range(gamma):
+    # the product form once took 2 gamma, which overflows here, and the forms disagreed
+    assert _lt_constant_product_form(gamma) == pytest.approx(_lt_constant_ratio_form(gamma), rel=1e-13)
+    assert lt_constant(gamma) * math.e * math.sqrt(math.pi) * math.sqrt(gamma) == pytest.approx(1.0, abs=1e-13)
 
 
 @settings(max_examples=12, deadline=None)

@@ -46,6 +46,7 @@ from cknsharp import (
     symmetric_mu_threshold,
     theta_min,
 )
+from cknsharp._kernels import _DENSE_ROWS
 from cknsharp.cylinder import (
     DEFAULT_GRID,
     _angular,
@@ -576,14 +577,14 @@ def test_flow_descends_and_reports_the_gradient_of_its_last_iterate(N, p, Lambda
 
 
 def test_coarse_grid_rule():
-    # n_c + 1 is the even 5-smooth number nearest 10 S, at least 18
+    # n_c + 1 is the even integer nearest 10 S, at least 18
     rule = [cyl._coarse_n(S, 1999) for S in (20.0, 18.0, 25.0, 9.336, 1.45, 0.01)]
-    assert rule == [199, 179, 249, 95, 17, 17]
-    smooth = [2**i * 3**j * 5**k for i in range(1, 13) for j in range(8) for k in range(6)]
+    assert rule == [199, 179, 249, 93, 17, 17]
     for S in np.linspace(2.0, 300.0, 300):
         m = cyl._coarse_n(S, 10**5) + 1
-        assert m in smooth
-        assert abs(m - 10 * S) == min(abs(k - 10 * S) for k in smooth)
+        assert m % 2 == 0 and abs(m - 10 * S) <= 1
+    # up to S = 51 the coarse level's (n_c + 1)/2 rows take dst's dense path, whatever their factors
+    assert (cyl._coarse_n(51.0, 10**5) + 1) // 2 <= _DENSE_ROWS
     # a box too wide for its grid gets one level at once, however wide
     for S, n in ((1e300, 100), (1e9, 10**5), (300.0, 2999)):
         assert n + 1 < cyl._MIN_FINE_OVER_COARSE * (cyl._coarse_n(S, n) + 1)
@@ -1504,6 +1505,13 @@ def test_a_non_finite_sample_is_refused_where_the_field_is_scored(entry, bad):
     (lambda: sphere_quadrature(3, 0), DomainError, "need m >= 1 nodes"),
     (lambda: ZonalField(3, []), DomainError, "non-empty"),
     (lambda: basis_matrix(sphere_quadrature(3, 4), -1), DomainError, "need L_max >= 0"),
+    (lambda: extremal_field(_SMALL, 3, -1, 1.0, 3.0), DomainError, "need L_max >= 0 and at most 128"),
+    (lambda: extremal_field(_SMALL, 3, 129, 1.0, 3.0), DomainError, "got L_max 129"),
+    # with no degree-1 mode no evidence about symmetry exists: no linear law, no within
+    (lambda: eigenvalue_bound(2 * symmetric_mu_threshold(3.0, 3), 3.0, 3, grid=LineGrid(20.0, 599), L_max=0),
+     DomainError, "need L_max >= 1"),
+    (lambda: sandwich_check(0.9, 0.9 * sandwich_lambda_bound(0.9, 3.0, 3), 3.0, 3, L_max=0),
+     DomainError, "need L_max >= 1"),
     (lambda: euclidean_radial_extremal(-1.0, ParamPoint(3, -0.5, 0.0)), DomainError, "x_norm must be >= 0"),
     (lambda: lt_ratio(Potential1D(_SMALL, np.zeros(99)), 2.5,
                       lowest_eigenpair(sech_squared_potential(_SMALL, 6.0, 1.0))), DomainError, "identically zero"),
@@ -1521,6 +1529,7 @@ def test_a_non_finite_sample_is_refused_where_the_field_is_scored(entry, bad):
       for lam in (math.nan, -1.0, math.inf)],
 ], ids=["zero-start", "sv-method", "ell-1e400", "ell-1e5000", "ell-minus-1e5000", "mu-0", "mu-neg", "mu-inf",
         "mu-nan", "repeated-s", "potential-samples", "circle-m", "sphere-m", "empty-zonal", "basis-L",
+        "field-L-neg", "field-L-cap", "bound-L-0", "sandwich-L-0",
         "negative-radius", "zero-well", "theta-0-point", "theta-0-flow", "el-Lambda-neg", "el-Lambda-nan", "el-p",
         "el-theta-2", "el-theta-neg", "defect-p", "defect-p-nan", "bound-supercritical", "mu-threshold-supercritical",
         "chain-Lambda-nan", "chain-Lambda-neg", "chain-Lambda-inf"])
