@@ -13,11 +13,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import closed_forms as cf
-from . import cylinder as cyl
-from . import params, schrodinger, sphere
+from . import params
 from .closed_forms import quad
 from .errors import DomainError, NumericsError, check_gamma, check_grid, check_L_max
 
@@ -55,8 +52,11 @@ def _table(columns, rows, args) -> None:
     if args.format == "json":
         text = _json({"schema": SCHEMA, "rows": [dict(zip(columns, row)) for row in rows]})
     else:
+        # each distinct cell formatted once, and a falsy one in place: "", or a zero, since -0.0 == 0.0 share a key
+        cells = {x: x if isinstance(x, str) else f"{x:.12g}" for x in {x for row in rows for x in row}}
         lines = [",".join(columns)]
-        lines += [",".join([x if isinstance(x, str) else f"{x:.12g}" for x in row]) for row in rows]
+        lines += [",".join([cells[x] if x else (x if isinstance(x, str) else f"{x:.12g}") for x in row])
+                  for row in rows]
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
 
@@ -130,7 +130,7 @@ def _constants_rows(args):
         # independent variational route: (|S^(N-1)| int u_star^p ds)^(-(p-2)/p) with u_star = A sech(B s)^(2/(p-2));
         # the amplitude is carried exactly, A^(-(p-2)) = 2/(p Lambda), since A^p leaves the float range near p = 2
         B, a = cf.profile_constants(lam, p, 1.0).B, 2 * p / (p - 2)
-        integral = quad(lambda s: np.cosh(B * s) ** -a, 1.0 / (B * math.sqrt(a)))
+        integral = quad(lambda s: math.cosh(B * s) ** -a, 1.0 / (B * math.sqrt(a)))
         row("radial_constant_variational",
             cf.sphere_area(N) ** (-(p - 2) / p) * (2 / (p * lam)) * integral ** (-(p - 2) / p), "oracle", 1.0)
         row("radial_constant_alt", cf.radial_constant_alt(lam, p, N), "paper_typo_flag", 1.0)
@@ -166,6 +166,7 @@ _LT_MAX_N = 100_000
 
 
 def _verify_lt(args):
+    from . import schrodinger
     check_gamma(args.gamma)
     S = max(20.0, 8.0 / (args.gamma - 0.5)) if args.S is None else args.S
     if args.n is None:
@@ -186,6 +187,8 @@ def _verify_lt(args):
 
 
 def _verify_poincare(args):
+    import numpy as np
+    from . import sphere
     check_L_max(args.l_max, 1, "--l-max")
     if args.samples < 1:
         raise DomainError(f"need --samples >= 1, got {args.samples}: no sample is no evidence")
@@ -216,8 +219,10 @@ def _verify_poincare(args):
     }, passed
 
 
-def _fuzz_field(grid, N, L_max, rng) -> cyl.CylField:
-    """Strictly positive smooth bump field with bounded angular content."""
+def _fuzz_field(grid, N, L_max, rng):
+    """Strictly positive smooth bump CylField with bounded angular content."""
+    import numpy as np
+    from . import cylinder as cyl
     s = grid.nodes()
     g = np.zeros(grid.n)
     for _ in range(rng.integers(1, 4)):
@@ -231,11 +236,13 @@ def _fuzz_field(grid, N, L_max, rng) -> cyl.CylField:
     return cyl.CylField.from_nodal(grid, N, L_max, np.outer(g, m))
 
 
-def _slacks(rep: cyl.ChainReport) -> list:
+def _slacks(rep) -> list:  # of a cylinder.ChainReport
     return [rep.slack_lt, rep.slack_schwarz, rep.slack_hoelder2p, rep.slack_poincare, rep.slack_hoelder]
 
 
 def _verify_chain(args):
+    import numpy as np
+    from . import cylinder as cyl, schrodinger
     if args.fuzz < 1:
         raise DomainError(f"need --fuzz >= 1, got {args.fuzz}: no fuzz field is no evidence")
     check_L_max(args.l_max, 0, "--l-max")
@@ -269,6 +276,7 @@ def _verify_lambdacond(args):
 
 
 def _verify_fs(args):
+    from . import cylinder as cyl
     expected = params.lambda_fs(args.p, args.N)
     measured = cyl.fs_threshold(args.p, args.N)
     rel = abs(measured - expected) / expected
@@ -282,10 +290,13 @@ def _verify_fs(args):
 
 
 def _verify_minimize(args):
-    check_L_max(args.l_max, 1, "--l-max")
+    from . import cylinder as cyl, schrodinger
+    default = cyl.DEFAULT_GRID
+    l_max = cyl.DEFAULT_L_MAX if args.l_max is None else args.l_max
+    check_L_max(l_max, 1, "--l-max")
     theta = args.theta if args.theta is not None else 1.0
-    grid = schrodinger.LineGrid(args.S, args.n)
-    radial = cyl.extremal_field(grid, args.N, args.l_max, args.Lambda, args.p, theta)
+    grid = schrodinger.LineGrid(default.S if args.S is None else args.S, default.n if args.n is None else args.n)
+    radial = cyl.extremal_field(grid, args.N, l_max, args.Lambda, args.p, theta)
     # the theta = 1 gates need lambda_sym, so 2 < p < 6: refuse before the flow, not after it
     lam_sym = params.lambda_sym(args.p, args.N) if theta == 1.0 else None
     q_star = cyl.rayleigh(radial, args.Lambda, args.p, theta)
@@ -307,6 +318,7 @@ def _verify_minimize(args):
 
 
 def _verify_sandwich(args):
+    from . import cylinder as cyl
     lam = args.Lambda
     if lam is None:
         lam = 0.9 * cyl.sandwich_lambda_bound(args.theta, args.p, args.N)
@@ -403,9 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     v_mi.add_argument("--p", type=float, required=True)
     v_mi.add_argument("--Lambda", type=float, required=True)
     v_mi.add_argument("--theta", type=float)
-    v_mi.add_argument("--S", type=float, default=cyl.DEFAULT_GRID.S)
-    v_mi.add_argument("--n", type=int, default=cyl.DEFAULT_GRID.n)
-    v_mi.add_argument("--l-max", type=int, default=cyl.DEFAULT_L_MAX)
+    v_mi.add_argument("--S", type=float)  # --S, --n and --l-max default to cylinder's DEFAULT_GRID and DEFAULT_L_MAX
+    v_mi.add_argument("--n", type=int)
+    v_mi.add_argument("--l-max", type=int)
 
     v_sa = vsub.add_parser("sandwich", help="two-sided bound for theta < 1")
     v_sa.add_argument("--N", type=int, default=3)
@@ -426,9 +438,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # no NumPy warning lines on stderr: the output guards refuse a non-finite result
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        if args.command == "verify" and args.check != "lambdacond":  # the other commands load no NumPy
+            import numpy as np
+            with np.errstate(all="ignore"):  # no NumPy warning lines on stderr: the output guards refuse non-finite
+                return args.func(args)
+        return args.func(args)
     except (DomainError, NumericsError, ArithmeticError) as exc:
         if isinstance(exc, ArithmeticError):  # overflow, division by zero: name the input
             exc = f"{type(exc).__name__} ({exc}) at: {' '.join(sys.argv[1:] if argv is None else argv)}"

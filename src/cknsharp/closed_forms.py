@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, NumericsError, check_gamma, check_interp, check_Lambda, check_N, check_p
 from .params import ParamPoint, chain_exponents
 
@@ -48,22 +46,22 @@ def quad(f, width: float) -> float:
 
     The trapezoidal rule, which converges geometrically for an integrand that
     is analytic in a strip and decays exponentially (Trefethen and Weideman,
-    SIAM Review 56, 2014).  f is called twice on arrays: at s = k width/8 for
-    |k| <= 240, then at the midpoints; the value returned is the rule at step
-    width/16.  The rule at step width/8 must agree with it, and f must have
-    decayed at s = +-30 width, both to 1e-8 relative, or NumericsError; that
-    leaves room for the rounding of cosh(s)^(-a), about a eps, up to a ~ 4e7.
-    The peak width of sech(s)^a is a^(-1/2), so the node count does not
-    depend on a.  A non-finite sum raises OverflowError.
+    SIAM Review 56, 2014).  f is called on scalars: at s = k width/8 for
+    |k| <= 240, then at the midpoints, each sum taken by math.fsum; the value
+    returned is the rule at step width/16.  The rule at step width/8 must
+    agree with it, and f must have decayed at s = +-30 width, both to 1e-8
+    relative, or NumericsError; that leaves room for the rounding of
+    cosh(s)^(-a), about a eps, up to a ~ 4e7.  The peak width of sech(s)^a is
+    a^(-1/2), so the node count does not depend on a.  A non-finite sum
+    raises OverflowError.
     """
     h = width / 8.0
-    k = np.arange(-240, 241)
-    on = f(h * k)
-    coarse = h * float(np.sum(on))
-    fine = 0.5 * (coarse + h * float(np.sum(f(h * (k[:-1] + 0.5)))))
+    on = [f(h * k) for k in range(-240, 241)]
+    coarse = h * math.fsum(on)
+    fine = 0.5 * (coarse + h * math.fsum(f(h * (k + 0.5)) for k in range(-240, 240)))
     if not math.isfinite(fine):
         raise OverflowError(f"non-finite integral {fine} (peak width {width})")
-    tail = width * max(abs(float(on[0])), abs(float(on[-1])))
+    tail = width * max(abs(on[0]), abs(on[-1]))
     if not max(abs(fine - coarse), tail) <= 1e-8 * abs(fine):
         raise NumericsError(f"trapezoidal rule did not converge: step halving moved {coarse} to {fine}, "
                             f"tail {tail} (peak width {width})")
@@ -152,6 +150,7 @@ def profile_constants(Lambda: float, p: float, theta: float = 1.0) -> ProfileCon
 
 def extremal_profile(s, pc: ProfileConstants, p: float):
     """Evaluate the extremal profile A cosh(B s)^(-2/(p-2)); vectorized in s."""
+    import numpy as np
     s = np.asarray(s, dtype=float)
     with np.errstate(over="ignore"):  # cosh = inf past |B s| ~ 710, where the profile is 0
         return pc.A * np.cosh(pc.B * s) ** (-2.0 / (p - 2))
@@ -163,6 +162,7 @@ def lt_ground_state(s, gamma: float):
     psi(s) = pi^(-1/4) (Gamma(gamma)/Gamma(gamma - 1/2))^(1/2)
              cosh(s)^(-gamma + 1/2), with integral of psi^2 equal to 1.
     """
+    import numpy as np
     check_gamma(gamma)
     norm = math.exp(-0.25 * math.log(math.pi) + 0.5 * _log_gamma_half_step(gamma - 0.5))
     with np.errstate(over="ignore"):  # cosh = inf past |s| ~ 710, where psi is 0
@@ -310,7 +310,7 @@ def lt_identity_defect(Lambda: float, p: float) -> float:
     check_Lambda(Lambda)
     gamma = chain_exponents(p)[0]
     a = 2 * gamma + 1
-    val = quad(lambda t: np.cosh(t) ** -a, a**-0.5)
+    val = quad(lambda t: math.cosh(t) ** -a, a**-0.5)
     log_lam = math.log(Lambda)
     log_b = math.log(0.5 * (p - 2)) + 0.5 * log_lam
     log_ratio = (math.log(lt_constant(gamma) * val) + (gamma + 0.5) * (math.log(p / 2) + log_lam)
@@ -325,6 +325,7 @@ def euclidean_radial_extremal(x_norm: float, pt: ParamPoint):
     m = (N-2(1+a-b))/(2(1+a-b)); defined for a < b < a+1, positive and
     decreasing in |x| when a < a_c.  Vectorized in x_norm.
     """
+    import numpy as np
     delta = 1 + pt.a - pt.b
     if delta <= 0 or pt.b <= pt.a:
         raise DomainError(f"need a < b < a+1, got (a, b) = ({pt.a}, {pt.b})")

@@ -80,6 +80,11 @@ def check_L_max(L_max: int, lo: int, name: str = "L_max") -> None:
         raise DomainError(f"need L_max >= {lo} and at most {L_MAX_CAP}, got {name} {L_max}")
 
 
+# cap on the points of a region map, na * nb: at the cap, 1000 x 1000, `region-map` takes 4 s and 356 MB
+# on one Xeon core
+REGION_MAP_CAP = 10**6
+
+
 def check_grid(S: float, n: int) -> None:
     """Line grid on [-S, S]: finite S > 0 and n >= 16 interior nodes."""
     if not (0 < S < math.inf and n >= 16):

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
-    DomainError, NotAchievedError, check_Lambda, check_N, check_p, check_subcritical, check_theta_window
+    REGION_MAP_CAP, DomainError, NotAchievedError, check_Lambda, check_N, check_p, check_subcritical,
+    check_theta_window,
 )
 
 __all__ = [
@@ -122,6 +123,8 @@ def from_cylinder(cp: CylinderPoint) -> ParamPoint:
     """Inverse of to_cylinder on the a < a_c branch."""
     ac = a_critical(cp.N)
     a = ac - math.sqrt(cp.Lambda)
+    if a == ac:
+        raise DomainError(f"(p, Lambda) = ({cp.p}, {cp.Lambda}): a = a_c - sqrt(Lambda) rounds to a_c = {ac}")
     b = max(a + cp.N / cp.p - ac, a)  # b = a at critical p (CylinderPoint allows 1e-12 above it)
     return ParamPoint(N=cp.N, a=a, b=b)
 
@@ -232,8 +235,8 @@ def region_map(N, a_range, b_range, grid):
     """
     check_N(N)
     na, nb = grid
-    if na < 1 or nb < 1:
-        raise DomainError(f"grid resolution must be >= 1, got ({na}, {nb})")
+    if na < 1 or nb < 1 or na * nb > REGION_MAP_CAP:
+        raise DomainError(f"grid resolution must be >= 1 and na * nb at most {REGION_MAP_CAP}, got ({na}, {nb})")
     a_lo, a_hi = a_range
     b_lo, b_hi = b_range
     avals = [a_lo + (a_hi - a_lo) * i / (na - 1) for i in range(na)] if na > 1 else [a_lo]

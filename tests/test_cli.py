@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from cknsharp import DomainError, NumericsError, cli
+from cknsharp import DomainError, NumericsError, cli, schrodinger, sphere
 from cknsharp import closed_forms as cf
+from cknsharp import cylinder as cyl
 from cknsharp.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -107,6 +108,14 @@ def test_region_map_contains_known_point(capsys):
     assert "-0.5,0,SymmetricProven" in out
 
 
+def test_region_map_keeps_the_sign_of_zero(capsys):
+    # each distinct number is formatted once per table; -0.0 == 0.0 must not share a cell
+    code, out, _ = run_cli(capsys, "region-map", "--N", "3", "--na", "1", "--nb", "3", "--a-min", "-0",
+                           "--b-min", "-0", "--b-max", "1")
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [["-0", "0"], ["-0", "0.5"], ["-0", "1"]]
+
+
 def test_region_map_serialization(capsys):
     argv = ("region-map", "--N", "3", "--a-min", "-0.5", "--a-max", "-0.5", "--b-min", "0", "--b-max", "0",
             "--na", "1", "--nb", "1")
@@ -193,13 +202,13 @@ def test_verify_lt_default_box_from_gamma_0_9_on_is_s20_n8000(capsys, gamma):
 
 def test_verify_lt_caps_the_default_node_count(capsys, monkeypatch):
     grids = []
-    real = cli.schrodinger.LineGrid
+    real = schrodinger.LineGrid
 
     def recorded(S, n):
         grids.append((S, n))
         return real(S, n)
 
-    monkeypatch.setattr(cli.schrodinger, "LineGrid", recorded)
+    monkeypatch.setattr(schrodinger, "LineGrid", recorded)
     code, out, _ = run_cli(capsys, "verify", "lt", "--gamma", "0.5000001")
     assert grids == [(pytest.approx(8e7), cli._LT_MAX_N)]
     assert code == 1  # valid input that the capped grid cannot resolve: a failed check, not exit 2
@@ -240,8 +249,8 @@ def test_verify_minimize_passes_the_symmetric_gate(capsys, N, p, Lambda):
 
 def test_verify_minimize_fails_an_angular_minimizer_in_the_symmetric_region(capsys, monkeypatch):
     # the same converged flow, its angular fraction alone changed: the gate must refuse it
-    real = cli.cyl.minimize_quotient
-    monkeypatch.setattr(cli.cyl, "minimize_quotient",
+    real = cyl.minimize_quotient
+    monkeypatch.setattr(cyl, "minimize_quotient",
                         lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), angular_fraction=0.1))
     code, out, _ = run_cli(capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "1")
     assert (code, json.loads(out)["pass"]) == (1, False)
@@ -249,22 +258,31 @@ def test_verify_minimize_fails_an_angular_minimizer_in_the_symmetric_region(caps
 
 def test_verify_minimize_output_does_not_depend_on_the_seed(capsys, monkeypatch):
     # one start draws no random numbers: --seed is accepted, the flow gets no options, stdout is the same
-    options, real = [], cli.cyl.minimize_quotient
+    options, real = [], cyl.minimize_quotient
 
     def recording(start, Lambda, p, theta, *opts, **kw_opts):
         options.append((opts, kw_opts))
         return real(start, Lambda, p, theta, *opts, **kw_opts)
 
-    monkeypatch.setattr(cli.cyl, "minimize_quotient", recording)
+    monkeypatch.setattr(cyl, "minimize_quotient", recording)
     runs = [run_cli(capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--n", "999",
                     "--seed", seed)[:2] for seed in ("1", "99")]
     assert runs[0] == runs[1] and runs[0][0] == 0
     assert options == [((), {})] * 2
 
 
-def test_verify_minimize_grid_defaults_are_the_library_defaults():
-    args = cli.build_parser().parse_args(["verify", "minimize", "--p", "3", "--Lambda", "1"])
-    assert (args.S, args.n, args.l_max) == (cli.cyl.DEFAULT_GRID.S, cli.cyl.DEFAULT_GRID.n, cli.cyl.DEFAULT_L_MAX)
+def test_verify_minimize_grid_defaults_are_the_library_defaults(capsys, monkeypatch):
+    # read from cylinder when the command runs, not copied into the parser: a changed default is the one used
+    seen = []
+
+    def stop(grid, N, L_max, *args):
+        seen.append((grid.S, grid.n, L_max))
+        raise DomainError("stop")
+
+    monkeypatch.setattr(cyl, "extremal_field", stop)
+    monkeypatch.setattr(cyl, "DEFAULT_L_MAX", 5)
+    assert run_cli(capsys, "verify", "minimize", "--p", "3", "--Lambda", "1")[0] == 2
+    assert seen == [(cyl.DEFAULT_GRID.S, cyl.DEFAULT_GRID.n, 5)]
 
 
 @pytest.mark.parametrize("flag,value", [("--Lambda", "nan"), ("--Lambda", "inf"), ("--p", "nan"), ("--theta", "nan")])
@@ -324,6 +342,11 @@ _REPROS = {
         (DomainError, "--l-max 100000"),
     ("verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--l-max", "5000", "--n", "199"):
         (DomainError, "at most 128, got --l-max 5000"),
+    # 1e18 points: nothing printed, and a run until the process was killed
+    ("region-map", "--N", "3", "--na", "1000000000", "--nb", "1000000000"): (DomainError, "at most 1000000"),
+    # a = a_c - sqrt(Lambda) rounds to a_c: the refusal named an (a, b) the user never gave
+    ("constants", "--N", "3", "--p", "3", "--Lambda", "1e-34"): (DomainError, "(p, Lambda) = (3.0, 1e-34)"),
+    ("constants", "--N", "4", "--p", "3", "--Lambda", "1e-40"): (DomainError, "(p, Lambda) = (3.0, 1e-40)"),
 }
 
 
@@ -391,7 +414,7 @@ def test_variational_route_matches_the_radial_constant(p, capsys):
 
 def test_verify_minimize_refuses_p_6_before_the_flow(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli.cyl, "minimize_quotient", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(cyl, "minimize_quotient", lambda *args, **kwargs: calls.append(args))
     code, out, err = run_cli(capsys, "verify", "minimize", "--N", "2", "--p", "7", "--Lambda", "1", "--n", "100",
                              "--l-max", "2")
     assert (code, out, err) == (2, "", "error: need 2 < p < 6, got p=7.0\n")
@@ -415,14 +438,14 @@ def test_large_gamma_is_valid_input(capsys):
 
 
 def test_verify_lt_solves_the_eigenproblem_once(capsys, monkeypatch):
-    solve = cli.schrodinger.lowest_eigenpair
+    solve = schrodinger.lowest_eigenpair
     calls = []
 
     def counted(V):
         calls.append(V)
         return solve(V)
 
-    monkeypatch.setattr(cli.schrodinger, "lowest_eigenpair", counted)
+    monkeypatch.setattr(schrodinger, "lowest_eigenpair", counted)
     code, out, _ = run_cli(capsys, "verify", "lt", "--gamma", "2.5", "--n", "2000")
     assert code == 0
     assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=2e-3)
@@ -430,14 +453,14 @@ def test_verify_lt_solves_the_eigenproblem_once(capsys, monkeypatch):
 
 
 def test_verify_poincare_builds_the_basis_once(capsys, monkeypatch):
-    build = cli.sphere.basis_matrix
+    build = sphere.basis_matrix
     calls = []
 
     def counted(quad, L_max):
         calls.append(L_max)
         return build(quad, L_max)
 
-    monkeypatch.setattr(cli.sphere, "basis_matrix", counted)
+    monkeypatch.setattr(sphere, "basis_matrix", counted)
     code, out, _ = run_cli(capsys, "verify", "poincare", "--N", "3", "--q", "3", "--samples", "50")
     assert code == 0 and json.loads(out)["pass"] is True
     assert calls == [8]
@@ -466,7 +489,7 @@ def test_non_finite_constants_csv_row_exits_2(capsys, monkeypatch):
 @pytest.mark.parametrize("Lambda", [(), ("--Lambda", "1")])
 def test_sandwich_at_theta_min_exits_2_before_the_flow(capsys, monkeypatch, Lambda):
     # theta_min(3, 3) = 1/2: the window is empty, with the default Lambda as with a given one
-    monkeypatch.setattr(cli.cyl, "minimize_quotient", lambda *args, **kwargs: pytest.fail("the flow ran"))
+    monkeypatch.setattr(cyl, "minimize_quotient", lambda *args, **kwargs: pytest.fail("the flow ran"))
     code, out, err = run_cli(capsys, "verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.5", *Lambda)
     assert (code, out, err) == (2, "", "error: the admissible window (0.25, 0.0] of Lambda is empty at theta=0.5\n")
 
@@ -590,18 +613,42 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def _scipy_modules_in_fresh_process(argv):
-    """Names of the SciPy modules loaded by importing the CLI and, unless argv
-    is None, running it, in a new interpreter: in this one SciPy is usually
-    already imported by earlier tests."""
+def _modules_in_fresh_process(argv):
+    """Names of the modules loaded by importing the CLI and, unless argv is
+    None, running it, in a new interpreter: in this one SciPy, NumPy and the
+    array modules are usually already imported by earlier tests."""
     code = ["import contextlib, io, json, sys", "from cknsharp.cli import main"]
     if argv is not None:
         code.append(f"with contextlib.redirect_stdout(io.StringIO()): assert main({argv!r}) == 0")
-    code.append("print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
+    code.append("print(json.dumps(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", "\n".join(code)], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout))
+
+
+def _scipy_modules_in_fresh_process(argv):
+    return {m for m in _modules_in_fresh_process(argv) if m == "scipy" or m.startswith("scipy.")}
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["constants", "--gamma", "2.5"],
+    ["constants", "--N", "3", "--a", "-0.5", "--b", "0"],
+    ["constants", "--N", "3", "--p", "3", "--Lambda", "1", "--format", "json"],
+    ["region-map", "--N", "3", "--na", "20", "--nb", "20"],
+    ["verify", "lambdacond", "--Lambda", "1", "--p", "3"],
+], ids=["import", "constants-gamma", "constants-ab", "constants-json", "region-map", "lambdacond"])
+def test_closed_form_commands_load_no_numpy(argv):
+    assert "numpy" not in _modules_in_fresh_process(argv)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["verify", "lt", "--gamma", "2.5"], {"cknsharp.cylinder", "cknsharp.sphere"}),
+    (["verify", "poincare", "--N", "3", "--q", "3"], {"cknsharp.cylinder"}),
+], ids=["lt", "poincare"])
+def test_each_verify_loads_only_its_array_modules(argv, absent):
+    assert _modules_in_fresh_process(argv) & absent == set()
 
 
 @pytest.mark.parametrize(

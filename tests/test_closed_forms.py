@@ -371,6 +371,15 @@ def test_lt_identity_defect(Lambda, p):
     assert lt_identity_defect(Lambda, p) < 1e-8
 
 
+@pytest.mark.parametrize("f, width, exact", [
+    (lambda s: math.exp(-s * s), 1.0, math.sqrt(math.pi)),
+    (lambda s: 1.0 / math.cosh(s) ** 2, 1.0, 2.0),
+    (lambda s: 1.0 / math.cosh(3.0 * s), 1.0 / 3.0, math.pi / 3.0),
+], ids=["gaussian", "sech2", "sech"])
+def test_trapezoid_on_a_scalar_integrand_with_a_closed_form(f, width, exact):
+    assert trapezoid(f, width) == pytest.approx(exact, rel=1e-15)
+
+
 def test_trapezoid_matches_the_cosh_power_integral_for_every_p():
     # a = 2p/(p-2): the integrand of the variational and potential-norm routes
     for p in np.linspace(2.0001, 5.999, 81):

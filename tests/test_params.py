@@ -24,6 +24,8 @@ from cknsharp import (
     theta_min,
     to_cylinder,
 )
+from cknsharp import params
+from cknsharp.errors import REGION_MAP_CAP
 from cknsharp.params import CylinderPoint
 
 
@@ -257,6 +259,27 @@ def test_region_map_basic():
             region_map(3, a_range, b_range, (5, 5))
     with pytest.raises(DomainError):
         region_map(1, (0.0, 1.0), (0.0, 1.0), (3, 3))
+
+
+def test_region_map_refuses_more_points_than_its_cap(monkeypatch):
+    # checked before the axes are built: 1e9 x 1e9 points once ran until the process was killed
+    for grid in ((10**9, 10**9), (REGION_MAP_CAP + 1, 1), (1000, 1001)):
+        with pytest.raises(DomainError, match=f"at most {REGION_MAP_CAP}"):
+            region_map(3, (-1.0, 0.4), (-1.0, 1.0), grid)
+    monkeypatch.setattr(params, "REGION_MAP_CAP", 12)  # the cap itself is allowed
+    assert len(region_map(3, (-1.0, 0.4), (-1.0, 1.0), (3, 4))) == 12
+    with pytest.raises(DomainError):
+        region_map(3, (-1.0, 0.4), (-1.0, 1.0), (13, 1))
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_from_cylinder_refuses_a_Lambda_that_leaves_a_at_a_c(N):
+    # a = a_c - sqrt(Lambda) rounds to a_c once sqrt(Lambda) is at most half an ulp of a_c
+    ac = a_critical(N)
+    half_ulp = math.ulp(ac) / 4  # the ulp just below the power of two a_c, halved
+    with pytest.raises(DomainError, match=r"\(p, Lambda\) = \(3.0, .*rounds to a_c"):
+        from_cylinder(CylinderPoint(N, 3.0, half_ulp**2))
+    assert from_cylinder(CylinderPoint(N, 3.0, (2 * half_ulp) ** 2)).a == ac - 2 * half_ulp < ac
 
 
 def test_classify_grid_refinement_invariance():
