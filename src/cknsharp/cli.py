@@ -45,15 +45,18 @@ def _table(columns, rows, args) -> None:
     cell stays empty, or ``{"schema": 1, "rows": [...]}`` through ``_json``.
     A non-finite number refuses the whole table before anything is written;
     the message names its row by the first cell."""
-    for row in rows:
-        for x in row:
-            if not (isinstance(x, str) or math.isfinite(x)):
-                raise NumericsError(f"non-finite value of {row[0]} in the output")
+    def finite(x):
+        return isinstance(x, str) or math.isfinite(x)
+
+    distinct = {x for row in rows for x in row}
+    if not all(map(finite, distinct)):  # each distinct cell checked once; the row is looked up only on failure
+        row = next(row for row in rows if not all(map(finite, row)))
+        raise NumericsError(f"non-finite value of {row[0]} in the output")
     if args.format == "json":
         text = _json({"schema": SCHEMA, "rows": [dict(zip(columns, row)) for row in rows]})
     else:
         # each distinct cell formatted once, and a falsy one in place: "", or a zero, since -0.0 == 0.0 share a key
-        cells = {x: x if isinstance(x, str) else f"{x:.12g}" for x in {x for row in rows for x in row}}
+        cells = {x: x if isinstance(x, str) else f"{x:.12g}" for x in distinct}
         lines = [",".join(columns)]
         lines += [",".join([cells[x] if x else (x if isinstance(x, str) else f"{x:.12g}") for x in row])
                   for row in rows]
@@ -297,23 +300,19 @@ def _verify_minimize(args):
     theta = args.theta if args.theta is not None else 1.0
     grid = schrodinger.LineGrid(default.S if args.S is None else args.S, default.n if args.n is None else args.n)
     radial = cyl.extremal_field(grid, args.N, l_max, args.Lambda, args.p, theta)
-    # the theta = 1 gates need lambda_sym, so 2 < p < 6: refuse before the flow, not after it
-    lam_sym = params.lambda_sym(args.p, args.N) if theta == 1.0 else None
+    # the theta = 1 gate needs K*, so 2 < p < 6: refuse before the flow, not after it
+    k_star = cf.radial_interp_constant(1.0, args.Lambda, args.p) if theta == 1.0 else None
     q_star = cyl.rayleigh(radial, args.Lambda, args.p, theta)
-    start = radial.copy()
-    start.data[:, 1] = 0.1 * start.data[:, 0]
-    rep = cyl.minimize_quotient(start, args.Lambda, args.p, theta)  # one start: --seed draws nothing
-    broken = rep.broken
+    rep = cyl.minimize_quotient(radial, args.Lambda, args.p, theta, cyl.MinimizeOpts(multistart=True))
     payload = rep.to_dict()
     payload["quotient_radial"] = q_star
-    payload["symmetry_broken"] = broken
-    if theta == 1.0 and args.Lambda <= lam_sym:
-        k_star = cf.radial_interp_constant(1.0, args.Lambda, args.p)
-        passed = rep.converged and abs(rep.constant - k_star) <= 5e-3 * k_star and rep.angular_fraction < 1e-6
-    elif theta == 1.0 and args.Lambda > params.lambda_fs(args.p, args.N):
-        passed = rep.converged and rep.quotient <= 0.99 * q_star and broken
-    else:
-        passed = rep.converged
+    payload["symmetry_broken"] = rep.broken
+    if theta < 1.0:
+        return payload, rep.converged
+    # at theta = 1 the extremal is radial iff Lambda <= lambda_fs (Dolbeault-Esteban-Loss), and then its constant is K*
+    symmetric = args.Lambda <= params.lambda_fs(args.p, args.N)
+    close = abs(rep.constant - k_star) <= 5e-3 * k_star
+    passed = rep.converged and rep.broken != symmetric and (close or not symmetric)
     return payload, passed
 
 
@@ -322,8 +321,7 @@ def _verify_sandwich(args):
     lam = args.Lambda
     if lam is None:
         lam = 0.9 * cyl.sandwich_lambda_bound(args.theta, args.p, args.N)
-    rep = cyl.sandwich_check(args.theta, lam, args.p, args.N,
-                             opts=cyl.MinimizeOpts(multistart=True, seed=args.seed))
+    rep = cyl.sandwich_check(args.theta, lam, args.p, args.N)
     return rep.to_dict(), rep.within and rep.converged
 
 
@@ -426,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     v_sa.add_argument("--Lambda", type=float)
 
     for sp in (v_po, v_ch, v_mi, v_sa):
-        sp.add_argument("--seed", type=int, default=7)
+        sp.add_argument("--seed", type=int, default=7, help="seed of the fuzz of chain and poincare; accepted and "
+                        "unused by minimize and sandwich, whose random start has the library's seed")
     for sp in (v_lt, v_po, v_ch, v_lc, v_fs, v_mi, v_sa):
         sp.add_argument("--output")
     pv.set_defaults(func=cmd_verify)

@@ -634,18 +634,16 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
     slack_schwarz = e_angular - sphere.grad_energy(vfield)
 
     total_up = float(np.sum(quad_.weights * up_line))
-    int_v_q1 = float(np.sum(quad_.weights * v ** (q_exp + 1)))
+    # (int v^(q+1))^(2/(q+1)), 2/(q+1) = (gamma - 1)/gamma, the only power of that integral used.  v is
+    # scaled by its maximum first: q = (3p - 2)/(6 - p) reaches hundreds near p = 6, where v^(q+1) overflows
+    vmax = float(v.max())
+    v_q1_norm2 = vmax**2 * float(np.sum(quad_.weights * (v / vmax) ** (q_exp + 1))) ** (2.0 / (q_exp + 1))
     int_v_2 = float(np.sum(quad_.weights * v**2))
     lhs = float(np.sum(quad_.weights * up_line ** (1.0 / gamma) * v**2))
-    rhs = total_up ** (1.0 / gamma) * int_v_q1 ** ((gamma - 1) / gamma)
-    slack_hoelder2p = rhs - lhs
+    slack_hoelder2p = total_up ** (1.0 / gamma) * v_q1_norm2 - lhs
 
-    slack_poincare = (
-        (q_exp - 1) / (u.N - 1) * sphere.grad_energy(vfield)
-        - int_v_q1 ** (2.0 / (q_exp + 1))
-        + int_v_2
-    )
-    slack_hoelder = int_v_q1 ** (2.0 / (q_exp + 1)) - int_v_2
+    slack_poincare = (q_exp - 1) / (u.N - 1) * sphere.grad_energy(vfield) - v_q1_norm2 + int_v_2
+    slack_hoelder = v_q1_norm2 - int_v_2
 
     D = c_pow * total_up ** (1.0 / gamma)
     return ChainReport(

@@ -12,9 +12,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cknsharp import DomainError, NumericsError, cli, schrodinger, sphere
+from cknsharp import DomainError, NumericsError, cli, params, schrodinger, sphere
 from cknsharp import closed_forms as cf
 from cknsharp import cylinder as cyl
 from cknsharp.cli import main
@@ -239,12 +240,68 @@ def test_verify_minimize_breaking(capsys):
     assert payload["symmetry_broken"] is True
 
 
-# theta = 1 and Lambda <= lambda_sym, the proven-symmetric region; (3, 3, 1.5) is Lambda = lambda_sym
-@pytest.mark.parametrize("N, p, Lambda", [("3", "3", "1"), ("3", "3", "1.5"), ("2", "3", "0.5"), ("3", "4", "0.4")])
+# theta = 1 and Lambda <= lambda_fs, the symmetric side: (3, 3, 1.5) is Lambda = lambda_sym, (3, 3, 1.6) lambda_fs
+@pytest.mark.parametrize("N, p, Lambda", [("3", "3", "1"), ("3", "3", "1.5"), ("3", "3", "1.6"), ("2", "3", "0.5"),
+                                          ("3", "4", "0.4")])
 def test_verify_minimize_passes_the_symmetric_gate(capsys, N, p, Lambda):
     code, out, _ = run_cli(capsys, "verify", "minimize", "--N", N, "--p", p, "--Lambda", Lambda)
     payload = json.loads(out)
     assert (code, payload["symmetry_broken"], payload["pass"]) == (0, False, True)
+
+
+# theta = 1 and Lambda > lambda_fs = 1.6: 1.616 is 1% past it, where the broken minimizer lies 4e-5 below the radial one
+@pytest.mark.parametrize("Lambda", ["1.616", "1.8"])
+def test_verify_minimize_passes_broken_points_just_past_lambda_fs(capsys, Lambda):
+    code, out, _ = run_cli(capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", Lambda)
+    payload = json.loads(out)
+    assert (code, payload["symmetry_broken"], payload["pass"]) == (0, True, True)
+    assert payload["quotient"] < payload["quotient_radial"]
+
+
+def test_verify_minimize_fails_a_radial_minimizer_past_lambda_fs(capsys, monkeypatch):
+    # the same converged flow, its angular fraction alone changed: past lambda_fs a radial answer is wrong
+    real = cyl.minimize_quotient
+    monkeypatch.setattr(cyl, "minimize_quotient",
+                        lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), angular_fraction=0.0))
+    code, out, _ = run_cli(capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "1.8")
+    assert (code, json.loads(out)["pass"]) == (1, False)
+
+
+def test_verify_minimize_checks_the_constant_up_to_lambda_fs(capsys, monkeypatch):
+    # Lambda = 1.55 lies in (lambda_sym, lambda_fs] = (1.5, 1.6]: a radial minimizer 1% off K* fails there too
+    real = cyl.minimize_quotient
+
+    def off(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, constant=1.01 * rep.constant)
+
+    monkeypatch.setattr(cyl, "minimize_quotient", off)
+    code, out, _ = run_cli(capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "1.55")
+    payload = json.loads(out)
+    assert (code, payload["symmetry_broken"], payload["pass"]) == (1, False, False)
+
+
+def test_verify_minimize_verdict_sweep(capsys):
+    # Dolbeault-Esteban-Loss at theta = 1: the extremal is radial iff Lambda <= lambda_fs.  Random points
+    # off a 3% band around lambda_fs; the exit code is not asserted, since the constant check against K*
+    # also answers for the discretization, which is not calibrated at small Lambda near p = 6
+    rng = np.random.default_rng(0)
+    points = 0
+    for _ in range(100):
+        N = int(rng.choice([2, 3]))
+        p = rng.uniform(2.02, 5.95)
+        ratio = math.exp(rng.uniform(math.log(0.2), math.log(4.0)))
+        lam_fs = params.lambda_fs(p, N)
+        Lambda = ratio * lam_fs
+        if abs(ratio - 1) < 0.03 or Lambda <= params.a_critical(N) ** 2:
+            continue
+        points += 1
+        _, out, _ = run_cli(capsys, "verify", "minimize", "--N", str(N), "--p", repr(p), "--Lambda", repr(Lambda))
+        payload = json.loads(out)
+        assert payload["symmetry_broken"] == (Lambda > lam_fs), (N, p, Lambda)
+        if Lambda <= lam_fs:
+            assert payload["quotient"] <= payload["quotient_radial"] * (1 + 1e-12), (N, p, Lambda)
+    assert points >= 80
 
 
 def test_verify_minimize_fails_an_angular_minimizer_in_the_symmetric_region(capsys, monkeypatch):
@@ -256,8 +313,8 @@ def test_verify_minimize_fails_an_angular_minimizer_in_the_symmetric_region(caps
     assert (code, json.loads(out)["pass"]) == (1, False)
 
 
-def test_verify_minimize_output_does_not_depend_on_the_seed(capsys, monkeypatch):
-    # one start draws no random numbers: --seed is accepted, the flow gets no options, stdout is the same
+def _record_flow_options(monkeypatch):
+    """Make cylinder.minimize_quotient record the options of each call; returns the record."""
     options, real = [], cyl.minimize_quotient
 
     def recording(start, Lambda, p, theta, *opts, **kw_opts):
@@ -265,10 +322,25 @@ def test_verify_minimize_output_does_not_depend_on_the_seed(capsys, monkeypatch)
         return real(start, Lambda, p, theta, *opts, **kw_opts)
 
     monkeypatch.setattr(cyl, "minimize_quotient", recording)
+    return options
+
+
+def test_verify_minimize_output_does_not_depend_on_the_seed(capsys, monkeypatch):
+    # the multistart's random start has the library's seed: --seed is accepted, the options and stdout are the same
+    options = _record_flow_options(monkeypatch)
     runs = [run_cli(capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--n", "999",
                     "--seed", seed)[:2] for seed in ("1", "99")]
     assert runs[0] == runs[1] and runs[0][0] == 0
-    assert options == [((), {})] * 2
+    assert options == [((cyl.MinimizeOpts(multistart=True),), {})] * 2
+
+
+def test_verify_sandwich_output_does_not_depend_on_the_seed(capsys, monkeypatch):
+    # sandwich_check runs with the library defaults, whatever --seed says
+    options = _record_flow_options(monkeypatch)
+    runs = [run_cli(capsys, "verify", "sandwich", "--N", "3", "--p", "3", "--theta", "0.9", "--seed", seed)[:2]
+            for seed in ("1", "99")]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert options == [((cyl.MinimizeOpts(multistart=True),), {})] * 2
 
 
 def test_verify_minimize_grid_defaults_are_the_library_defaults(capsys, monkeypatch):
@@ -410,6 +482,13 @@ def test_variational_route_matches_the_radial_constant(p, capsys):
             continue
         rows = {name: value for name, *_, value, _ in cli._constants_rows(cli.build_parser().parse_args(argv))}
         assert rows["radial_constant_variational"] == pytest.approx(rows["radial_constant"], rel=1e-10), Lambda
+
+
+@pytest.mark.parametrize("p", ["5.96", "5.97", "5.99"])
+def test_verify_chain_answers_near_p_6(capsys, p):
+    # q = (3p - 2)/(6 - p) reaches 397 at p = 5.96: the integral of v^(q+1) overflowed to a non-finite slack
+    code, out, _ = run_cli(capsys, "verify", "chain", "--N", "3", "--p", p, "--Lambda", "1")
+    assert (code, json.loads(out)["pass"]) == (0, True)
 
 
 def test_verify_minimize_refuses_p_6_before_the_flow(capsys, monkeypatch):

@@ -906,6 +906,23 @@ def test_proof_chain_fuzz(p, N):
             assert slack >= -1e-8
 
 
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("p", [5.97, 5.99, 5.999])
+def test_proof_chain_near_p_6(p, N):
+    # q = (3p - 2)/(6 - p) is 530 at p = 5.97 and 16,000 at p = 5.999: v^(q+1) stays finite only with v scaled first
+    grid = LineGrid(15.0, 599)
+    at_star = proof_chain(extremal_field(grid, N, 6, 1.0, p), 1.0, p)
+    slacks = [at_star.slack_lt, at_star.slack_schwarz, at_star.slack_hoelder2p, at_star.slack_poincare,
+              at_star.slack_hoelder]
+    assert max(abs(s) for s in slacks) <= 1e-6
+    assert at_star.D == pytest.approx(1.0, abs=1e-6)
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        rep = proof_chain(fuzz_field(grid, N, 6, rng), 1.0, p)
+        slacks = [rep.slack_lt, rep.slack_schwarz, rep.slack_hoelder2p, rep.slack_poincare, rep.slack_hoelder]
+        assert all(math.isfinite(s) and s >= -1e-8 for s in slacks + [rep.D])
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     N=st.sampled_from([2, 3]),
