@@ -16,7 +16,7 @@ import sys
 from . import closed_forms as cf
 from . import params
 from .closed_forms import quad
-from .errors import DomainError, NumericsError, check_gamma, check_grid, check_L_max
+from .errors import GRID_N_CAP, DomainError, NumericsError, check_gamma, check_grid, check_L_max
 
 SCHEMA = 1
 
@@ -164,17 +164,14 @@ def cmd_region_map(args) -> int:
 # verify subcommands: each returns (payload dict, passed bool)
 
 # the well's ground state decays like exp(-(gamma - 1/2)|s|): the default box
-# holds 8 decay lengths (S >= 20) at 400 nodes per unit of S, at most _LT_MAX_N
-_LT_MAX_N = 100_000
-
-
+# holds 8 decay lengths (S >= 20) at 400 nodes per unit of S, at most GRID_N_CAP
 def _verify_lt(args):
     from . import schrodinger
     check_gamma(args.gamma)
     S = max(20.0, 8.0 / (args.gamma - 0.5)) if args.S is None else args.S
     if args.n is None:
         check_grid(S, 16)  # S is checked before the node count is derived from it
-    grid = schrodinger.LineGrid(S, min(_LT_MAX_N, math.ceil(400 * S)) if args.n is None else args.n)
+    grid = schrodinger.LineGrid(S, min(GRID_N_CAP, math.ceil(400 * S)) if args.n is None else args.n)
     V = schrodinger.lt_equality_potential(grid, args.gamma)
     res = schrodinger.lowest_eigenpair(V)
     expected = (args.gamma - 0.5) ** 2
@@ -383,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_lt = vsub.add_parser("lt", help="equality case of the spectral bound")
     v_lt.add_argument("--gamma", type=float, required=True)
     v_lt.add_argument("--S", type=float, help="box half-width (default max(20, 8/(gamma - 1/2)))")
-    v_lt.add_argument("--n", type=int, help=f"interior nodes (default ceil(400 S), at most {_LT_MAX_N})")
+    v_lt.add_argument("--n", type=int, help=f"interior nodes (default ceil(400 S), at most {GRID_N_CAP})")
 
     v_po = vsub.add_parser("poincare", help="sphere inequality deficits")
     v_po.add_argument("--N", type=int, default=3)
@@ -425,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in (v_po, v_ch, v_mi, v_sa):
         sp.add_argument("--seed", type=int, default=7, help="seed of the fuzz of chain and poincare; accepted and "
-                        "unused by minimize and sandwich, whose random start has the library's seed")
+                        "unused by minimize and sandwich, whose flow draws nothing at random")
     for sp in (v_lt, v_po, v_ch, v_lc, v_fs, v_mi, v_sa):
         sp.add_argument("--output")
     pv.set_defaults(func=cmd_verify)

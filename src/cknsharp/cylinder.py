@@ -88,6 +88,13 @@ def _angular(N: int, L_max: int):
     return quad_, quad_.basis(L_max)
 
 
+@lru_cache(maxsize=None)
+def _nodal_ops(N: int, L_max: int):
+    """(B^T, w B) of _angular's B: coefficients to nodal values and back, built once per (N, L_max)."""
+    quad_, B = _angular(N, L_max)
+    return B.T, quad_.weights[:, None] * B
+
+
 @dataclass(eq=False)
 class CylField:
     """Field on R x S^(N-1): coefficients indexed (s-node, zonal degree).  Fields compare by
@@ -113,13 +120,11 @@ class CylField:
 
     def nodal(self) -> np.ndarray:
         """Values at (s-node, angular quadrature node)."""
-        _, B = _angular(self.N, self.L_max)
-        return self.data @ B.T
+        return self.data @ _nodal_ops(self.N, self.L_max)[0]
 
     @classmethod
     def from_nodal(cls, grid: LineGrid, N: int, L_max: int, values: np.ndarray) -> "CylField":
-        quad_, B = _angular(N, L_max)
-        return cls(grid, N, values @ (quad_.weights[:, None] * B))
+        return cls(grid, N, values @ _nodal_ops(N, L_max)[1])
 
     def copy(self) -> "CylField":
         return CylField(self.grid, self.N, self.data.copy())
@@ -159,8 +164,14 @@ def _weights(rows: int, half: bool):
 
 
 def _stiffness(u: CylField) -> np.ndarray:
-    """Diagonal of the gradient energy in the sine x zonal basis."""
-    return _omega2(u.grid, u.half)[:, None] + sphere.zonal_eigenvalues(u.N, u.L_max)[None, :]
+    """Diagonal of the gradient energy in the sine x zonal basis (see _stiffness_of)."""
+    return _stiffness_of(u.grid, u.half, u.N, u.L_max)
+
+
+@lru_cache(maxsize=16)
+def _stiffness_of(grid: LineGrid, half: bool, N: int, L_max: int) -> np.ndarray:
+    """_stiffness, built once per (grid, N, L_max); callers must not modify it."""
+    return _omega2(grid, half)[:, None] + sphere.zonal_eigenvalues(N, L_max)[None, :]
 
 
 def _mass(u: CylField) -> np.ndarray:
@@ -186,12 +197,12 @@ def _nodal_stage(u: CylField, p: float):
     coefficients of aU = |U|^(p-2) U = |U|^(p-1) sign U, and P = h sum(data * nl)
     the integral of |U|^p = aU U under the probability measure, by the exact
     identity sum_j w_j aU_ij U_ij = sum_l data_il nl_il (rows weighted by _weights)."""
-    quad_, B = _angular(u.N, u.L_max)
-    U = u.data @ B.T
+    BT, wB = _nodal_ops(u.N, u.L_max)
+    U = u.data @ BT
     aU = np.abs(U)
     aU **= p - 2
     aU *= U
-    nl = aU @ (quad_.weights[:, None] * B)
+    nl = aU @ wB
     return u.grid.h * float(np.vdot(_weights(len(u.data), u.half) * u.data, nl)), nl
 
 
@@ -207,11 +218,13 @@ def _pieces(u: CylField, p: float):
     """
     if u.half and u._pieces is not None:
         return u._pieces
-    mass, senergy, c = _ledger(u)
-    E = float(senergy.sum() + (sphere.zonal_eigenvalues(u.N, u.L_max) * mass).sum())
-    M = float(mass.sum())
+    if u.half:  # Parseval, on the c**2 the _Even's normalization formed
+        E, M, c = u.grid.h * float(np.vdot(_stiffness(u), u.c2)), u.grid.h * float(u.c2.sum()), u.c
+    else:
+        mass, senergy, c = _ledger(u)
+        E, M = float(senergy.sum() + (sphere.zonal_eigenvalues(u.N, u.L_max) * mass).sum()), float(mass.sum())
     pieces = (E, M, *_nodal_stage(u, p), c)
-    if not 0 < pieces[2] < math.inf:  # M is checked by _mass
+    if not 0 < pieces[2] < math.inf:  # M by _mass, or an _Even's by its normalization and, if not finite, P
         raise DomainError(f"need a finite, positive integral of |u|^p, got {pieces[2]}")
     if u.half:
         u._pieces = pieces
@@ -283,9 +296,9 @@ class _Report:
 @dataclass
 class MinimizeOpts:
     """Settings of the normalized flow: multistart adds the restarts of
-    :func:`minimize_quotient`, seed drives its random start (a single start
-    draws none), and max_iter caps the iterations of a solve, both levels
-    together.  The grid, line-search and stop constants are fixed here."""
+    :func:`minimize_quotient`, and max_iter caps the iterations of a solve,
+    both levels together.  seed is accepted and unused: no start is random.
+    The grid, line-search and stop constants are fixed here."""
 
     multistart: bool = False
     seed: int = 7
@@ -352,21 +365,26 @@ def _lbfgs_direction(g, sym, pairs):
 
 
 class _Even(CylField):
-    """The flow's field, even in s: its rows 1..(n+1)/2 of the grid (s <= 0, s = 0
-    last) and its odd sine modes c.  Built from either (one transform makes the
-    other) or both, which it takes over, not copies, and scales to unit mass
-    (Parseval).  It keeps its _pieces: one flow, one p."""
+    """The flow's field, even in s: its rows 1..(n+1)/2 of the grid (s <= 0, s = 0 last) and its
+    odd sine modes c.  Built from either (one transform makes the other) or both, as a line-search
+    trial is, from arrays the flow has validated: not validated again.  It takes them over, not
+    copies, scales them to unit mass (Parseval), and keeps c2 = c**2 and its _pieces: one flow, one p."""
 
     half = True
 
     def __init__(self, grid: LineGrid, N: int, values=None, c=None):
-        super().__init__(grid, N, _half_nodes(c) if values is None else values)
-        self.c = _sine_of(self.data, True) if c is None else c
-        norm = math.sqrt(grid.h * float(np.vdot(self.c, self.c)))
-        if norm == 0.0:
+        if values is None or c is None:
+            super().__init__(grid, N, _half_nodes(c) if values is None else values)
+            c = _sine_of(self.data, True) if c is None else c
+        else:
+            self.grid, self.N, self.data = grid, N, values
+        self.c, self.c2 = c, c * c
+        mass = grid.h * float(self.c2.sum())
+        if mass == 0.0:
             raise DomainError("zero field")
-        self.data /= norm
-        self.c /= norm
+        self.data /= math.sqrt(mass)
+        self.c /= math.sqrt(mass)
+        self.c2 /= mass
         self._pieces = None
 
 
@@ -474,8 +492,8 @@ _MIN_FINE_OVER_COARSE = 3.0
 
 def _starts(start: CylField, opts: MinimizeOpts):
     """The flow's starting fields, built one at a time: the start itself and,
-    with opts.multistart, its radial part and a degree-1 bump (each unless
-    it is the start) and a seeded random perturbation."""
+    with opts.multistart, its radial part and a degree-1 bump, each unless
+    it is the start.  No start is random."""
     yield start
     if not opts.multistart:
         return
@@ -487,10 +505,6 @@ def _starts(start: CylField, opts: MinimizeOpts):
         bump = start.copy()
         bump.data[:, 1] += 0.1 * np.abs(bump.data[:, 0])
         yield bump
-    rng = np.random.default_rng(opts.seed)
-    noisy = start.copy()
-    noisy.data += 0.05 * float(np.abs(noisy.data).max()) * rng.standard_normal(noisy.data.shape)
-    yield noisy
 
 
 def minimize_quotient(
@@ -518,9 +532,9 @@ def minimize_quotient(
     own even part if that scores lower (translation being free, it can score
     above an off-centre start); a grid with n + 1 < 3 (n_c + 1) takes one level.
     max_iter is the budget of both levels, and iterations counts both.  With
-    opts.multistart the start's radial part (unless it is the start), a
-    degree-1 bump if L_max >= 1 and a seeded random perturbation are screened
-    too: a guard against the non-convexity past the instability threshold.
+    opts.multistart the start's radial part (unless it is the start) and a
+    degree-1 bump if L_max >= 1 are screened too: a guard against the
+    non-convexity past the instability threshold.  Nothing is drawn at random.
     (N, p, Lambda, theta) must make a CylinderPoint: supercritical p and
     theta outside [theta_min(p, N), 1], theta_min = N(p - 2)/(2p), are
     refused.  The minimizer is a full field, the flow's half mirrored.

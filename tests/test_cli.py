@@ -19,6 +19,7 @@ from cknsharp import DomainError, NumericsError, cli, params, schrodinger, spher
 from cknsharp import closed_forms as cf
 from cknsharp import cylinder as cyl
 from cknsharp.cli import main
+from cknsharp.errors import GRID_N_CAP
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -211,7 +212,7 @@ def test_verify_lt_caps_the_default_node_count(capsys, monkeypatch):
 
     monkeypatch.setattr(schrodinger, "LineGrid", recorded)
     code, out, _ = run_cli(capsys, "verify", "lt", "--gamma", "0.5000001")
-    assert grids == [(pytest.approx(8e7), cli._LT_MAX_N)]
+    assert grids == [(pytest.approx(8e7), GRID_N_CAP)]
     assert code == 1  # valid input that the capped grid cannot resolve: a failed check, not exit 2
     assert json.loads(out)["pass"] is False
 
@@ -326,7 +327,7 @@ def _record_flow_options(monkeypatch):
 
 
 def test_verify_minimize_output_does_not_depend_on_the_seed(capsys, monkeypatch):
-    # the multistart's random start has the library's seed: --seed is accepted, the options and stdout are the same
+    # the multistart draws nothing at random: --seed is accepted, the options and stdout are the same
     options = _record_flow_options(monkeypatch)
     runs = [run_cli(capsys, "verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--n", "999",
                     "--seed", seed)[:2] for seed in ("1", "99")]
@@ -419,6 +420,11 @@ _REPROS = {
     # a = a_c - sqrt(Lambda) rounds to a_c: the refusal named an (a, b) the user never gave
     ("constants", "--N", "3", "--p", "3", "--Lambda", "1e-34"): (DomainError, "(p, Lambda) = (3.0, 1e-34)"),
     ("constants", "--N", "4", "--p", "3", "--Lambda", "1e-40"): (DomainError, "(p, Lambda) = (3.0, 1e-40)"),
+    # 1e8 nodes past the grid cap of 1e5: the process was killed for memory (exit 137) within a minute
+    ("verify", "minimize", "--N", "3", "--p", "3", "--Lambda", "1", "--n", "100000001"):
+        (DomainError, "n <= 100000, got S=20.0, n=100000001"),
+    ("verify", "chain", "--N", "3", "--p", "3", "--Lambda", "1", "--n", "100000001"): (DomainError, "n=100000001"),
+    ("verify", "lt", "--gamma", "2.5", "--n", "100000001"): (DomainError, "n=100000001"),
 }
 
 
