@@ -66,7 +66,6 @@ __all__ = [
     "rayleigh",
     "minimize_quotient",
     "el_residual",
-    "defect_functional",
     "proof_chain",
     "second_variation_mode",
     "fs_threshold",
@@ -214,7 +213,8 @@ def _pieces(u: CylField, p: float):
 
     An _Even keeps its pieces (one flow, one p): the line search scores
     normalized trials, so the gradient at the accepted one reuses them and
-    takes no second power.
+    takes no second power, and the flow's last field keeps them for the
+    callers of minimize_quotient (MinimizeReport.half_minimizer).
     """
     if u.half and u._pieces is not None:
         return u._pieces
@@ -289,8 +289,8 @@ def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float, KL: np.n
 
 class _Report:
     def to_dict(self) -> dict:
-        """The report's fields in declaration order, without the minimizer."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "minimizer"}
+        """The report's fields in declaration order, without those kept out of repr (the minimizer's arrays)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 @dataclass
@@ -308,7 +308,8 @@ class MinimizeOpts:
 @dataclass
 class MinimizeReport(_Report):
     """Outcome of a quotient minimization: every field describes the winning start, reason its
-    stop (see minimize_quotient) and iterations both of its levels."""
+    stop (see minimize_quotient) and iterations both of its levels.  half_minimizer is the flow's
+    last field, the s <= 0 half of minimizer, holding the pieces (E, M, P) it was scored by."""
 
     constant: float
     quotient: float
@@ -322,6 +323,7 @@ class MinimizeReport(_Report):
     theta: float
     N: int
     minimizer: CylField = field(repr=False, default=None)
+    half_minimizer: CylField = field(repr=False, default=None)
 
     @property
     def broken(self) -> bool:
@@ -330,9 +332,9 @@ class MinimizeReport(_Report):
         return self.angular_fraction > 1e-3
 
 
-def _angular_fraction(u: CylField, Lambda: float) -> float:
-    mass, senergy, _ = _ledger(u)
-    mode_energy = senergy + (sphere.zonal_eigenvalues(u.N, u.L_max) + Lambda) * mass
+def _angular_fraction(u: _Even, Lambda: float) -> float:
+    """Share of E + Lambda M in the degrees >= 1, the per-degree energies from the c**2 of u (Parseval)."""
+    mode_energy = ((_stiffness(u) + Lambda) * u.c2).sum(axis=0)
     return float(mode_energy[1:].sum()) / float(mode_energy.sum())
 
 
@@ -394,7 +396,8 @@ def _even(u0: CylField) -> _Even:
 
 
 def _descend_single(u: _Even, Lambda: float, p: float, theta: float, max_iter: int):
-    """One L-BFGS descent on the grid of u: (last field, Q, preconditioned gradient norm, iterations, reason)."""
+    """One L-BFGS descent on the grid of u: (last field, Q, preconditioned gradient norm, iterations, reason).
+    The last field keeps the pieces it was scored by."""
     h = u.grid.h
     # gradient-energy preconditioner: the quotient Hessian is dominated by
     # the quadratic form, diagonal in the sine x zonal basis, so descending
@@ -410,7 +413,6 @@ def _descend_single(u: _Even, Lambda: float, p: float, theta: float, max_iter: i
 
     def gradient(u):
         Q, g = _value_and_grad(u, Lambda, p, theta, KL)
-        u._pieces = None  # spent: nothing scores the iterate again
         return Q, g, math.sqrt(h * float(np.einsum("ij,ij,ij->", g, sym, g)))
 
     Q, g, gnorm = gradient(u)
@@ -537,7 +539,7 @@ def minimize_quotient(
     non-convexity past the instability threshold.  Nothing is drawn at random.
     (N, p, Lambda, theta) must make a CylinderPoint: supercritical p and
     theta outside [theta_min(p, N), 1], theta_min = N(p - 2)/(2p), are
-    refused.  The minimizer is a full field, the flow's half mirrored.
+    refused.  The minimizer is a full field, the flow's half (half_minimizer) mirrored.
     """
     CylinderPoint(start.N, p, Lambda, theta)
     _mass(start)  # a zero or non-finite start is refused before any transform
@@ -572,6 +574,7 @@ def minimize_quotient(
         theta=theta,
         N=v.N,
         minimizer=CylField(v.grid, v.N, np.concatenate([v.data, v.data[-2::-1]])),
+        half_minimizer=v,
     )
 
 
@@ -589,14 +592,6 @@ def el_residual(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> flo
     minus_lap = dst(_stiffness(u) * c, 1)
     r = theta * minus_lap + ((1 - theta) * E / M + Lambda) * u.data - (E + Lambda * M) / P * nl
     return math.sqrt(u.grid.h * float((r**2).sum()) / M)
-
-
-def defect_functional(u: CylField, p: float) -> float:
-    """Gradient energy minus the p-th power integral: equals -Lambda * M
-    on solutions of the Euler-Lagrange equation at parameter Lambda."""
-    check_p(p)
-    E, _, P, *_ = _pieces(u, p)
-    return E - P
 
 
 @dataclass
@@ -709,15 +704,16 @@ def second_variation_mode(ell: int, Lambda: float, p: float, N: int, method: str
 def fs_threshold(p: float, N: int) -> float:
     """Instability threshold in Lambda: root (to 1e-6) of the degree-1
     second-variation eigenvalue.  Matches 4(N-1)/(p^2-4).  brentq runs on the
-    bracket [1e-3, 2^k], k the first of 0..59 whose mode is negative."""
+    bracket [2^(k-1), 2^k], k the first of 0..59 whose mode is negative, or on
+    [1e-3, 1] if k = 0."""
     check_p(p, 6)
     check_subcritical(p, N)
-    # memoized, so brentq re-reads the bracket ends without solving again
+    # memoized, so brentq re-reads the bracket ends of k >= 1 without solving again
     mode = lru_cache(maxsize=None)(lambda lam: second_variation_mode(1, lam, p, N, "grid"))
     # at Lambda = 1e-3 the mode is > N - 1 - (p - 1)p Lambda/2 > N - 1.015, as no binding exceeds max V
     for k in range(60):
         if mode(2.0**k) < 0:
-            return float(brentq(mode, 1e-3, 2.0**k, xtol=1e-6))
+            return float(brentq(mode, 2.0 ** (k - 1) if k else 1e-3, 2.0**k, xtol=1e-6))
     raise NumericsError(f"no sign change up to Lambda={2.0**59}")
 
 
@@ -847,7 +843,7 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
         gap = target - rep.quotient  # quotient = 1/K, concave and increasing in Lambda
         if lam == lam_lin and gap <= 0:
             return lam_lin
-        _, M, P, *_ = _pieces(rep.minimizer, p)
+        _, M, P, *_ = _pieces(rep.half_minimizer, p)  # the pieces the flow scored it by
         step = gap * P ** (2.0 / p) / M  # the slope of the quotient is M/P^(2/p) at the minimizer
         lam += step
         if abs(step) <= 1e-4 * lam:
@@ -928,14 +924,16 @@ def sandwich_check(
     rep = minimize_quotient(start, Lambda, p, theta, opts)
     k_numeric = rep.constant
 
-    # chain quantities on the Euler-Lagrange-normalized minimizer
-    u = rep.minimizer
-    E, M, P, *_ = _pieces(u, p)
+    # chain quantities on the Euler-Lagrange-normalized minimizer: the flow's half field, its rows weighted for
+    # their mirrors, and the pieces the flow scored it by
+    v = rep.half_minimizer
+    E, M, P, *_ = _pieces(v, p)
     scale = ((E + Lambda * M) / P) ** (1.0 / (p - 2))
     M_n = scale**2 * M
     P_n = scale**p * P
-    quad_, _ = _angular(u.N, u.L_max)
-    theta_power = float(u.grid.h * ((scale * np.abs(u.nodal())) ** (theta * p) @ quad_.weights).sum())
+    quad_, _ = _angular(v.N, v.L_max)
+    row_weights = _weights(len(v.data), True)
+    theta_power = v.grid.h * float(np.vdot(row_weights, (scale * np.abs(v.nodal())) ** (theta * p) @ quad_.weights))
     holder_rhs = M_n ** ((1 - theta) * p / (p - 2)) * P_n ** ((theta * p - 2) / (p - 2))
     d_value = lt_constant(gamma_t) ** (1.0 / gamma_t) * holder_rhs ** (1.0 / gamma_t)
 

@@ -30,7 +30,6 @@ __all__ = [
     "field_from_nodal",
     "grad_energy",
     "poincare_deficit",
-    "holder_probability_deficit",
 ]
 
 # For N <= 3 the admissible exponent window (1, (N+1)/(N-3)] of the sharp
@@ -152,32 +151,17 @@ def _check_q(q: float, N: int) -> None:
         raise DomainError(f"need 1 < q <= {Q_CAP} (the numerical cap), got q={q}")
 
 
-def _power_means(v: ZonalField, q: float, quad: SphereQuadrature | None) -> tuple[float, float]:
-    """((int |v|^(q+1))^(2/(q+1)), int v^2) on quad, the default one if None."""
-    if quad is None:
-        quad = default_quadrature(v.N, v.L_max)
-    vals = np.abs(nodal_values(v, quad))
-    int_q1 = float(np.sum(quad.weights * vals ** (q + 1)))
-    return int_q1 ** (2.0 / (q + 1)), float(np.sum(v.coeffs**2))
-
-
 def poincare_deficit(v: ZonalField, q: float, quad: SphereQuadrature | None = None) -> float:
     """Deficit of the sharp subcritical sphere inequality at exponent q.
 
     (q-1)/(N-1) * grad_energy(v) - (int |v|^(q+1))^(2/(q+1)) + int v^2,
     non-negative for every field, vanishing to fourth order in the size of
     a degree-1 perturbation of a constant (the constant is sharp there).
-    Nodal values pass through |.| before the fractional power.
+    Nodal values pass through |.| before the fractional power; quad is the
+    default quadrature if None.
     """
     _check_q(q, v.N)
-    power_mean, int_2 = _power_means(v, q, quad)
-    return (q - 1) / (v.N - 1) * grad_energy(v) - power_mean + int_2
-
-
-def holder_probability_deficit(v: ZonalField, q: float, quad: SphereQuadrature | None = None) -> float:
-    """Deficit (int |v|^(q+1))^(2/(q+1)) - int v^2 of the probability-measure
-    power-mean inequality; zero iff |v| is constant."""
-    if not 1 < q < math.inf:
-        raise DomainError(f"need finite q > 1, got q={q}")
-    power_mean, int_2 = _power_means(v, q, quad)
-    return power_mean - int_2
+    if quad is None:
+        quad = default_quadrature(v.N, v.L_max)
+    int_q1 = float(np.sum(quad.weights * np.abs(nodal_values(v, quad)) ** (q + 1)))
+    return (q - 1) / (v.N - 1) * grad_energy(v) - int_q1 ** (2.0 / (q + 1)) + float(np.sum(v.coeffs**2))

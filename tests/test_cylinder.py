@@ -23,7 +23,6 @@ from cknsharp import (
     ParamPoint,
     a_critical,
     chain_exponents,
-    defect_functional,
     eigenvalue_bound,
     el_residual,
     emden_fowler_pushforward,
@@ -62,7 +61,6 @@ from cknsharp.sphere import (
     ZonalField,
     basis_matrix,
     grad_energy,
-    holder_probability_deficit,
     poincare_deficit,
     sphere_quadrature,
 )
@@ -402,6 +400,7 @@ def test_minimizer_carries_no_stale_coefficients():
     grid = LineGrid(18.0, 599)
     rep = minimize_quotient(perturbed_start(grid, 3, 6, 3.0, 3.0), 3.0, 3.0)
     assert type(rep.minimizer) is CylField and rep.minimizer.data.shape == (grid.n, 7)
+    assert np.array_equal(rep.minimizer.data[: (grid.n + 1) // 2], rep.half_minimizer.data)
     rep.minimizer.data[:, 1] += 0.3 * rep.minimizer.data[:, 0]
     rep.minimizer.data *= 2.0
     fresh = CylField(grid, 3, rep.minimizer.data.copy())
@@ -830,7 +829,9 @@ def test_the_report_names_why_the_flow_stopped(monkeypatch, reason, constants, m
     assert rep.reason == reason
     assert rep.iterations == (2 if reason == "max_iter" else 1)
     assert rep.converged == (reason != "max_iter")
-    assert list(rep.to_dict())[5:7] == ["converged", "reason"]
+    # the printed fields, without the minimizer and its half
+    assert list(rep.to_dict()) == ["constant", "quotient", "iterations", "grad_norm", "angular_fraction",
+                                   "converged", "reason", "Lambda", "p", "theta", "N"]
 
 
 def test_even_n_is_refused_before_any_solve(monkeypatch):
@@ -883,11 +884,13 @@ def test_el_residual_is_scale_free_and_small_on_flow_minimizers():
 
 
 def test_defect_functional_identity():
+    # the defect E - P, from the pieces every caller reads, is -Lambda M on the Euler-Lagrange solution
     u = extremal_field(GRID, 3, 8, 1.0, 3.0)
-    assert defect_functional(u, 3.0) == pytest.approx(-6.0, rel=1e-12)
-    # equals -Lambda * mass for the Euler-Lagrange solution
+    E, M, P, *_ = cyl._pieces(u, 3.0)
+    assert E - P == pytest.approx(-6.0, rel=1e-12)
     mass = GRID.h * float((u.data**2).sum())
-    assert defect_functional(u, 3.0) == pytest.approx(-1.0 * mass, rel=1e-12)
+    assert M == pytest.approx(mass, rel=1e-12)
+    assert E - P == pytest.approx(-1.0 * mass, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,7 +1034,8 @@ def test_fs_threshold_near_p_2(p, N):
 
 
 def test_fs_threshold_solves_each_lambda_once(monkeypatch):
-    # brentq evaluates both bracket ends again; the memo answers those
+    # lambda_fs = 1.6: the modes at 1 and 2 bracket it, brentq evaluates both ends again and the memo
+    # answers those, so the solves are those two and brentq's three inner points
     solve = cyl.lowest_eigenpair
     calls = []
 
@@ -1041,7 +1045,7 @@ def test_fs_threshold_solves_each_lambda_once(monkeypatch):
 
     monkeypatch.setattr(cyl, "lowest_eigenpair", counted)
     assert fs_threshold(3.0, 3) == pytest.approx(lambda_fs(3.0, 3), rel=5e-3)
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def test_fs_threshold_rejects_supercritical():
@@ -1217,6 +1221,23 @@ def test_eigenvalue_bound_solves_each_lambda_once(monkeypatch):
     eigenvalue_bound(mu, 3.0, 3, grid=LineGrid(18.0, 699), L_max=5)
     assert len(solved) >= 3  # the linear law and at least two Newton iterates
     assert len(solved) == len(set(solved))
+
+
+@pytest.mark.parametrize("call, n", [
+    (lambda: sandwich_check(0.9, 0.9 * sandwich_lambda_bound(0.9, 3.0, 3), 3.0, 3, grid=LineGrid(18.0, 599), L_max=4),
+     599),
+    (lambda: eigenvalue_bound(2.0 * symmetric_mu_threshold(3.0, 3), 3.0, 3, grid=LineGrid(18.0, 699), L_max=5), 699),
+], ids=["sandwich", "bound"])
+def test_callers_read_the_flow_pieces_and_transform_no_full_field(monkeypatch, call, n):
+    # the flow forms E, M and P on its half field and keeps them there, and each caller reads them after
+    # its solves: no DST-I and no nodal stage on the n rows of the mirrored minimizer, in the solves or after
+    events = []
+    real_dst, real_stage = cyl.dst, cyl._nodal_stage
+    monkeypatch.setattr(cyl, "dst", lambda x, type: events.append(("dst", type, len(x))) or real_dst(x, type))
+    monkeypatch.setattr(cyl, "_nodal_stage", lambda u, p: events.append(("stage", len(u.data))) or real_stage(u, p))
+    call()
+    assert ("stage", (n + 1) // 2) in events  # the recorder sees the flow's half rows
+    assert ("stage", n) not in events and not [e for e in events if e[:2] == ("dst", 1)]
 
 
 def _bound_calls(monkeypatch, lam_lin, p, N):
@@ -1519,13 +1540,11 @@ def _score_even_trial(u):
     lambda u: minimize_quotient(u, 3.0, 3.0),
     lambda u: rayleigh(u, 1.0, 3.0),
     lambda u: el_residual(u, 1.0, 3.0),
-    lambda u: defect_functional(u, 3.0),
     lambda u: proof_chain(u, 1.0, 3.0),
     lambda u: poincare_deficit(ZonalField(3, u.data[298:301, 0]), 2.0),
-    lambda u: holder_probability_deficit(ZonalField(3, u.data[298:301, 0]), 2.0),
     lambda u: grad_energy(ZonalField(3, u.data[298:301, 0])),
     lambda u: _score_even_trial(u),
-], ids=["minimize", "rayleigh", "el-residual", "defect", "chain", "poincare", "holder", "grad-energy", "even-trial"])
+], ids=["minimize", "rayleigh", "el-residual", "chain", "poincare", "grad-energy", "even-trial"])
 def test_a_non_finite_sample_is_refused_where_the_field_is_scored(entry, bad):
     # NaN is never evidence: a field with a non-finite sample is refused, not scored, and
     # the refusal names non-finite samples, not a vanishing field
@@ -1566,7 +1585,6 @@ def test_a_non_finite_sample_is_refused_where_the_field_is_scored(entry, bad):
         ((-1.0, 3.0), "need finite Lambda > 0"), ((math.nan, 3.0), "need finite Lambda > 0"),
         ((1.0, 1.5), "need finite p > 2"), ((1.0, 3.0, 2.0), "need 0 < theta <= 1"),
         ((1.0, 3.0, -0.5), "need 0 < theta <= 1"))],
-    *[(lambda p=p: defect_functional(_scored(), p), DomainError, "need finite p > 2") for p in (1.5, math.nan)],
     (lambda: eigenvalue_bound(0.1, 5.0, 4), DomainError, "p=5.0 supercritical for N=4"),
     (lambda: symmetric_mu_threshold(3.0, 7), DomainError, "p=3.0 supercritical for N=7"),
     *[(lambda lam=lam: proof_chain(_scored(), lam, 3.0), DomainError, "need finite Lambda > 0")
@@ -1575,7 +1593,7 @@ def test_a_non_finite_sample_is_refused_where_the_field_is_scored(entry, bad):
         "mu-nan", "repeated-s", "potential-samples", "circle-m", "sphere-m", "empty-zonal", "basis-L",
         "field-L-neg", "field-L-cap", "bound-L-0", "sandwich-L-0",
         "negative-radius", "zero-well", "theta-0-point", "theta-0-flow", "el-Lambda-neg", "el-Lambda-nan", "el-p",
-        "el-theta-2", "el-theta-neg", "defect-p", "defect-p-nan", "bound-supercritical", "mu-threshold-supercritical",
+        "el-theta-2", "el-theta-neg", "bound-supercritical", "mu-threshold-supercritical",
         "chain-Lambda-nan", "chain-Lambda-neg", "chain-Lambda-inf"])
 def test_each_refusal_raises_its_error(call, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)):

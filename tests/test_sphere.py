@@ -9,7 +9,6 @@ from cknsharp import (
     DomainError,
     ZonalField,
     grad_energy,
-    holder_probability_deficit,
     poincare_deficit,
     sphere_quadrature,
 )
@@ -142,17 +141,6 @@ def test_poincare_domain_errors():
         poincare_deficit(v, 11.0)  # above the numerical cap
     assert math.isfinite(poincare_deficit(v, 10.0))  # the cap itself is allowed
     for q in (math.nan, math.inf, -math.inf):
-        for deficit in (poincare_deficit, holder_probability_deficit):
-            with pytest.raises(DomainError):
-                deficit(v, q)
+        with pytest.raises(DomainError):
+            poincare_deficit(v, q)
 
-
-def test_holder_probability_deficit():
-    const = ZonalField(3, np.array([2.3, 0.0]))
-    assert abs(holder_probability_deficit(const, 3.0)) < 1e-13
-    v = ZonalField(3, np.array([1.0, 1.0]))
-    assert holder_probability_deficit(v, 3.0) > 1e-3
-    flipped = ZonalField(3, -v.coeffs)
-    assert holder_probability_deficit(flipped, 3.0) == pytest.approx(
-        holder_probability_deficit(v, 3.0), rel=1e-14
-    )
