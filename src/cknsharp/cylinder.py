@@ -106,11 +106,8 @@ class CylField:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        if self.half and self.grid.n % 2 == 0:  # the flow's fields are even in s
-            raise DomainError(f"the flow needs odd n, a node at s = 0; got n={self.grid.n}")
-        rows = (self.grid.n + 1) // 2 if self.half else self.grid.n
-        if self.data.ndim != 2 or self.data.shape[0] != rows:
-            raise DomainError(f"data must have shape ({rows}, L_max+1), got {self.data.shape}")
+        if self.data.ndim != 2 or self.data.shape[0] != self.grid.n:
+            raise DomainError(f"data must have shape ({self.grid.n}, L_max+1), got {self.data.shape}")
         check_numeric_N(self.N)
 
     @property
@@ -213,8 +210,8 @@ def _pieces(u: CylField, p: float):
 
     An _Even keeps its pieces (one flow, one p): the line search scores
     normalized trials, so the gradient at the accepted one reuses them and
-    takes no second power, and the flow's last field keeps them for the
-    callers of minimize_quotient (MinimizeReport.half_minimizer).
+    takes no second power, and the flow's last field, which its report keeps
+    privately, serves them to eigenvalue_bound and sandwich_check.
     """
     if u.half and u._pieces is not None:
         return u._pieces
@@ -308,8 +305,9 @@ class MinimizeOpts:
 @dataclass
 class MinimizeReport(_Report):
     """Outcome of a quotient minimization: every field describes the winning start, reason its
-    stop (see minimize_quotient) and iterations both of its levels.  half_minimizer is the flow's
-    last field, the s <= 0 half of minimizer, holding the pieces (E, M, P) it was scored by."""
+    stop (see minimize_quotient) and iterations both of its levels.  minimizer is a full CylField,
+    the flow's last field mirrored; that last field itself, with the pieces (E, M, P) it was scored
+    by, is kept privately (_half) for eigenvalue_bound and sandwich_check."""
 
     constant: float
     quotient: float
@@ -323,7 +321,7 @@ class MinimizeReport(_Report):
     theta: float
     N: int
     minimizer: CylField = field(repr=False, default=None)
-    half_minimizer: CylField = field(repr=False, default=None)
+    _half: _Even = field(repr=False, default=None)
 
     @property
     def broken(self) -> bool:
@@ -367,19 +365,18 @@ def _lbfgs_direction(g, sym, pairs):
 
 
 class _Even(CylField):
-    """The flow's field, even in s: its rows 1..(n+1)/2 of the grid (s <= 0, s = 0 last) and its
-    odd sine modes c.  Built from either (one transform makes the other) or both, as a line-search
-    trial is, from arrays the flow has validated: not validated again.  It takes them over, not
-    copies, scales them to unit mass (Parseval), and keeps c2 = c**2 and its _pieces: one flow, one p."""
+    """The flow's field, even in s, on a grid of odd n: its rows 1..(n+1)/2 (s <= 0, s = 0 last) and
+    its odd sine modes c.  Built from either (one transform makes the other) or both, as a line-search
+    trial is, from float arrays the flow has validated: not validated again.  It takes them over, not
+    copies, scales them to unit mass (Parseval), and keeps c2 = c**2 and its _pieces: one flow, one p.
+    Only minimize_quotient makes or keeps one; the public functions take full CylFields."""
 
     half = True
 
     def __init__(self, grid: LineGrid, N: int, values=None, c=None):
-        if values is None or c is None:
-            super().__init__(grid, N, _half_nodes(c) if values is None else values)
-            c = _sine_of(self.data, True) if c is None else c
-        else:
-            self.grid, self.N, self.data = grid, N, values
+        self.grid, self.N = grid, N
+        self.data = _half_nodes(c) if values is None else values
+        c = _sine_of(self.data, True) if c is None else c
         self.c, self.c2 = c, c * c
         mass = grid.h * float(self.c2.sum())
         if mass == 0.0:
@@ -539,10 +536,12 @@ def minimize_quotient(
     non-convexity past the instability threshold.  Nothing is drawn at random.
     (N, p, Lambda, theta) must make a CylinderPoint: supercritical p and
     theta outside [theta_min(p, N), 1], theta_min = N(p - 2)/(2p), are
-    refused.  The minimizer is a full field, the flow's half (half_minimizer) mirrored.
+    refused.  The report's minimizer is a full CylField, the flow's last field mirrored.
     """
     CylinderPoint(start.N, p, Lambda, theta)
     _mass(start)  # a zero or non-finite start is refused before any transform
+    if start.grid.n % 2 == 0:  # the flow's fields are even in s
+        raise DomainError(f"the flow needs odd n, a node at s = 0; got n={start.grid.n}")
     opts = opts or MinimizeOpts()
     n_c = _coarse_n(start.grid.S, start.grid.n)
     coarse = LineGrid(start.grid.S, n_c) if start.grid.n + 1 >= _MIN_FINE_OVER_COARSE * (n_c + 1) else None
@@ -574,7 +573,7 @@ def minimize_quotient(
         theta=theta,
         N=v.N,
         minimizer=CylField(v.grid, v.N, np.concatenate([v.data, v.data[-2::-1]])),
-        half_minimizer=v,
+        _half=v,
     )
 
 
@@ -843,7 +842,7 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
         gap = target - rep.quotient  # quotient = 1/K, concave and increasing in Lambda
         if lam == lam_lin and gap <= 0:
             return lam_lin
-        _, M, P, *_ = _pieces(rep.half_minimizer, p)  # the pieces the flow scored it by
+        _, M, P, *_ = _pieces(rep._half, p)  # the pieces the flow scored its last field by
         step = gap * P ** (2.0 / p) / M  # the slope of the quotient is M/P^(2/p) at the minimizer
         lam += step
         if abs(step) <= 1e-4 * lam:
@@ -926,7 +925,7 @@ def sandwich_check(
 
     # chain quantities on the Euler-Lagrange-normalized minimizer: the flow's half field, its rows weighted for
     # their mirrors, and the pieces the flow scored it by
-    v = rep.half_minimizer
+    v = rep._half
     E, M, P, *_ = _pieces(v, p)
     scale = ((E + Lambda * M) / P) ** (1.0 / (p - 2))
     M_n = scale**2 * M

@@ -145,7 +145,7 @@ def grad_energy(v: ZonalField) -> float:
     return float(np.sum(v.eigenvalues() * v.coeffs**2))
 
 
-def _check_q(q: float, N: int) -> None:
+def _check_q(q: float) -> None:
     # written so that NaN fails the comparison
     if not 1 < q <= Q_CAP:
         raise DomainError(f"need 1 < q <= {Q_CAP} (the numerical cap), got q={q}")
@@ -160,7 +160,7 @@ def poincare_deficit(v: ZonalField, q: float, quad: SphereQuadrature | None = No
     Nodal values pass through |.| before the fractional power; quad is the
     default quadrature if None.
     """
-    _check_q(q, v.N)
+    _check_q(q)
     if quad is None:
         quad = default_quadrature(v.N, v.L_max)
     int_q1 = float(np.sum(quad.weights * np.abs(nodal_values(v, quad)) ** (q + 1)))

@@ -400,12 +400,33 @@ def test_minimizer_carries_no_stale_coefficients():
     grid = LineGrid(18.0, 599)
     rep = minimize_quotient(perturbed_start(grid, 3, 6, 3.0, 3.0), 3.0, 3.0)
     assert type(rep.minimizer) is CylField and rep.minimizer.data.shape == (grid.n, 7)
-    assert np.array_equal(rep.minimizer.data[: (grid.n + 1) // 2], rep.half_minimizer.data)
+    # the flow's last field mirrored: even in s, its rows s <= 0 those of the report's private flow field
+    assert np.array_equal(rep.minimizer.data, rep.minimizer.data[::-1])
+    assert np.array_equal(rep.minimizer.data[: (grid.n + 1) // 2], rep._half.data)
     rep.minimizer.data[:, 1] += 0.3 * rep.minimizer.data[:, 0]
     rep.minimizer.data *= 2.0
     fresh = CylField(grid, 3, rep.minimizer.data.copy())
     assert rayleigh(rep.minimizer, 3.0, 3.0) == rayleigh(fresh, 3.0, 3.0)
     assert rayleigh(rep.minimizer, 3.0, 3.0) > rep.quotient
+
+
+@pytest.mark.parametrize("theta, Lambda, multistart", [(1.0, 3.0, False), (1.0, 3.0, True), (0.9, 1.5, True)])
+def test_a_report_hands_out_only_full_fields(theta, Lambda, multistart):
+    # the flow's half field stays inside the flow: every field a report hands out is a full CylField
+    # that the public functions score as the flow scored its last field
+    rep = minimize_quotient(perturbed_start(LineGrid(18.0, 599), 3, 6, Lambda, 3.0), Lambda, 3.0, theta,
+                            MinimizeOpts(multistart=multistart))
+    public = {name: getattr(rep, name) for name in dir(rep) if not name.startswith("_")}
+    assert [name for name, value in public.items() if isinstance(value, CylField)] == ["minimizer"]
+    assert not any(isinstance(value, cyl._Even) for value in public.values())
+    u = rep.minimizer
+    assert rayleigh(u, Lambda, 3.0, theta) == pytest.approx(rep.quotient, rel=1e-12, abs=0)
+    assert el_residual(u, Lambda, 3.0, theta) < 1e-4
+    chain = proof_chain(u, Lambda, 3.0)
+    assert all(math.isfinite(value) for value in chain.to_dict().values())
+    assert np.array_equal(u.copy().data, u.data)
+    u.data[:, 1] += 0.3 * u.data[:, 0]
+    assert rayleigh(u, Lambda, 3.0, theta) != pytest.approx(rep.quotient, rel=1e-6, abs=0)
 
 
 def test_zonal_invariance_of_flow():
