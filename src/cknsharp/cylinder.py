@@ -4,10 +4,11 @@ Fields are tensor products of a Dirichlet line grid (sine-spectral calculus
 in s, so derivative energies are exact for the interpolant and accurate to
 spectral order for decaying profiles) and the zonal sphere basis of
 :mod:`cknsharp.sphere` under the uniform probability measure.  One ledger
-sums the per-degree mass and s-energy from the orthonormal DST-I sine
-coefficients; the gradient energy and its preconditioner are diagonal in
-that sine x zonal basis.  On top of that sit the Rayleigh quotients of the
-plain and interpolation inequalities, a limited-memory quasi-Newton
+serves every field: its gradient energy E and mass M are sums over the
+squares of its orthonormal sine coefficients (Parseval), the DST-I of a full
+field or the odd modes the flow's half field holds; E and its preconditioner
+are diagonal in that sine x zonal basis.  On top of that sit the Rayleigh
+quotients of the plain and interpolation inequalities, a limited-memory quasi-Newton
 (L-BFGS, three pairs) flow seeded with the diagonal preconditioner, with
 Armijo backtracking from step 1, that runs in coefficient space (two transforms per
 iteration, none per line-search trial; one nodal power per trial, none per
@@ -170,22 +171,21 @@ def _stiffness_of(grid: LineGrid, half: bool, N: int, L_max: int) -> np.ndarray:
     return _omega2(grid, half)[:, None] + sphere.zonal_eigenvalues(N, L_max)[None, :]
 
 
-def _mass(u: CylField) -> np.ndarray:
-    """Per-degree squared L2 norm of u, before any transform: zero or non-finite mass raises DomainError."""
-    mass = u.grid.h * (_weights(len(u.data), u.half) * u.data**2).sum(axis=0)
-    if not 0 < mass.sum() < math.inf:  # written so that NaN fails the comparison
+def _refuse(u: CylField) -> None:
+    """Refuse, before any transform, a zero field or one with a non-finite sample or squares past the
+    float range: np.vdot sums the squares with no overflow warning, and NaN fails the comparison."""
+    if not 0 < np.vdot(u.data, u.data) < math.inf:
         raise DomainError(f"zero field or non-finite samples on the grid (S={u.grid.S}, n={u.grid.n})")
-    return mass
 
 
-def _ledger(u: CylField):
-    """(mass, senergy, c): per-degree squared L2 norm (see _mass) and Dirichlet
-    energy in s of the sine interpolant, and its sine coefficients c: one
-    DST-I, or the odd modes an _Even holds."""
-    mass = _mass(u)
-    c = u.c if u.half else dst(u.data, 1)
-    senergy = u.grid.h * (_omega2(u.grid, u.half) @ c**2)
-    return mass, senergy, c
+def _sines(u: CylField):
+    """(c, c**2): the sine coefficients of u, whose squares are the ledger of its E and M (Parseval): the
+    odd modes an _Even holds, or the DST-I of a full field, refused first if zero or not finite."""
+    if u.half:
+        return u.c, u.c2
+    _refuse(u)
+    c = dst(u.data, 1)
+    return c, c * c
 
 
 def _nodal_stage(u: CylField, p: float):
@@ -203,10 +203,12 @@ def _nodal_stage(u: CylField, p: float):
 
 
 def _pieces(u: CylField, p: float):
-    """(E, M, P, nl, c) with E the full gradient energy, M the squared L2
-    norm, P the integral of |u|^p, all under the probability measure; nl the
-    zonal coefficients of |u|^(p-2) u (see _nodal_stage) and c the sine
-    coefficients.  A field with M or P zero or not finite raises DomainError.
+    """(E, M, P, nl, c) with E = h <_stiffness, c**2> the full gradient energy
+    and M = h sum(c**2) the squared L2 norm, one formula on the sine
+    coefficients c of a full field and an _Even alike (see _sines), P the
+    integral of |u|^p, all under the probability measure, and nl the zonal
+    coefficients of |u|^(p-2) u (see _nodal_stage).  A field with M or P zero
+    or not finite raises DomainError.
 
     An _Even keeps its pieces (one flow, one p): the line search scores
     normalized trials, so the gradient at the accepted one reuses them and
@@ -215,13 +217,10 @@ def _pieces(u: CylField, p: float):
     """
     if u.half and u._pieces is not None:
         return u._pieces
-    if u.half:  # Parseval, on the c**2 the _Even's normalization formed
-        E, M, c = u.grid.h * float(np.vdot(_stiffness(u), u.c2)), u.grid.h * float(u.c2.sum()), u.c
-    else:
-        mass, senergy, c = _ledger(u)
-        E, M = float(senergy.sum() + (sphere.zonal_eigenvalues(u.N, u.L_max) * mass).sum()), float(mass.sum())
+    c, c2 = _sines(u)
+    E, M = u.grid.h * float(np.vdot(_stiffness(u), c2)), u.grid.h * float(c2.sum())
     pieces = (E, M, *_nodal_stage(u, p), c)
-    if not 0 < pieces[2] < math.inf:  # M by _mass, or an _Even's by its normalization and, if not finite, P
+    if not 0 < pieces[2] < math.inf:  # M by _refuse or an _Even's normalization and, if not finite, P
         raise DomainError(f"need a finite, positive integral of |u|^p, got {pieces[2]}")
     if u.half:
         u._pieces = pieces
@@ -257,7 +256,7 @@ def rayleigh(u: CylField, Lambda: float, p: float, theta: float = 1.0) -> float:
 
 def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float, KL: np.ndarray):
     """Quotient value and its gradient w.r.t. the sine coefficients of u
-    (see _ledger), in the h-weighted (functional) scaling.
+    (see _sines), in the h-weighted (functional) scaling.
 
     The quadratic terms are diagonal in the sine x zonal basis, with diagonal
     KL = _stiffness(u) + Lambda; only the p-th power term needs a transform
@@ -539,7 +538,7 @@ def minimize_quotient(
     refused.  The report's minimizer is a full CylField, the flow's last field mirrored.
     """
     CylinderPoint(start.N, p, Lambda, theta)
-    _mass(start)  # a zero or non-finite start is refused before any transform
+    _refuse(start)  # a zero or non-finite start is refused before any transform
     if start.grid.n % 2 == 0:  # the flow's fields are even in s
         raise DomainError(f"the flow needs odd n, a node at s = 0; got n={start.grid.n}")
     opts = opts or MinimizeOpts()
@@ -622,7 +621,7 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
     gamma, q_exp = chain_exponents(p, 1.0)
     grid = u.grid
     quad_, B = _angular(u.N, u.L_max)
-    mass, _, c = _ledger(u)  # refuses a zero or non-finite field before the nodal values
+    c, c2 = _sines(u)  # refuses a zero or non-finite field before any transform
     U = np.abs(u.nodal())
 
     up_line = grid.h * (U**p).sum(axis=0)  # per-angle integral of u^p
@@ -636,7 +635,7 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
     slack_lt = float(np.min(e_line - up_line + c_pow * up_line ** (1.0 / gamma) * v**2))
 
     # angular energy of u versus the projected trace field
-    e_angular = float((sphere.zonal_eigenvalues(u.N, u.L_max) * mass).sum())
+    e_angular = grid.h * float(np.vdot(sphere.zonal_eigenvalues(u.N, u.L_max), c2.sum(axis=0)))
     l_proj = u.L_max + 4
     vfield = sphere.field_from_nodal(v, quad_, l_proj, u.N)
     slack_schwarz = e_angular - sphere.grad_energy(vfield)
@@ -673,14 +672,14 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
 _SV_GRID = LineGrid(25.0, 4000)
 
 
-def second_variation_mode(ell: int, Lambda: float, p: float, N: int, method: str = "grid") -> float:
+def second_variation_mode(ell: int, Lambda: float, p: float, N: int) -> float:
     """Lowest eigenvalue of the linearization around the radial extremal,
     restricted to zonal degree ell.
 
     The operator is -d^2/ds^2 + Lambda + ell(ell + N - 2) - (p-1) u_star^(p-2), whose well is
-    V0/cosh(B s)^2 with V0 = (p-1) p Lambda/2 and B = (p-2) sqrt(Lambda)/2, so a closed form is
-    available (method="closed"): Lambda + ell(ell + N - 2) - p^2 Lambda / 4.  method="grid" solves
-    sech_squared_potential(V0, B), which needs no amplitude of u_star, on LineGrid(25, 4000).
+    V0/cosh(B s)^2 with V0 = (p-1) p Lambda/2 and B = (p-2) sqrt(Lambda)/2 (the eigenvalue is
+    Lambda + ell(ell + N - 2) - p^2 Lambda / 4 in closed form).  It is solved on LineGrid(25, 4000)
+    with sech_squared_potential(V0, B), which needs no amplitude of u_star.
     """
     try:  # NaN and inf are not integers
         integral = float(ell).is_integer() and ell >= 1
@@ -691,24 +690,19 @@ def second_variation_mode(ell: int, Lambda: float, p: float, N: int, method: str
     check_Lambda(Lambda)
     check_p(p)
     check_N(N)
-    shift = Lambda + sphere.zonal_eigenvalue(N, float(ell))
-    if method == "closed":
-        return shift - p * p * Lambda / 4.0
-    if method != "grid":
-        raise DomainError(f"unknown method {method!r}")
     well = sech_squared_potential(_SV_GRID, (p - 1) * p * Lambda / 2, (p - 2) * math.sqrt(Lambda) / 2)
-    return shift - lowest_eigenpair(well).lambda1
+    return Lambda + sphere.zonal_eigenvalue(N, float(ell)) - lowest_eigenpair(well).lambda1
 
 
 def fs_threshold(p: float, N: int) -> float:
     """Instability threshold in Lambda: root (to 1e-6) of the degree-1
-    second-variation eigenvalue.  Matches 4(N-1)/(p^2-4).  brentq runs on the
-    bracket [2^(k-1), 2^k], k the first of 0..59 whose mode is negative, or on
-    [1e-3, 1] if k = 0."""
+    second-variation eigenvalue on its grid (see second_variation_mode).
+    Matches 4(N-1)/(p^2-4).  brentq runs on the bracket [2^(k-1), 2^k], k the
+    first of 0..59 whose mode is negative, or on [1e-3, 1] if k = 0."""
     check_p(p, 6)
     check_subcritical(p, N)
     # memoized, so brentq re-reads the bracket ends of k >= 1 without solving again
-    mode = lru_cache(maxsize=None)(lambda lam: second_variation_mode(1, lam, p, N, "grid"))
+    mode = lru_cache(maxsize=None)(lambda lam: second_variation_mode(1, lam, p, N))
     # at Lambda = 1e-3 the mode is > N - 1 - (p - 1)p Lambda/2 > N - 1.015, as no binding exceeds max V
     for k in range(60):
         if mode(2.0**k) < 0:

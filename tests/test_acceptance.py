@@ -116,7 +116,7 @@ def test_criterion_04_instability_threshold_recovery():
             # closed-form route (exact zero of the mode eigenvalue) agrees
             closed_zero = 4.0 * (N - 1) / (p * p - 4)
             assert abs(measured - closed_zero) <= 1e-3
-    spot = second_variation_mode(1, 3.0, 3.0, 3, "grid")
+    spot = second_variation_mode(1, 3.0, 3.0, 3)
     assert abs(spot - (-1.75)) <= 1e-3
     report(4, "brentq threshold within 0.5% of 4(N-1)/(p^2-4) and 1e-3 of the closed form; spot -1.75 +- 1e-3")
 
