@@ -2,9 +2,10 @@
 quad, _spline; schrodinger: eigh_tridiagonal) and call them there, so swapping that binding reaches every call.
 
 The sine transforms, the root finder (brentq) and the natural cubic spline need no SciPy.  dst(x, 1) is
-the orthonormal DST-I of each column of x, dst(x, 2) and dst(x, 3) the unnormalized DST-II and DST-III,
-each a cached sine-matrix product or a NumPy real FFT (Makhoul's reordering for types 2 and 3); brentq is
-SciPy's C Brent solver ported; the spline takes its knot curvatures from the eigensolver's cyclic reduction.
+SciPy's orthonormal DST-I of each column of x; dst(x, 3) and dst(x, 2) are SciPy's unnormalized DST-III and
+DST-II scaled to the half-field maps (rows to odd sine modes and back), each a cached sine-matrix product or a
+NumPy real FFT (Makhoul's reordering for types 2 and 3); brentq is SciPy's C Brent solver ported; the spline
+takes its knot curvatures from the eigensolver's cyclic reduction.
 
 The eigensolver's odd-even cyclic reduction (Buzbee-Golub-Nielson, SIAM J. Numer. Anal. 1970) solves a
 shifted tridiagonal matrix in log2(n) NumPy steps, and its pivots count the eigenvalues below the shift, for
@@ -53,19 +54,21 @@ def _twiddle(m: int, type: int) -> np.ndarray:
 
 
 def dst(x: np.ndarray, type: int) -> np.ndarray:
-    """Each column's orthonormal DST-I (type 1) or unnormalized DST-II or DST-III (2, 3) of a 2-d float x.  Up
-    to _DENSE_ROWS rows, a product with the cached sine matrix; longer, one real FFT: of x zero-padded to 2 (m + 1)
-    rows for type 1, of length m in Makhoul's reordering (IEEE TASSP 1980), twiddle column broadcast, for types 2, 3."""
+    """The package's sine coefficients of each column of a 2-d float x on m rows: type 1 the orthonormal DST-I of a
+    full field; type 3 the odd sine modes of a half field, its unnormalized DST-III / sqrt(m); type 2 the inverse,
+    the half field of m odd modes, their unnormalized DST-II / (2 sqrt(m)).  Up to _DENSE_ROWS rows, a product with
+    the cached sine matrix; longer, one real FFT: of x zero-padded to 2 (m + 1) rows for type 1, of length m in
+    Makhoul's reordering (IEEE TASSP 1980), twiddle column broadcast, for types 2, 3."""
     m = len(x)
     if m <= _DENSE_ROWS:
-        return _sine_matrix(m, type) @ x
-    y = np.empty_like(x)
-    if type == 1:  # -Im of the DFT of (0, x, 0, ..., 0)
+        y = _sine_matrix(m, type) @ x
+    elif type == 1:  # -Im of the DFT of (0, x, 0, ..., 0)
         z = np.zeros((2 * (m + 1), x.shape[1]))
         z[1 : m + 1] = x
+        y = np.empty_like(x)
         np.multiply(np.fft.rfft(z, axis=0)[1 : m + 1].imag, -math.sqrt(2.0 / (m + 1)), out=y)
     elif type == 2:  # the DCT-II of (-1)^j x_j read backwards; FFT of the even rows, then the odd ones reversed
-        v, h = np.empty_like(x), (m + 1) // 2
+        y, v, h = np.empty_like(x), np.empty_like(x), (m + 1) // 2
         v[:h] = x[0::2]
         np.negative(x[1::2][::-1], out=v[h:])
         W = np.fft.rfft(v, axis=0)
@@ -73,13 +76,15 @@ def dst(x: np.ndarray, type: int) -> np.ndarray:
         y[::-1][: len(W)] = W.real
         np.negative(W.imag[1:], out=y[: len(W) - 1])
     else:  # the inverse: the DCT-III of x read backwards, with its odd rows negated
-        h = m // 2 + 1
+        y, h = np.empty_like(x), m // 2 + 1
         Z = x[::-1][:h] + 0j
         np.negative(x[: h - 1], out=Z.imag[1:])
         Z *= _twiddle(m, 3)
         t = np.fft.irfft(Z, m, axis=0, norm="forward")
         y[0::2] = t[: (m + 1) // 2]
         np.negative(t[::-1][: m // 2], out=y[1::2])
+    if type != 1:  # SciPy's unnormalized DST-III or DST-II, scaled to the half-field map
+        y /= math.sqrt(m) if type == 3 else 2.0 * math.sqrt(m)
     return y
 
 

@@ -21,7 +21,6 @@ from .errors import DomainError, NumericsError, check_gamma, check_interp, check
 from .params import ParamPoint, chain_exponents
 
 __all__ = [
-    "log_gamma",
     "sphere_area",
     "f_cosh_integral",
     "Moments",
@@ -66,13 +65,6 @@ def quad(f, width: float) -> float:
         raise NumericsError(f"trapezoidal rule did not converge: step halving moved {coarse} to {fine}, "
                             f"tail {tail} (peak width {width})")
     return fine
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 (wraps the C library implementation)."""
-    if not x > 0:
-        raise DomainError(f"log_gamma needs x > 0, got x={x}")
-    return math.lgamma(x)
 
 
 def sphere_area(N: int) -> float:
@@ -186,7 +178,7 @@ def _log_gamma_half_step(x: float) -> float:
     Stirling's series, whose first omitted term is below 1e-17 there.
     """
     if x < 20:
-        return log_gamma(x + 0.5) - log_gamma(x)
+        return math.lgamma(x + 0.5) - math.lgamma(x)
     return (x * math.log1p(0.5 / x) - 0.5 + 0.5 * math.log(x)
             + _stirling_remainder(x + 0.5) - _stirling_remainder(x))
 
@@ -290,8 +282,8 @@ def gap_factor(p: float, theta: float) -> float:
         (p + 2) / A * math.log(p + 2)
         - math.log(A)
         + 2 * (2 - p * (1 - theta)) / A * math.log((2 - p * (1 - theta)) / 2)
-        + 4 * (p - 2) / A * (log_gamma(p / (p - 2)) - log_gamma(theta * p / (p - 2)))
-        + 2 * (p - 2) / A * (log_gamma(2 * theta * p / (p - 2)) - log_gamma(2 * p / (p - 2)))
+        + 4 * (p - 2) / A * (math.lgamma(p / (p - 2)) - math.lgamma(theta * p / (p - 2)))
+        + 2 * (p - 2) / A * (math.lgamma(2 * theta * p / (p - 2)) - math.lgamma(2 * p / (p - 2)))
     )
     return math.exp(ln)
 

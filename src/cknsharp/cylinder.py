@@ -144,16 +144,6 @@ def _omega2(grid: LineGrid, half: bool = False) -> np.ndarray:
     return (np.arange(1, grid.n + 1, 1 + half) * math.pi / (2.0 * grid.S)) ** 2
 
 
-def _sine_of(values: np.ndarray, half: bool) -> np.ndarray:
-    """Orthonormal sine coefficients of field values: the DST-I, or the odd-index ones of a half field."""
-    return dst(values, 3) / math.sqrt(len(values)) if half else dst(values, 1)
-
-
-def _half_nodes(c: np.ndarray) -> np.ndarray:
-    """A half field's values from its odd sine modes, by a DST-II: the inverse of _sine_of."""
-    return dst(c, 2) / (2.0 * math.sqrt(len(c)))
-
-
 @lru_cache(maxsize=32)
 def _weights(rows: int, half: bool):
     """Row weights of sums over s-nodes, shared: 1, or for a half field 2 (a row and its mirror), 1 at s = 0."""
@@ -276,7 +266,7 @@ def _value_and_grad(u: CylField, Lambda: float, p: float, theta: float, KL: np.n
         g += (1 - theta) * (E + Lambda * M)
         g *= 2.0 * common
     g *= c
-    gP = _sine_of(nl, u.half)
+    gP = dst(nl, 3 if u.half else 1)
     gP *= 2.0 * G / P
     g -= gP
     g /= P ** (2.0 / p)
@@ -374,8 +364,8 @@ class _Even(CylField):
 
     def __init__(self, grid: LineGrid, N: int, values=None, c=None):
         self.grid, self.N = grid, N
-        self.data = _half_nodes(c) if values is None else values
-        c = _sine_of(self.data, True) if c is None else c
+        self.data = dst(c, 2) if values is None else values
+        c = dst(self.data, 3) if c is None else c
         self.c, self.c2 = c, c * c
         mass = grid.h * float(self.c2.sum())
         if mass == 0.0:
@@ -430,7 +420,7 @@ def _descend_single(u: _Even, Lambda: float, p: float, theta: float, max_iter: i
             dc = sym * g
             slope = gnorm * gnorm  # positive: dc is a descent direction
         t = 1.0  # the natural step of either direction
-        d = _half_nodes(dc)
+        d = dst(dc, 2)
         for _ in range(_MAX_BACKTRACKS):
             target = Q - _ARMIJO * t * slope
             if target == Q:
@@ -615,7 +605,8 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
     to v, the sharp sphere inequality for v, and the probability-measure
     power-mean step.  All five slacks are non-negative up to discretization
     and vanish simultaneously exactly at the s-only extremal profile, where
-    D = Lambda; a Lambda that is not finite and positive is refused.
+    D = Lambda.  A Lambda that is not finite and positive is refused, and so is a
+    field whose integral of |u|^p leaves the float range.
     """
     check_Lambda(Lambda)
     gamma, q_exp = chain_exponents(p, 1.0)
@@ -624,7 +615,11 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
     c, c2 = _sines(u)  # refuses a zero or non-finite field before any transform
     U = np.abs(u.nodal())
 
-    up_line = grid.h * (U**p).sum(axis=0)  # per-angle integral of u^p
+    with np.errstate(over="ignore"):  # a p-th power past the float range is refused below, not warned of
+        up_line = grid.h * (U**p).sum(axis=0)  # per-angle integral of u^p
+        total_up = float(np.sum(quad_.weights * up_line))
+    if not total_up < math.inf:
+        raise DomainError(f"need a finite integral of |u|^p, got {total_up}")
     v = np.sqrt(grid.h * (U**2).sum(axis=0))  # L2 trace on the sphere
 
     # per-angle derivative energies from the sine-spectral form
@@ -640,7 +635,6 @@ def proof_chain(u: CylField, Lambda: float, p: float) -> ChainReport:
     vfield = sphere.field_from_nodal(v, quad_, l_proj, u.N)
     slack_schwarz = e_angular - sphere.grad_energy(vfield)
 
-    total_up = float(np.sum(quad_.weights * up_line))
     # (int v^(q+1))^(2/(q+1)), 2/(q+1) = (gamma - 1)/gamma, the only power of that integral used.  v is
     # scaled by its maximum first: q = (3p - 2)/(6 - p) reaches hundreds near p = 6, where v^(q+1) overflows
     vmax = float(v.max())

@@ -43,15 +43,14 @@ class SphereQuadrature:
 
     N = 2: the m-point uniform circle rule folded onto [0, pi] (weight 1/m at
     0, and at pi for even m, 2/m between): the same rule on zonal functions,
-    which are even; exact for trig degree <= exactness = m - 1.
-    N = 3: Gauss-Legendre in t = cos(phi) (exact for poly degree <= exactness).
+    which are even; exact for trig degree <= m - 1.
+    N = 3: m-point Gauss-Legendre in t = cos(phi), exact for poly degree <= 2 m - 1.
     Weights sum to 1.
     """
 
     N: int
     nodes: np.ndarray
     weights: np.ndarray
-    exactness: int
     _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def basis(self, L_max: int) -> np.ndarray:
@@ -71,11 +70,11 @@ def sphere_quadrature(N: int, m: int) -> SphereQuadrature:
         nodes = 2.0 * math.pi * np.arange(m // 2 + 1) / m
         weights = np.full(nodes.size, 2.0 / m)
         weights[[0, -1] if m % 2 == 0 else 0] = 1.0 / m
-        return SphereQuadrature(N=2, nodes=nodes, weights=weights, exactness=m - 1)
+        return SphereQuadrature(N=2, nodes=nodes, weights=weights)
     if m < 1:
         raise DomainError(f"need m >= 1 nodes, got {m}")
     t, w = leggauss(m)
-    return SphereQuadrature(N=3, nodes=t, weights=w / 2.0, exactness=2 * m - 1)
+    return SphereQuadrature(N=3, nodes=t, weights=w / 2.0)
 
 
 @dataclass(frozen=True)
@@ -90,16 +89,13 @@ class ZonalField:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise DomainError("coeffs must be a non-empty 1-d array")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("coeffs must be finite")
+        if not np.vdot(c, c) < math.inf:  # np.vdot sums the squares with no overflow warning; NaN fails too
+            raise DomainError("coeffs must be finite, their squares summing below the float range")
         object.__setattr__(self, "coeffs", c)
 
     @property
     def L_max(self) -> int:
         return self.coeffs.size - 1
-
-    def eigenvalues(self) -> np.ndarray:
-        return zonal_eigenvalues(self.N, self.L_max)
 
 
 def zonal_eigenvalue(N: int, ell):
@@ -142,7 +138,7 @@ def field_from_nodal(values: np.ndarray, quad: SphereQuadrature, L_max: int, N: 
 
 def grad_energy(v: ZonalField) -> float:
     """Angular Dirichlet energy: sum of ell(ell + N - 2) c_ell^2."""
-    return float(np.sum(v.eigenvalues() * v.coeffs**2))
+    return float(np.sum(zonal_eigenvalues(v.N, v.L_max) * v.coeffs**2))
 
 
 def _check_q(q: float) -> None:
@@ -158,10 +154,14 @@ def poincare_deficit(v: ZonalField, q: float, quad: SphereQuadrature | None = No
     non-negative for every field, vanishing to fourth order in the size of
     a degree-1 perturbation of a constant (the constant is sharp there).
     Nodal values pass through |.| before the fractional power; quad is the
-    default quadrature if None.
+    default quadrature if None.  An integral of |v|^(q+1) past the float range
+    is refused.
     """
     _check_q(q)
     if quad is None:
         quad = default_quadrature(v.N, v.L_max)
-    int_q1 = float(np.sum(quad.weights * np.abs(nodal_values(v, quad)) ** (q + 1)))
+    with np.errstate(over="ignore"):  # a power past the float range is refused below, not warned of
+        int_q1 = float(np.sum(quad.weights * np.abs(nodal_values(v, quad)) ** (q + 1)))
+    if not int_q1 < math.inf:
+        raise DomainError(f"need a finite integral of |v|^(q+1), got {int_q1}")
     return (q - 1) / (v.N - 1) * grad_energy(v) - int_q1 ** (2.0 / (q + 1)) + float(np.sum(v.coeffs**2))

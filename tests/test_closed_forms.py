@@ -20,7 +20,6 @@ from cknsharp import (
     extremal_profile,
     f_cosh_integral,
     gap_factor,
-    log_gamma,
     lt_constant,
     lt_ground_state,
     lt_equality_potential,
@@ -37,15 +36,6 @@ from cknsharp import (
 )
 from cknsharp.closed_forms import _lt_constant_product_form, _lt_constant_ratio_form
 from cknsharp.closed_forms import quad as trapezoid
-
-
-def test_log_gamma_spot_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
-    # Gamma(3.5) = 15 sqrt(pi) / 8 by the recurrence from Gamma(1/2)
-    assert log_gamma(3.5) == pytest.approx(math.log(15 * math.sqrt(math.pi) / 8), rel=1e-13)
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
 
 
 def test_sphere_area():

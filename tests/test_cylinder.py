@@ -637,15 +637,16 @@ def test_every_line_search_starts_at_step_one(monkeypatch, n):
     # the first trial of a search is c - t dc at t = 1, for a preconditioned-gradient
     # direction (every level's first) and an L-BFGS one alike, on one level and on two
     iterate, directions, first_steps = [None], [], []
-    real_grad, real_half_nodes = cyl._value_and_grad, cyl._half_nodes
+    real_grad, real_dst = cyl._value_and_grad, cyl.dst
 
     def recording_grad(u, *args):
         iterate[0] = u  # the flow takes the gradient of each iterate once
         return real_grad(u, *args)
 
-    def recording_half_nodes(c):
-        directions.append(c)  # a search maps its direction dc to nodes before its first trial
-        return real_half_nodes(c)
+    def recording_dst(x, type):
+        if type == 2:
+            directions.append(x)  # a search maps its direction dc to nodes by a DST-II before its first trial
+        return real_dst(x, type)
 
     class Trial(cyl._Even):
         def __init__(self, grid, N, values=None, c=None):
@@ -656,7 +657,7 @@ def test_every_line_search_starts_at_step_one(monkeypatch, n):
             super().__init__(grid, N, values, c)
 
     monkeypatch.setattr(cyl, "_value_and_grad", recording_grad)
-    monkeypatch.setattr(cyl, "_half_nodes", recording_half_nodes)
+    monkeypatch.setattr(cyl, "dst", recording_dst)
     monkeypatch.setattr(cyl, "_Even", Trial)
     levels = level_recorder(monkeypatch, lambda: 0)
     rep = minimize_quotient(perturbed_start(LineGrid(20.0, n), 3, 6, 3.0, 3.0), 3.0, 3.0)
@@ -702,7 +703,7 @@ def test_prolongation_is_interpolation_and_keeps_mass_and_s_energy():
     values = np.random.default_rng(6).standard_normal((100, 5))
     coarse = cyl._Even(LineGrid(20.0, 199), 3, values.copy())
     norm = values[0, 0] / coarse.data[0, 0]  # the values are compared at their own scale, not at unit mass
-    c = cyl._sine_of(coarse.data, True)
+    c = dst(coarse.data, 3)
     fine = cyl._Even(LineGrid(20.0, 399), 3, c=cyl._transfer(c, 200))
     np.testing.assert_allclose(norm * fine.data[1::2], values, rtol=0, atol=1e-13)
     for a, b in zip(_mass_and_s_energy(fine), _mass_and_s_energy(coarse)):
@@ -718,9 +719,9 @@ def test_half_transforms_are_the_odd_modes_of_the_mirrored_field(rows, L_max, se
     half = np.random.default_rng(seed).standard_normal((rows, L_max + 1))
     c = dst(np.concatenate([half, half[-2::-1]]), 1)
     scale = float(np.abs(c).max())
-    assert float(np.abs(cyl._sine_of(half, True) - c[::2]).max()) <= 1e-13 * scale
+    assert float(np.abs(dst(half, 3) - c[::2]).max()) <= 1e-13 * scale
     assert float(np.abs(c[1::2]).max()) <= 1e-13 * scale
-    assert float(np.abs(cyl._half_nodes(c[::2]) - half).max()) <= 1e-13 * float(np.abs(half).max())
+    assert float(np.abs(dst(c[::2], 2) - half).max()) <= 1e-13 * float(np.abs(half).max())
     # the flow's field takes its mass from the c**2 of its odd modes (Parseval), degree by degree and in
     # total, as the nodal rows sum it, each row but s = 0 weighted twice for its mirror
     grid = LineGrid(20.0, 2 * rows - 1)
@@ -1642,12 +1643,19 @@ def test_a_finite_sample_whose_square_overflows_is_refused_before_any_transform(
     (lambda: symmetric_mu_threshold(3.0, 7), DomainError, "p=3.0 supercritical for N=7"),
     *[(lambda lam=lam: proof_chain(_scored(), lam, 3.0), DomainError, "need finite Lambda > 0")
       for lam in (math.nan, -1.0, math.inf)],
+    # finite input whose squares or powers leave the float range: refused, with no overflow warning on the way
+    (lambda: proof_chain(CylField(_SMALL, 3, np.full((99, 3), 1e100)), 1.0, 5.0), DomainError,
+     "finite integral of |u|^p, got inf"),
+    (lambda: ZonalField(3, [1.0, 1e200, 1.0]), DomainError, "squares summing below the float range"),
+    (lambda: poincare_deficit(ZonalField(3, [1.0, 1e150, 1.0]), 2.0), DomainError,
+     "finite integral of |v|^(q+1), got inf"),
 ], ids=["zero-start", "ell-1e400", "ell-1e5000", "ell-minus-1e5000", "mu-0", "mu-neg", "mu-inf",
         "mu-nan", "repeated-s", "potential-samples", "circle-m", "sphere-m", "empty-zonal", "basis-L",
         "field-L-neg", "field-L-cap", "bound-L-0", "sandwich-L-0",
         "negative-radius", "zero-well", "theta-0-point", "theta-0-flow", "el-Lambda-neg", "el-Lambda-nan", "el-p",
         "el-theta-2", "el-theta-neg", "bound-supercritical", "mu-threshold-supercritical",
-        "chain-Lambda-nan", "chain-Lambda-neg", "chain-Lambda-inf"])
+        "chain-Lambda-nan", "chain-Lambda-neg", "chain-Lambda-inf", "chain-p-power-overflow",
+        "zonal-square-overflow", "poincare-power-overflow"])
 def test_each_refusal_raises_its_error(call, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)):
         call()

@@ -54,14 +54,31 @@ def test_a_swapped_kernel_is_the_one_called(monkeypatch, module, attr, caller):
 @pytest.mark.parametrize("rows", [16, 17, 100, 255, 256, 257, 258, 450, 599, 600, 1000, 2001])
 @pytest.mark.parametrize("dst_type, norm", [(1, "ortho"), (2, None), (3, None)])
 def test_dst_matches_scipy(rows, dst_type, norm):
+    # type 1 is SciPy's orthonormal DST-I; types 3 and 2 are SciPy's unnormalized DST-III and DST-II
+    # scaled to the half-field maps, by 1/sqrt(m) and 1/(2 sqrt(m))
     assert (rows <= _kernels._DENSE_ROWS) == (rows <= 256)
+    scale = {1: 1.0, 2: 2.0 * math.sqrt(rows), 3: math.sqrt(rows)}[dst_type]
     rng = np.random.default_rng(rows)
     for cols in (1, 2, 9):
         x = rng.standard_normal((rows, cols))
-        ref = scipy.fft.dst(x, type=dst_type, norm=norm, axis=0)
+        ref = scipy.fft.dst(x, type=dst_type, norm=norm, axis=0) / scale
         got = cylinder.dst(x, dst_type)
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.abs(got - ref).max() <= 5e-15 * np.abs(ref).max()
+
+
+# odd half-field lengths on each side of the dense kernel's cut
+@pytest.mark.parametrize("rows", [17, 99, 255, 257, 301, 1001])
+def test_half_field_maps_are_inverse_and_keep_the_norm(rows):
+    # dst(., 3) takes the m rows of an s-even field at s <= 0 to its m odd sine modes, and dst(., 2) takes
+    # them back; the modes' squares sum to the rows' squares, each row but s = 0 counted twice (Parseval)
+    assert (rows <= _kernels._DENSE_ROWS) == (rows <= 256)
+    x = np.random.default_rng(rows).standard_normal((rows, 5))
+    c = cylinder.dst(x, 3)
+    np.testing.assert_allclose(cylinder.dst(c, 2), x, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(cylinder.dst(cylinder.dst(x, 2), 3), x, rtol=0, atol=1e-13)
+    rows_sq = 2.0 * (x[:-1] ** 2).sum(axis=0) + x[-1] ** 2
+    np.testing.assert_allclose((c**2).sum(axis=0), rows_sq, rtol=1e-13, atol=0)
 
 
 def test_the_dense_sine_matrix_is_read_only():
