@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import nullcontext
 from functools import lru_cache
 from dataclasses import dataclass, field, fields
 
@@ -198,7 +199,7 @@ def _pieces(u: CylField, p: float):
     coefficients c of a full field and an _Even alike (see _sines), P the
     integral of |u|^p, all under the probability measure, and nl the zonal
     coefficients of |u|^(p-2) u (see _nodal_stage).  A field with M or P zero
-    or not finite raises DomainError.
+    or not finite raises DomainError, a full field's P with no overflow warning.
 
     An _Even keeps its pieces (one flow, one p): the line search scores
     normalized trials, so the gradient at the accepted one reuses them and
@@ -209,7 +210,8 @@ def _pieces(u: CylField, p: float):
         return u._pieces
     c, c2 = _sines(u)
     E, M = u.grid.h * float(np.vdot(_stiffness(u), c2)), u.grid.h * float(c2.sum())
-    pieces = (E, M, *_nodal_stage(u, p), c)
+    with nullcontext() if u.half else np.errstate(over="ignore", invalid="ignore"):  # _Even: unit mass, no overflow
+        pieces = (E, M, *_nodal_stage(u, p), c)
     if not 0 < pieces[2] < math.inf:  # M by _refuse or an _Even's normalization and, if not finite, P
         raise DomainError(f"need a finite, positive integral of |u|^p, got {pieces[2]}")
     if u.half:
@@ -471,13 +473,6 @@ def _transfer(c: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-# two levels only when (n + 1) / (n_c + 1) is at least this.  At S = 20 (32 points, each a single
-# start, a multistart and an eigenvalue_bound) one level wins at n = 249, two levels from n = 299 on:
-# 0.60-0.70 s against 0.68-0.77 s, and at n = 499 0.66-0.75 s against 1.01-1.08 s.  The bound stays,
-# since lowering it to the crossover near 1.4 would move the outputs of grids with 299 <= n < 599
-_MIN_FINE_OVER_COARSE = 3.0
-
-
 def _starts(start: CylField, opts: MinimizeOpts):
     """The flow's starting fields, built one at a time: the start itself and,
     with opts.multistart, its radial part and a degree-1 bump, each unless
@@ -518,7 +513,7 @@ def minimize_quotient(
     most n + 1, at least 18), and the lowest (the first of equals) is polished
     on the requested grid from the zero-padded coarse minimizer, or from its
     own even part if that scores lower (translation being free, it can score
-    above an off-centre start); a grid with n + 1 < 3 (n_c + 1) takes one level.
+    above an off-centre start); with n_c = n the polish is a converged restart.
     max_iter is the budget of both levels, and iterations counts both.  With
     opts.multistart the start's radial part (unless it is the start) and a
     degree-1 bump if L_max >= 1 are screened too: a guard against the
@@ -532,23 +527,21 @@ def minimize_quotient(
     if start.grid.n % 2 == 0:  # the flow's fields are even in s
         raise DomainError(f"the flow needs odd n, a node at s = 0; got n={start.grid.n}")
     opts = opts or MinimizeOpts()
-    n_c = _coarse_n(start.grid.S, start.grid.n)
-    coarse = LineGrid(start.grid.S, n_c) if start.grid.n + 1 >= _MIN_FINE_OVER_COARSE * (n_c + 1) else None
+    coarse = LineGrid(start.grid.S, _coarse_n(start.grid.S, start.grid.n))
 
     def screened(s: CylField):
-        """(the even part of the start s, its run on the coarse grid, or its whole run on one level)."""
+        """(the even part of the start s, its run on the coarse grid)."""
         u = _even(s)
-        first = u if coarse is None else _Even(coarse, u.N, c=_transfer(u.c, (n_c + 1) // 2))
+        first = _Even(coarse, u.N, c=_transfer(u.c, (coarse.n + 1) // 2))
         return u, _descend_single(first, Lambda, p, theta, opts.max_iter)
 
-    # the first of the lowest first-level Q
-    u, (v, Q, gnorm, iters, reason) = min(map(screened, _starts(start, opts)), key=lambda run: run[1][1])
-    if coarse is not None:
-        fine = _Even(u.grid, u.N, c=_transfer(v.c, len(u.data)))
-        # the fine level gets what the coarse one left of the max_iter budget
-        v, Q, gnorm, spent, reason = _descend_single(min(fine, u, key=lambda w: rayleigh(w, Lambda, p, theta)),
-                                                     Lambda, p, theta, opts.max_iter - iters)
-        iters += spent
+    # the first of the lowest coarse Q
+    u, (v, _, _, iters, _) = min(map(screened, _starts(start, opts)), key=lambda run: run[1][1])
+    fine = _Even(u.grid, u.N, c=_transfer(v.c, len(u.data)))
+    # the fine level gets what the coarse one left of the max_iter budget
+    v, Q, gnorm, spent, reason = _descend_single(min(fine, u, key=lambda w: rayleigh(w, Lambda, p, theta)),
+                                                 Lambda, p, theta, opts.max_iter - iters)
+    iters += spent
     return MinimizeReport(
         constant=1.0 / Q,
         quotient=Q,

@@ -137,8 +137,12 @@ def field_from_nodal(values: np.ndarray, quad: SphereQuadrature, L_max: int, N: 
 
 
 def grad_energy(v: ZonalField) -> float:
-    """Angular Dirichlet energy: sum of ell(ell + N - 2) c_ell^2."""
-    return float(np.sum(zonal_eigenvalues(v.N, v.L_max) * v.coeffs**2))
+    """Angular Dirichlet energy: sum of ell(ell + N - 2) c_ell^2, refused if past the float range."""
+    with np.errstate(over="ignore"):  # an energy past the float range is refused below, not warned of
+        energy = float(np.sum(zonal_eigenvalues(v.N, v.L_max) * v.coeffs**2))
+    if not energy < math.inf:
+        raise DomainError(f"need a finite angular energy, got {energy}")
+    return energy
 
 
 def _check_q(q: float) -> None:

@@ -302,7 +302,7 @@ def test_lbfgs_direction_is_the_bfgs_inverse_hessian_product(k):
 
 
 def level_recorder(monkeypatch, count):
-    """Wrap the single-level descent: the returned list gets one (result,
+    """Wrap one level's descent: the returned list gets one (result,
     growth of count() during the level) pair per level run, in order; a
     result is (field, Q, gnorm, iterations, reason)."""
     levels, real = [], cyl._descend_single
@@ -618,24 +618,25 @@ def test_coarse_grid_rule():
         assert m % 2 == 0 and abs(m - 10 * S) <= 1
     # up to S = 51 the coarse level's (n_c + 1)/2 rows take dst's dense path, whatever their factors
     assert (cyl._coarse_n(51.0, 10**5) + 1) // 2 <= _DENSE_ROWS
-    # a box too wide for its grid gets one level at once, however wide
-    for S, n in ((1e300, 100), (1e9, 10**5), (300.0, 2999)):
-        assert n + 1 < cyl._MIN_FINE_OVER_COARSE * (cyl._coarse_n(S, n) + 1)
 
 
-@pytest.mark.parametrize("n,levels", [(597, 1), (599, 2)])
-def test_two_levels_start_at_three_times_the_coarse_modes(monkeypatch, n, levels):
-    # at S = 20, n_c + 1 = 200: two levels from n + 1 = 600 on
-    assert cyl._MIN_FINE_OVER_COARSE == 3.0
-    ran = level_recorder(monkeypatch, lambda: 0)
-    minimize_quotient(perturbed_start(LineGrid(20.0, n), 3, 6, 3.0, 3.0), 3.0, 3.0, opts=MinimizeOpts(max_iter=2))
-    assert [u.grid.n for (u, *_), _ in ran] == [199, n][2 - levels:]
+@pytest.mark.parametrize("n,n_c,Q", [
+    (101, 99, 4.386849360499706), (199, 199, 4.386859798530438), (299, 199, 4.3868597985306526),
+    (597, 199, 4.386859798530653), (599, 199, 4.38685979848953)], ids=["101", "199", "299", "597", "599"])
+def test_every_grid_screens_on_the_coarse_grid_and_polishes_on_its_own(monkeypatch, n, n_c, Q):
+    # at S = 20 every start takes the coarse level and the winner the requested one, also where
+    # n_c = n (199); below n = 599, Q is within 1e-10 of what one descent on the requested grid gave
+    levels = level_recorder(monkeypatch, lambda: 0)
+    rep = minimize_quotient(perturbed_start(LineGrid(20.0, n), 3, 6, 3.0, 3.0), 3.0, 3.0,
+                            opts=MinimizeOpts(multistart=True))
+    assert [u.grid.n for (u, *_), _ in levels] == [n_c] * 3 + [n]
+    assert rep.quotient == pytest.approx(Q, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("n", [299, 899])
 def test_every_line_search_starts_at_step_one(monkeypatch, n):
     # the first trial of a search is c - t dc at t = 1, for a preconditioned-gradient
-    # direction (every level's first) and an L-BFGS one alike, on one level and on two
+    # direction (every level's first) and an L-BFGS one alike, on both levels
     iterate, directions, first_steps = [None], [], []
     real_grad, real_dst = cyl._value_and_grad, cyl.dst
 
@@ -661,7 +662,7 @@ def test_every_line_search_starts_at_step_one(monkeypatch, n):
     monkeypatch.setattr(cyl, "_Even", Trial)
     levels = level_recorder(monkeypatch, lambda: 0)
     rep = minimize_quotient(perturbed_start(LineGrid(20.0, n), 3, 6, 3.0, 3.0), 3.0, 3.0)
-    assert len(levels) == (1 if n == 299 else 2)
+    assert len(levels) == 2
     assert len(first_steps) >= rep.iterations - len(levels)  # only a stopping iteration may search nothing
     assert first_steps == pytest.approx([1.0] * len(first_steps), rel=0, abs=1e-8)
 
@@ -775,18 +776,19 @@ def test_the_fine_level_starts_from_the_start_when_the_transfer_scores_above_it(
     assert np.array_equal(rep.minimizer.data[: len(one.data)], one.data)
 
 
-def test_a_grid_below_the_coarse_threshold_keeps_the_single_level_descent(monkeypatch):
-    # n + 1 = 300 < 3 (n_c + 1) = 600 at S = 20: one level, bit for bit
+def test_a_grid_below_three_times_the_coarse_modes_takes_both_levels(monkeypatch):
+    # n + 1 = 300 = 1.5 (n_c + 1) at S = 20: the coarse level and then the fine one, whose
+    # run is the report, bit for bit
     start = perturbed_start(LineGrid(20.0, 299), 3, 6, 3.0, 3.0)
     levels = level_recorder(monkeypatch, lambda: 0)
     rep = minimize_quotient(start, 3.0, 3.0)
-    assert len(levels) == 1
-    assert (rep.quotient, rep.iterations, rep.grad_norm) == (4.3868597985545215, 12, 1.1114322499109627e-05)
-    monkeypatch.undo()
-    one, Q, gnorm, iters, reason = cyl._descend_single(cyl._even(start), 3.0, 3.0, 1.0, MinimizeOpts().max_iter)
-    assert (rep.quotient, rep.grad_norm, rep.iterations, rep.reason) == (Q, gnorm, iters, reason)
-    assert rep.angular_fraction == cyl._angular_fraction(one, 3.0)
-    assert np.array_equal(rep.minimizer.data[: len(one.data)], one.data)
+    assert [u.grid.n for (u, *_), _ in levels] == [199, 299]
+    assert (rep.quotient, rep.iterations, rep.grad_norm) == (4.386859798494598, 13, 6.904704305510167e-06)
+    spent = levels[0][0][3]  # the coarse level's iterations
+    fine, Q, gnorm, iters, reason = levels[1][0]
+    assert (rep.quotient, rep.grad_norm, rep.iterations, rep.reason) == (Q, gnorm, spent + iters, reason)
+    assert rep.angular_fraction == cyl._angular_fraction(fine, 3.0)
+    assert np.array_equal(rep.minimizer.data[: len(fine.data)], fine.data)
 
 
 @pytest.mark.parametrize("Lambda,theta,multistart,pinned", [
@@ -794,8 +796,8 @@ def test_a_grid_below_the_coarse_threshold_keeps_the_single_level_descent(monkey
     (3.0, 1.0, True, (4.38685979848953, 12, 8.988289803408799e-06)),
 ])
 def test_two_level_descents_are_pinned(monkeypatch, Lambda, theta, multistart, pinned):
-    # n + 1 = 900 >= 3 (n_c + 1) = 600 at S = 20: every start takes the coarse
-    # level, and the winning start alone the fine one
+    # at S = 20 every start takes the coarse level (n_c = 199), and the
+    # winning start alone the fine one
     start = extremal_field(LineGrid(20.0, 899), 3, 6, Lambda, 3.0, theta)
     start.data[:, 1] = 0.1 * start.data[:, 0]
     levels = level_recorder(monkeypatch, lambda: 0)
@@ -840,9 +842,9 @@ def test_screened_multistart_matches_polishing_every_start(monkeypatch, N, p, La
 
 
 def test_screening_keeps_one_level_grids_and_single_starts_bit_for_bit():
-    # n + 1 = 300 < 3 (n_c + 1): every first-level run is a whole descent, so
-    # the screen is the old minimum; a single start is screened against nothing
-    for grid, multistart in ((LineGrid(20.0, 299), True), (LineGrid(20.0, 899), False)):
+    # n_c = n = 199: every coarse run is a whole descent on the requested grid, so the
+    # screen is the minimum over them; a single start is screened against nothing
+    for grid, multistart in ((LineGrid(20.0, 199), True), (LineGrid(20.0, 899), False)):
         start = perturbed_start(grid, 3, 6, 3.0, 3.0)
         opts = MinimizeOpts(multistart=multistart)
         rep = minimize_quotient(start, 3.0, 3.0, opts=opts)
@@ -862,10 +864,10 @@ def test_screening_keeps_one_level_grids_and_single_starts_bit_for_bit():
 def test_the_report_names_why_the_flow_stopped(monkeypatch, reason, constants, max_iter):
     for name, value in constants.items():
         monkeypatch.setattr(cyl, name, value)
-    start = perturbed_start(LineGrid(20.0, 299), 3, 6, 3.0, 3.0)  # one level
+    start = perturbed_start(LineGrid(20.0, 299), 3, 6, 3.0, 3.0)
     rep = minimize_quotient(start, 3.0, 3.0, opts=MinimizeOpts(max_iter=max_iter))
     assert rep.reason == reason
-    assert rep.iterations == (2 if reason == "max_iter" else 1)
+    assert rep.iterations == 2  # one per level, or the whole budget spent on the coarse one
     assert rep.converged == (reason != "max_iter")
     # the printed fields, without the minimizer and its half
     assert list(rep.to_dict()) == ["constant", "quotient", "iterations", "grad_norm", "angular_fraction",
@@ -1564,6 +1566,13 @@ def _scored():
     return extremal_field(LineGrid(20.0, 399), 3, 4, 1.0, 3.0)
 
 
+def _power_overflows():
+    """A field whose squares sum in the float range and whose 5th powers do not: 1e100 at s = 0."""
+    u = extremal_field(LineGrid(20.0, 599), 3, 4, 1.0, 5.0)
+    u.data[299, 0] = 1e100
+    return u
+
+
 def _score_even_trial(u):
     """rayleigh of a line-search trial of the flow built from u: its rows s <= 0, the bad sample
     last, with finite sine modes.  An infinite sample meets angular weights of both signs in the
@@ -1649,13 +1658,17 @@ def test_a_finite_sample_whose_square_overflows_is_refused_before_any_transform(
     (lambda: ZonalField(3, [1.0, 1e200, 1.0]), DomainError, "squares summing below the float range"),
     (lambda: poincare_deficit(ZonalField(3, [1.0, 1e150, 1.0]), 2.0), DomainError,
      "finite integral of |v|^(q+1), got inf"),
+    (lambda: rayleigh(_power_overflows(), 1.0, 5.0), DomainError, "finite, positive integral of |u|^p"),
+    (lambda: el_residual(_power_overflows(), 1.0, 5.0), DomainError, "finite, positive integral of |u|^p"),
+    (lambda: grad_energy(ZonalField(3, [0.0, 1e154])), DomainError, "finite angular energy, got inf"),
 ], ids=["zero-start", "ell-1e400", "ell-1e5000", "ell-minus-1e5000", "mu-0", "mu-neg", "mu-inf",
         "mu-nan", "repeated-s", "potential-samples", "circle-m", "sphere-m", "empty-zonal", "basis-L",
         "field-L-neg", "field-L-cap", "bound-L-0", "sandwich-L-0",
         "negative-radius", "zero-well", "theta-0-point", "theta-0-flow", "el-Lambda-neg", "el-Lambda-nan", "el-p",
         "el-theta-2", "el-theta-neg", "bound-supercritical", "mu-threshold-supercritical",
         "chain-Lambda-nan", "chain-Lambda-neg", "chain-Lambda-inf", "chain-p-power-overflow",
-        "zonal-square-overflow", "poincare-power-overflow"])
+        "zonal-square-overflow", "poincare-power-overflow", "rayleigh-p-power-overflow",
+        "el-residual-p-power-overflow", "angular-energy-overflow"])
 def test_each_refusal_raises_its_error(call, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)):
         call()
