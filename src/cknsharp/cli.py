@@ -291,11 +291,11 @@ def _verify_fs(args):
 
 def _verify_minimize(args):
     from . import cylinder as cyl, schrodinger
-    default = cyl.DEFAULT_GRID
     l_max = cyl.DEFAULT_L_MAX if args.l_max is None else args.l_max
     check_L_max(l_max, 1, "--l-max")
     theta = args.theta if args.theta is not None else 1.0
-    grid = schrodinger.LineGrid(default.S if args.S is None else args.S, default.n if args.n is None else args.n)
+    S = cyl.DEFAULT_GRID.S if args.S is None else args.S  # the rule sizes n in an explicit --S; an explicit --n wins
+    grid = cyl._grid_for(args.p, args.Lambda, theta, S) if args.n is None else schrodinger.LineGrid(S, args.n)
     radial = cyl.extremal_field(grid, args.N, l_max, args.Lambda, args.p, theta)
     # the theta = 1 gate needs K*, so 2 < p < 6: refuse before the flow, not after it
     k_star = cf.radial_interp_constant(1.0, args.Lambda, args.p) if theta == 1.0 else None
@@ -304,6 +304,7 @@ def _verify_minimize(args):
     payload = rep.to_dict()
     payload["quotient_radial"] = q_star
     payload["symmetry_broken"] = rep.broken
+    payload.update(S=grid.S, n=grid.n, L_max=l_max)
     if theta < 1.0:
         return payload, rep.converged
     # at theta = 1 the extremal is radial iff Lambda <= lambda_fs (Dolbeault-Esteban-Loss), and then its constant is K*
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_mi.add_argument("--p", type=float, required=True)
     v_mi.add_argument("--Lambda", type=float, required=True)
     v_mi.add_argument("--theta", type=float)
-    v_mi.add_argument("--S", type=float)  # --S, --n and --l-max default to cylinder's DEFAULT_GRID and DEFAULT_L_MAX
+    v_mi.add_argument("--S", type=float)  # defaults read from cylinder: DEFAULT_GRID.S, _grid_for's n, DEFAULT_L_MAX
     v_mi.add_argument("--n", type=int)
     v_mi.add_argument("--l-max", type=int)
 

@@ -77,9 +77,21 @@ __all__ = [
     "sandwich_check",
 ]
 
-# n + 1 = 2000 = 2^4 5^3: a 5-smooth transform length keeps every DST-I fast
-DEFAULT_GRID = LineGrid(20.0, 1999)
+# n + 1 = 600 = 2^3 3 5^2 is 5-smooth (a fast DST-I); it holds extremals with B h <= _BH_MAX, _grid_for the rest
+DEFAULT_GRID = LineGrid(20.0, 599)
 DEFAULT_L_MAX = 8
+_BH_MAX = 0.08
+_SMOOTH = {2**a * 3**b * 5**c for a in range(1, 11) for b in range(7) for c in range(5)} & set(range(600, 2001))
+
+
+def _grid_for(p: float, Lambda: float, theta: float = 1.0, S: float = 20.0) -> LineGrid:
+    """The flow's default grid on [-S, S]: the fewest nodes n, n + 1 even, 5-smooth and 600 to 2000, with B h <=
+    _BH_MAX, else n = 1999.  The sine error in s falls exponentially in 1/(B h) (u* is analytic for |Im s| < pi/2B).
+    No amplitude, no refusal: a point or S outside its domain gets n = 1999, and the caller's checks refuse it."""
+    denom = (2 * theta - 1) * p + 2
+    eta_theta = (p + 2) * Lambda / denom if denom > 0 else math.nan
+    width = (p - 2) * math.sqrt(eta_theta) * S if eta_theta >= 0 else math.nan  # B (n + 1) h
+    return LineGrid(S, min((m for m in _SMOOTH if 0 < width / m <= _BH_MAX), default=2000) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -212,8 +224,8 @@ def _pieces(u: CylField, p: float):
     E, M = u.grid.h * float(np.vdot(_stiffness(u), c2)), u.grid.h * float(c2.sum())
     with nullcontext() if u.half else np.errstate(over="ignore", invalid="ignore"):  # _Even: unit mass, no overflow
         pieces = (E, M, *_nodal_stage(u, p), c)
-    if not 0 < pieces[2] < math.inf:  # M by _refuse or an _Even's normalization and, if not finite, P
-        raise DomainError(f"need a finite, positive integral of |u|^p, got {pieces[2]}")
+    if not 0 < pieces[2] < math.inf:  # M by _refuse or normalization; P is NaN only as inf - inf of p-th powers
+        raise DomainError(f"need a finite, positive integral of |u|^p, got {min(math.inf, pieces[2])}")
     if u.half:
         u._pieces = pieces
     return pieces
@@ -462,8 +474,8 @@ def _descend_single(u: _Even, Lambda: float, p: float, theta: float, max_iter: i
 
 
 def _coarse_n(S: float, n: int) -> int:
-    """n_c: n_c + 1 is the even integer nearest min(10 S, n), so n_c is odd; up to S = 51 dst is dense on it."""
-    return max(17, 2 * round(min(10.0 * S, n) / 2) - 1)  # a LineGrid has at least 16 nodes
+    """n_c: n_c + 1 is the even integer nearest min(10 S, n + 1), so n_c is odd, n if n < 10 S; dense dst to S = 51."""
+    return max(17, 2 * round(min(10.0 * S, n + 1) / 2) - 1)  # a LineGrid has at least 16 nodes
 
 
 def _transfer(c: np.ndarray, rows: int) -> np.ndarray:
@@ -509,8 +521,8 @@ def minimize_quotient(
     most 40 trials) fails (line_search_stall) or asks for a decrease below
     one ulp of the quotient (sub_ulp), or max_iter runs out (max_iter, the
     one stop not counted as converged).  Every start is screened on the
-    coarse grid LineGrid(S, n_c), n_c + 1 the even integer nearest 10 S (at
-    most n + 1, at least 18), and the lowest (the first of equals) is polished
+    coarse grid LineGrid(S, n_c), n_c + 1 the even integer nearest
+    min(10 S, n + 1), at least 18, and the lowest (the first of equals) is polished
     on the requested grid from the zero-padded coarse minimizer, or from its
     own even part if that scores lower (translation being free, it can score
     above an off-centre start); with n_c = n the polish is a converged restart.
@@ -836,7 +848,7 @@ def eigenvalue_bound(mu: float, p: float, N: int, grid: LineGrid | None = None, 
 
 @dataclass
 class SandwichReport(_Report):
-    """Verified two-sided bounds on the interpolation constant."""
+    """Verified two-sided bounds on the interpolation constant, and the flow's grid (S, n) and L_max."""
 
     theta: float
     Lambda: float
@@ -853,6 +865,9 @@ class SandwichReport(_Report):
     within: bool
     converged: bool
     reason: str
+    S: float
+    n: int
+    L_max: int
 
 
 def sandwich_lambda_bound(theta: float, p: float, N: int) -> float:
@@ -880,7 +895,8 @@ def sandwich_check(
     N = 2 for every theta up to 3(p - 2)/(2p)).  Also reports the chain quantities:
     gamma_theta, q, the chain constant D on the renormalized minimizer
     (Lambda <= D <= gap * Lambda on solutions) and the slack of the
-    theta-Hoelder step.  L_max >= 1 is required, as in eigenvalue_bound.
+    theta-Hoelder step.  L_max >= 1 is required, as in eigenvalue_bound.  The flow runs on grid, or on
+    _grid_for(p, Lambda, theta): DEFAULT_GRID unless the extremal is too narrow for it (up to n = 1999).
     """
     check_theta_window(theta, theta_min(p, N))
     check_L_max(L_max, 1)
@@ -898,7 +914,7 @@ def sandwich_check(
     gap = gap_factor(p, theta)
     k_upper = k_lower * gap ** (((2 * theta - 1) * p + 2) / (2 * p))
 
-    g = grid or DEFAULT_GRID
+    g = grid or _grid_for(p, Lambda, theta)
     opts = opts or MinimizeOpts(multistart=True)
     start = extremal_field(g, N, L_max, Lambda, p, theta)
     rep = minimize_quotient(start, Lambda, p, theta, opts)
@@ -934,4 +950,5 @@ def sandwich_check(
         within=within,
         converged=rep.converged,
         reason=rep.reason,
+        S=g.S, n=g.n, L_max=L_max,
     )

@@ -345,17 +345,39 @@ def test_verify_sandwich_output_does_not_depend_on_the_seed(capsys, monkeypatch)
 
 
 def test_verify_minimize_grid_defaults_are_the_library_defaults(capsys, monkeypatch):
-    # read from cylinder when the command runs, not copied into the parser: a changed default is the one used
-    seen = []
+    # read from cylinder when the command runs, not copied into the parser: a changed rule or default is the one
+    # used; the rule sizes n in an explicit --S, and an explicit --n wins over it
+    seen, asked = [], []
 
     def stop(grid, N, L_max, *args):
         seen.append((grid.S, grid.n, L_max))
         raise DomainError("stop")
 
+    def rule(p, Lambda, theta, S):
+        asked.append((p, Lambda, theta, S))
+        return schrodinger.LineGrid(S, 299)
+
     monkeypatch.setattr(cyl, "extremal_field", stop)
     monkeypatch.setattr(cyl, "DEFAULT_L_MAX", 5)
-    assert run_cli(capsys, "verify", "minimize", "--p", "3", "--Lambda", "1")[0] == 2
-    assert seen == [(cyl.DEFAULT_GRID.S, cyl.DEFAULT_GRID.n, 5)]
+    monkeypatch.setattr(cyl, "_grid_for", rule)
+    for flags in ([], ["--S", "18"], ["--n", "399"], ["--S", "18", "--n", "399"], ["--theta", "0.9"]):
+        assert run_cli(capsys, "verify", "minimize", "--p", "3", "--Lambda", "1", *flags)[0] == 2
+    assert seen == [(20.0, 299, 5), (18.0, 299, 5), (20.0, 399, 5), (18.0, 399, 5), (20.0, 299, 5)]
+    assert asked == [(3.0, 1.0, 1.0, 20.0), (3.0, 1.0, 1.0, 18.0), (3.0, 1.0, 0.9, 20.0)]
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (("minimize", "--N", "3", "--p", "3", "--Lambda", "3"), (20.0, 599, 8)),
+    (("minimize", "--N", "3", "--p", "5.8", "--Lambda", "10"), (20.0, 1999, 8)),  # a narrow extremal: more nodes
+    (("minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--S", "15", "--l-max", "6"), (15.0, 599, 6)),
+    (("minimize", "--N", "3", "--p", "3", "--Lambda", "3", "--n", "299"), (20.0, 299, 8)),
+    (("sandwich", "--N", "3", "--p", "3", "--theta", "0.9"), (20.0, 599, 8)),
+], ids=["minimize-default", "minimize-narrow", "minimize-S", "minimize-n", "sandwich"])
+def test_verify_payloads_state_their_grid(capsys, argv, grid):
+    # the default grid depends on (p, Lambda, theta): the payload says which one the flow ran on
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    payload = json.loads(out)
+    assert code == 0 and (payload["S"], payload["n"], payload["L_max"]) == grid
 
 
 @pytest.mark.parametrize("flag,value", [("--Lambda", "nan"), ("--Lambda", "inf"), ("--p", "nan"), ("--theta", "nan")])

@@ -610,9 +610,11 @@ def test_flow_descends_and_reports_the_gradient_of_its_last_iterate(N, p, Lambda
 
 
 def test_coarse_grid_rule():
-    # n_c + 1 is the even integer nearest 10 S, at least 18
+    # n_c + 1 is the even integer nearest min(10 S, n + 1), at least 18
     rule = [cyl._coarse_n(S, 1999) for S in (20.0, 18.0, 25.0, 9.336, 1.45, 0.01)]
     assert rule == [199, 179, 249, 93, 17, 17]
+    # an odd n below 10 S is its own coarse grid, also where (n + 1)/2 is odd and halving rounds to even
+    assert [cyl._coarse_n(20.0, n) for n in (101, 103, 197, 199, 201, 599, 1999)] == [101, 103, 197, 199, 199, 199, 199]
     for S in np.linspace(2.0, 300.0, 300):
         m = cyl._coarse_n(S, 10**5) + 1
         assert m % 2 == 0 and abs(m - 10 * S) <= 1
@@ -621,11 +623,11 @@ def test_coarse_grid_rule():
 
 
 @pytest.mark.parametrize("n,n_c,Q", [
-    (101, 99, 4.386849360499706), (199, 199, 4.386859798530438), (299, 199, 4.3868597985306526),
+    (101, 101, 4.386849360452833), (199, 199, 4.386859798530438), (299, 199, 4.3868597985306526),
     (597, 199, 4.386859798530653), (599, 199, 4.38685979848953)], ids=["101", "199", "299", "597", "599"])
 def test_every_grid_screens_on_the_coarse_grid_and_polishes_on_its_own(monkeypatch, n, n_c, Q):
     # at S = 20 every start takes the coarse level and the winner the requested one, also where
-    # n_c = n (199); below n = 599, Q is within 1e-10 of what one descent on the requested grid gave
+    # n_c = n (101, 199); below n = 599, Q is within 1e-10 of what one descent on the requested grid gave
     levels = level_recorder(monkeypatch, lambda: 0)
     rep = minimize_quotient(perturbed_start(LineGrid(20.0, n), 3, 6, 3.0, 3.0), 3.0, 3.0,
                             opts=MinimizeOpts(multistart=True))
@@ -1411,10 +1413,73 @@ def test_default_transform_grids_are_five_smooth():
     sizes = {
         "DEFAULT_GRID": cyl.DEFAULT_GRID.n,
         "eigenvalue_bound": cyl._BOUND_GRID.n,
-        # verify minimize has no default of its own: it reads DEFAULT_GRID when it runs
         "verify chain": parser.parse_args(["verify", "chain", "--p", "3", "--Lambda", "1"]).n,
     }
+    # verify minimize, verify sandwich and sandwich_check take their grid from _grid_for when they run
+    rule = {cyl._grid_for(p, lam, theta).n for p in np.linspace(2.05, 5.95, 40)
+            for lam in np.geomspace(1e-3, 1e3, 60) for theta in (0.7, 1.0)}
+    sizes.update({f"_grid_for -> {n}": n for n in rule})
+    assert len(rule) >= 20
     assert {k: n for k, n in sizes.items() if not _five_smooth(n + 1)} == {}
+
+
+def _width(p, Lambda, theta=1.0):
+    """B of the extremal u* = A sech(B s)^(2/(p-2)), by profile_constants' formula without the amplitude."""
+    return 0.5 * (p - 2) * math.sqrt((p + 2) * Lambda / ((2 * theta - 1) * p + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(2.0, 6.0, exclude_min=True, exclude_max=True), theta=st.floats(0.5, 1.0),
+       Lambda=st.floats(1e-8, 1e8), factor=st.floats(1.0, 1e4))
+@example(p=5.8, theta=1.0, Lambda=10.0, factor=3.0)
+@example(p=3.0, theta=1.0, Lambda=3.0, factor=1.0)
+def test_grid_rule_is_five_smooth_bounded_minimal_and_monotone_in_Lambda(p, theta, Lambda, factor):
+    grids = [cyl._grid_for(p, lam, theta) for lam in (Lambda, Lambda * factor)]
+    for grid, lam in zip(grids, (Lambda, Lambda * factor)):
+        assert grid.S == 20.0 and grid.n % 2 == 1 and 599 <= grid.n <= 1999 and _five_smooth(grid.n + 1)
+        B = _width(p, lam, theta)
+        # the fewest 5-smooth nodes with B h <= _BH_MAX, or n = 1999 if none up to it
+        fits = [m - 1 for m in range(600, 2001, 2) if _five_smooth(m) and B * 40.0 / m <= cyl._BH_MAX]
+        assert grid.n == (fits[0] if fits else 1999)
+    assert grids[1].n >= grids[0].n
+    try:  # the width is profile_constants' B, which alone may refuse: its amplitude can overflow
+        assert _width(p, Lambda, theta) == pytest.approx(profile_constants(Lambda, p, theta).B, rel=1e-14)
+    except DomainError:
+        pass
+
+
+def _lambda_at(bh599, p):
+    """The Lambda whose theta = 1 extremal (eta = Lambda) has B h = bh599 on LineGrid(20, 599)."""
+    return (2 * bh599 * 15.0 / (p - 2)) ** 2
+
+
+# B h on LineGrid(20, 599) against n = 1999's Q (N = 3, multistart, L_max = 8), measured at p >= 5.4 on broken
+# minimizers: <= 6.7e-14 up to 0.082, 5.1e-11 at 0.089, 1.2e-10 at 0.099, 1.5e-9 at 0.124, 3.5e-8 at 0.129,
+# 4.8e-5 at (N, p, Lambda) = (3, 5.8, 10) (0.40) and 3.4e-4 at (2, 5.8, 30) (0.69); near p = 6, 1.5e-10 at 0.0845
+@pytest.mark.parametrize("p, Lambda, n", [
+    *[(5.6, _lambda_at(bh599, 5.6), n) for bh599, n in (
+        (0.05, 599), (0.075, 599), (0.082, 639), (0.089, 719), (0.099, 749), (0.124, 959), (0.129, 971))],
+    (5.8, 10.0, 1999), (5.8, 30.0, 1999)],
+    ids=["0.05", "0.075", "0.082", "0.089", "0.099", "0.124", "0.129", "p5.8-Lambda10", "p5.8-Lambda30"])
+def test_grid_rule_at_its_anchors(p, Lambda, n):
+    grid = cyl._grid_for(p, Lambda)
+    assert grid == LineGrid(20.0, n)
+    assert _width(p, Lambda) * grid.h <= cyl._BH_MAX or n == 1999
+
+
+def test_grid_rule_grid_reproduces_the_finest_default():
+    # a narrow broken extremal, B h = 0.137 on LineGrid(20, 599): there n = 599 misses n = 1999's Q by 1.7e-8,
+    # and the rule's grid (n = 1079, B h = 0.076) matches it to 1e-10 with the same verdict
+    N, p, Lambda = 3, 5.67, 1.25
+
+    def solve(grid):
+        start = extremal_field(grid, N, cyl.DEFAULT_L_MAX, Lambda, p)
+        return minimize_quotient(start, Lambda, p, opts=MinimizeOpts(multistart=True))
+
+    rule, coarse, fine = map(solve, (cyl._grid_for(p, Lambda), cyl.DEFAULT_GRID, LineGrid(20.0, 1999)))
+    assert rule.minimizer.grid.n == 1079 and rule.broken and fine.broken
+    assert abs(rule.quotient - fine.quotient) <= 1e-10 * fine.quotient
+    assert abs(coarse.quotient - fine.quotient) > 1e-9 * fine.quotient
 
 
 def test_eigenvalue_bound_numeric_branch():
@@ -1658,8 +1723,9 @@ def test_a_finite_sample_whose_square_overflows_is_refused_before_any_transform(
     (lambda: ZonalField(3, [1.0, 1e200, 1.0]), DomainError, "squares summing below the float range"),
     (lambda: poincare_deficit(ZonalField(3, [1.0, 1e150, 1.0]), 2.0), DomainError,
      "finite integral of |v|^(q+1), got inf"),
-    (lambda: rayleigh(_power_overflows(), 1.0, 5.0), DomainError, "finite, positive integral of |u|^p"),
-    (lambda: el_residual(_power_overflows(), 1.0, 5.0), DomainError, "finite, positive integral of |u|^p"),
+    # the powers are inf, though their projection meets inf - inf: the message names inf, as proof_chain's does
+    (lambda: rayleigh(_power_overflows(), 1.0, 5.0), DomainError, "finite, positive integral of |u|^p, got inf"),
+    (lambda: el_residual(_power_overflows(), 1.0, 5.0), DomainError, "finite, positive integral of |u|^p, got inf"),
     (lambda: grad_energy(ZonalField(3, [0.0, 1e154])), DomainError, "finite angular energy, got inf"),
 ], ids=["zero-start", "ell-1e400", "ell-1e5000", "ell-minus-1e5000", "mu-0", "mu-neg", "mu-inf",
         "mu-nan", "repeated-s", "potential-samples", "circle-m", "sphere-m", "empty-zonal", "basis-L",
